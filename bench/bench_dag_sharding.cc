@@ -7,8 +7,9 @@
 //    over uncertain weights), declared with the query builder and
 //    hash-partitioned across 1/2/4/8 shard worker threads from a single
 //    caller. PartitionBy() pins a cheap int-hash key so the bench
-//    measures the executor, not a replayed map; num_shards == 1 compiles
-//    to the synchronous DagExecutor, a true single-threaded baseline.
+//    measures the executor, not a replayed map; num_shards == 1 runs the
+//    shard inline on the caller's thread, a true single-threaded
+//    baseline.
 //
 // 2. "ingest": the multi-producer path. Four independent keyed-sum
 //    chains (four sources — radar A / radar B / RFID-style feeds) run in
@@ -21,10 +22,8 @@
 //    section wires the graph directly — the graph-level exception the
 //    ROADMAP grants benches of the executor itself.
 //
-// 3. "queue": single-pair microbench of the old mutex+condvar
-//    BoundedQueue vs. the lock-free SpscRing on the same message count;
-//    the ring is the reason the ingest path no longer takes a lock after
-//    PushBatch.
+// 3. "watermark": the same Q1 plan on one shard with watermark
+//    generation off vs. planner-auto, so the signal's cost is visible.
 //
 // NOTE: the dev container is single-core; multi-shard and multi-lane
 // rows are expected ~flat there (<10% overhead is the acceptance bar),
@@ -47,10 +46,8 @@
 #include "query/planner.h"
 #include "query/query.h"
 #include "stats/gaussian.h"
-#include "stream/bounded_queue.h"
 #include "stream/group_by.h"
 #include "stream/sharded_executor.h"
-#include "stream/spsc_ring.h"
 #include "uncertain/selection.h"
 #include "uncertain/sum_strategies.h"
 
@@ -71,7 +68,6 @@ constexpr int64_t kWindowUs = 1000;
 bool g_smoke = false;
 size_t g_q1_tuples = 64 * 1024;
 size_t g_ingest_tuples_per_chain = 64 * 1024;
-size_t g_queue_ops = 2 * 1000 * 1000;
 std::vector<size_t> g_shard_axis = {1, 2, 4, 8};
 std::vector<size_t> g_ingest_shard_axis = {1, 2, 4};
 std::vector<size_t> g_lane_axis = {1, 2, 4};
@@ -230,38 +226,6 @@ double RunIngest(size_t num_shards, size_t num_lanes,
          sw.ElapsedSeconds();
 }
 
-// ---- section 3: queue microbench ------------------------------------------
-
-double RunBoundedQueue(size_t ops) {
-  usp::stream::BoundedQueue<uint64_t> queue(64);
-  Stopwatch sw;
-  std::thread consumer([&queue] {
-    while (queue.Pop().has_value()) {
-    }
-  });
-  for (uint64_t i = 0; i < ops; ++i) {
-    queue.Push(i);
-  }
-  queue.Close();
-  consumer.join();
-  return static_cast<double>(ops) / sw.ElapsedSeconds();
-}
-
-double RunSpscRing(size_t ops) {
-  usp::stream::SpscRing<uint64_t> ring(64);
-  Stopwatch sw;
-  std::thread consumer([&ring] {
-    while (ring.Pop().has_value()) {
-    }
-  });
-  for (uint64_t i = 0; i < ops; ++i) {
-    ring.Push(i);
-  }
-  ring.Close();
-  consumer.join();
-  return static_cast<double>(ops) / sw.ElapsedSeconds();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -271,7 +235,6 @@ int main(int argc, char** argv) {
   if (g_smoke) {
     g_q1_tuples = 8 * 1024;
     g_ingest_tuples_per_chain = 8 * 1024;
-    g_queue_ops = 200 * 1000;
     g_shard_axis = {1, 2};
     g_ingest_shard_axis = {1, 2};
     if (g_lane_axis.size() > 2) g_lane_axis = {1, 2};
@@ -315,22 +278,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  printf("\n=== 3. queue microbench: 1 producer, 1 consumer, %zu ops ===\n",
-         g_queue_ops);
-  const double bounded_ops = RunBoundedQueue(g_queue_ops);
-  const double spsc_ops = RunSpscRing(g_queue_ops);
-  printf("%-14s %14.0f ops/sec\n", "BoundedQueue", bounded_ops);
-  printf("%-14s %14.0f ops/sec   (%.1fx)\n", "SpscRing", spsc_ops,
-         bounded_ops > 0 ? spsc_ops / bounded_ops : 0.0);
-
-  // ---- section 4: watermark signalling overhead --------------------------
+  // ---- section 3: watermark signalling overhead --------------------------
   // Same Q1 plan, watermark generation off (period 0) vs. on (planner
   // auto: several watermarks per window), single shard so the signal's
   // propagation cost is not hidden behind worker parallelism. Best-of-3
   // per arm filters scheduler noise; the acceptance target is <2%
   // overhead (watermarks ride existing batches/rings — one control
   // message per period, min over inputs at fan-ins).
-  printf("\n=== 4. watermark overhead: Q1, 1 shard, off vs auto ===\n");
+  printf("\n=== 3. watermark overhead: Q1, 1 shard, off vs auto ===\n");
   double wm_off = 0.0, wm_on = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
     wm_off = std::max(wm_off, RunQ1Sharding(1, q1_input,
@@ -363,12 +318,6 @@ int main(int argc, char** argv) {
               ingest_rows[i].tps,
               i + 1 < ingest_rows.size() ? "," : "");
     }
-    fprintf(f, "  ],\n  \"queue\": [\n");
-    fprintf(f,
-            "    {\"queue\": \"bounded_mutex\", \"ops_per_sec\": %.1f},\n",
-            bounded_ops);
-    fprintf(f, "    {\"queue\": \"spsc_ring\", \"ops_per_sec\": %.1f}\n",
-            spsc_ops);
     fprintf(f, "  ],\n  \"watermark\": {\n");
     fprintf(f, "    \"off_tuples_per_sec\": %.1f,\n", wm_off);
     fprintf(f, "    \"auto_tuples_per_sec\": %.1f,\n", wm_on);
@@ -376,7 +325,7 @@ int main(int argc, char** argv) {
     fprintf(f, "  }\n}\n");
     fclose(f);
   }
-  if (failed || bounded_ops <= 0.0 || spsc_ops <= 0.0) {
+  if (failed) {
     fprintf(stderr, "bench_dag_sharding: at least one section failed\n");
     return 1;  // so the CI smoke step actually gates on the bench running
   }

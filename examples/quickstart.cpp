@@ -67,11 +67,13 @@ int main() {
   //
   //      When to override in PlannerOptions: pin `num_shards` when you
   //      need machine-independent results/benchmarks (num_shards = 1
-  //      keeps the exact single-threaded emission order) or when the
-  //      query shares the host with other work; pin `target_batch_size`
-  //      when you need a hard per-batch latency bound instead of the
-  //      tuner's throughput-oriented choice (0 disables re-batching
-  //      entirely). Explicit values always win over auto-tuning.
+  //      with one ingest lane runs the plan inline on your thread: each
+  //      PushBatch emits its results before returning, in exact emission
+  //      order) or when the query shares the host with other work; pin
+  //      `target_batch_size` when you need a hard per-batch latency bound
+  //      instead of the tuner's throughput-oriented choice (0 disables
+  //      re-batching entirely; inline plans never re-batch). Explicit
+  //      values always win over auto-tuning.
   //
   //      Watermark knobs (event-time progress): every source
   //      periodically announces "no future tuple below T"; the runtime

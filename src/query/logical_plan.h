@@ -4,8 +4,7 @@
 // says *what* to compute — sources, filters, maps, windowed group-by
 // aggregates, sliding-window joins, sinks — while the physical planner
 // (planner.h) decides *how*: naive vs. pane-incremental aggregation, shard
-// counts and partition keys, workspace wiring, DagExecutor vs.
-// ShardedExecutor.
+// counts and partition keys, ingest lanes, workspace wiring.
 //
 // Plans are built with the fluent query::Query builder (query.h) and are
 // acyclic by construction: every node's inputs must already exist, so

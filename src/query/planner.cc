@@ -155,12 +155,12 @@ common::Result<ShardKeyDecision> DeriveShardKey(const LogicalPlan& plan) {
 }
 
 /// Materialises one shard's ExecGraph from the logical plan. `record` is
-/// true exactly once (shard 0 / the single DAG) so the name maps and the
-/// summary are filled without duplicates.
+/// true exactly once (shard 0) so the name maps and the summary are filled
+/// without duplicates.
 common::Status BuildGraph(const LogicalPlan& plan,
                           const PlannerOptions& options,
-                          const ShardContext& ctx, CompiledQuery* owner,
-                          bool record, ExecGraph* graph,
+                          const ShardContext& ctx, bool record,
+                          ExecGraph* graph,
                           PlanSummary* summary,
                           std::unordered_map<std::string, ExecGraph::NodeId>*
                               sources,
@@ -334,8 +334,7 @@ common::Status BuildGraph(const LogicalPlan& plan,
         phys[id] = graph->AddJoin(
             phys[n.inputs[0]], phys[n.inputs[1]],
             std::make_unique<stream::SlidingWindowJoin>(
-                n.name, n.join_range_us, n.join_match,
-                options.join_max_skew_us));
+                n.name, n.join_range_us, n.join_match));
         break;
       case LogicalPlan::NodeKind::kSink:
         phys[id] = graph->AddSink(phys[n.inputs[0]], n.name);
@@ -343,7 +342,6 @@ common::Status BuildGraph(const LogicalPlan& plan,
         break;
     }
   }
-  (void)owner;
   return common::Status::OK();
 }
 
@@ -355,15 +353,16 @@ const TupleBatch& EmptyBatch() {
 }  // namespace
 
 std::string PlanSummary::ToString() const {
+  const bool runs_inline = num_shards == 1 && num_ingest_lanes == 1;
   std::ostringstream out;
   out << num_shards << " shard" << (num_shards == 1 ? "" : "s")
       << (auto_num_shards ? " [auto]" : "") << " ("
-      << (sharded ? "sharded executor" : "single-threaded DAG executor")
+      << (runs_inline ? "inline on the caller's thread" : "worker threads")
       << ")";
   if (!auto_shard_note.empty()) {
     out << " — " << auto_shard_note;
   }
-  if (sharded) {
+  if (!runs_inline) {
     out << ", " << num_ingest_lanes << " ingest lane"
         << (num_ingest_lanes == 1 ? "" : "s")
         << (auto_num_ingest_lanes ? " [auto]" : "");
@@ -409,7 +408,7 @@ std::string PlanSummary::ToString() const {
         << (a.paned ? "pane-incremental" : "exact per-window");
   }
   if (cf_grid_sharing) out << "; cross-group CF grid sharing";
-  if (sharded) {
+  if (!runs_inline) {
     out << "; thread pinning " << (pin_threads ? "on" : "off")
         << (auto_pin_threads ? " [auto]" : "");
   }
@@ -471,69 +470,29 @@ size_t CompiledQuery::ingest_lane(stream::ExecGraph::NodeId source) const {
 }
 
 size_t CompiledQuery::current_target_batch_size() const {
-  return sharded_ ? sharded_->current_target_batch_size() : 0;
+  return executor_->current_target_batch_size();
 }
 
 common::Status CompiledQuery::PushBatch(stream::ExecGraph::NodeId source,
                                         stream::TupleBatch&& batch) {
-  if (source == ExecGraph::kInvalidNode) {
-    return common::Status::InvalidArgument("unknown source node");
-  }
-  if (finished_) {
-    return common::Status::FailedPrecondition("query already finished");
-  }
-  if (dag_) {
-    // The O(batch) timestamp scan exists only for watermark generation.
-    const int64_t batch_max_ts =
-        watermark_period_us_ > 0 ? batch.MaxTimestamp() : INT64_MIN;
-    USP_RETURN_NOT_OK(dag_->PushBatch(source, batch));
-    // Periodic watermark generation for the single-DAG backend (the
-    // sharded backend generates lane-locally; same shared clock);
-    // emitted after the data it covers, mirroring the executor-side
-    // ordering rule.
-    stream::SourceWatermarkClock& clock = source_clocks_[source];
-    if (const auto wm = clock.Advance(batch_max_ts, watermark_period_us_,
-                                      watermark_lateness_us_)) {
-      if (clock.TryCommit(*wm)) {
-        USP_RETURN_NOT_OK(dag_->PushWatermark(source, *wm));
-      }
-    }
-    return common::Status::OK();
-  }
-  return sharded_->PushBatch(ingest_lane(source), source, std::move(batch));
+  return executor_->PushBatch(ingest_lane(source), source, std::move(batch));
 }
 
 common::Status CompiledQuery::PushWatermark(stream::ExecGraph::NodeId source,
                                             int64_t watermark) {
-  if (source == ExecGraph::kInvalidNode) {
-    return common::Status::InvalidArgument("unknown source node");
-  }
-  if (finished_) {
-    return common::Status::FailedPrecondition("query already finished");
-  }
-  if (dag_) {
-    if (!source_clocks_[source].TryCommit(watermark)) {
-      return common::Status::OK();  // regression/re-send: no-op
-    }
-    return dag_->PushWatermark(source, watermark);
-  }
-  return sharded_->PushWatermark(ingest_lane(source), source, watermark);
+  return executor_->PushWatermark(ingest_lane(source), source, watermark);
 }
 
 common::Status CompiledQuery::Finish() {
-  if (finished_) return finish_status_;
-  finish_status_ = dag_ ? dag_->Close() : sharded_->Finish();
   finished_ = true;
-  return finish_status_;
+  return executor_->Finish();
 }
 
 const stream::TupleBatch& CompiledQuery::Result(
     stream::ExecGraph::NodeId sink) const {
-  if (sink == ExecGraph::kInvalidNode) return EmptyBatch();
-  if (dag_) return dag_->sink_output(sink);
-  // The sharded merge only exists after Finish().
-  if (!finished_) return EmptyBatch();
-  return sharded_->sink_output(sink);
+  // The merged output only exists after Finish().
+  if (sink == ExecGraph::kInvalidNode || !finished_) return EmptyBatch();
+  return executor_->sink_output(sink);
 }
 
 const stream::TupleBatch& CompiledQuery::Result(
@@ -542,25 +501,23 @@ const stream::TupleBatch& CompiledQuery::Result(
 }
 
 stream::TupleBatch CompiledQuery::TakeResult(stream::ExecGraph::NodeId sink) {
-  if (sink == ExecGraph::kInvalidNode) return TupleBatch();
-  if (dag_) return dag_->TakeSinkOutput(sink);
-  if (!finished_) return TupleBatch();
-  return sharded_->TakeSinkOutput(sink);
+  if (sink == ExecGraph::kInvalidNode || !finished_) return TupleBatch();
+  return executor_->TakeSinkOutput(sink);
 }
 
 std::vector<stream::NodeMetrics> CompiledQuery::MetricsSnapshot() const {
-  return dag_ ? dag_->MetricsSnapshot() : sharded_->MetricsSnapshot();
+  return executor_->MetricsSnapshot();
 }
 
 common::Result<std::unique_ptr<CompiledQuery>> Planner::Compile(
-    const LogicalPlan& logical, const PlannerOptions& options) {
-  return CompileImpl(logical, options, /*make_dispatch=*/nullptr);
+    LogicalPlan plan, const PlannerOptions& options) {
+  return CompileImpl(std::move(plan), options, /*make_dispatch=*/nullptr);
 }
 
 common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
-    const LogicalPlan& logical, const PlannerOptions& options,
+    LogicalPlan plan, const PlannerOptions& options,
     const DispatchFactory* make_dispatch) {
-  USP_RETURN_NOT_OK(logical.Validate());
+  USP_RETURN_NOT_OK(plan.Validate());
   std::unique_ptr<CompiledQuery> compiled(new CompiledQuery());
   PlanSummary& summary = compiled->summary_;
   CompiledQuery* raw = compiled.get();
@@ -569,7 +526,6 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   // preserved-prefix maps so the (often expensive) map runs only on
   // surviving tuples. Everything downstream — key derivation included —
   // sees the rewritten plan.
-  LogicalPlan plan = logical;
   if (options.filter_pushdown) {
     plan.PushFiltersBelowMaps(&summary.pushed_filters);
   }
@@ -605,6 +561,14 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   summary.watermark_period_us = watermark_period_us;
   summary.watermark_lateness_us = options.watermark_lateness_us;
 
+  // Asked only when a decision needs it: hardware_concurrency() may read
+  // sysfs, which would dominate compiling a small plan.
+  const auto hardware_threads = [&options]() -> size_t {
+    return options.hardware_concurrency_override > 0
+               ? options.hardware_concurrency_override
+               : std::max(1u, std::thread::hardware_concurrency());
+  };
+
   // --- resolve num_shards -------------------------------------------------
   // Auto: as many shards as the machine has cores (capped) when a
   // partition key exists; plans with no derivable key degrade to one
@@ -615,10 +579,7 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   ShardKeyDecision key;
   bool have_key = false;
   if (summary.auto_num_shards) {
-    const size_t hw = options.hardware_concurrency_override > 0
-                          ? options.hardware_concurrency_override
-                          : std::max(1u, std::thread::hardware_concurrency());
-    num_shards = std::min(hw, PlannerOptions::kMaxAutoShards);
+    num_shards = std::min(hardware_threads(), PlannerOptions::kMaxAutoShards);
     if (num_shards > 1) {
       auto key_or = DeriveShardKey(plan);
       if (key_or.ok()) {
@@ -640,7 +601,7 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   // --- resolve ingest lanes ----------------------------------------------
   // Auto: one lane per source on sharded plans (each sensor feed pushes
   // from its own thread), one lane otherwise — a single-shard,
-  // single-lane plan keeps the zero-thread DagExecutor backend and its
+  // single-lane plan runs inline on the caller's thread and keeps its
   // exact emission order.
   summary.auto_num_ingest_lanes =
       options.num_ingest_lanes == PlannerOptions::kAutoLanes;
@@ -707,75 +668,48 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
     }
   }
   summary.num_ingest_lanes = num_lanes;
+  summary.shard_key_source = key.source;
 
-  const bool use_sharded = num_shards > 1 || num_lanes > 1;
+  // One shard behind one lane runs inline (ShardedExecutor's inline
+  // rule). Re-batching and pinning amortise and place a ring hop such a
+  // plan does not have, so it keeps pass-through ingest and no pinning.
+  const bool runs_inline = num_shards == 1 && num_lanes == 1;
 
   // --- resolve the re-batching target ------------------------------------
   summary.auto_target_batch_size =
+      !runs_inline &&
       options.target_batch_size == PlannerOptions::kAutoBatchSize;
   size_t target_batch_size = 0;
-  if (use_sharded) {
+  if (!runs_inline) {
     target_batch_size = summary.auto_target_batch_size
                             ? ShardedExecutor::kDefaultInitialBatch
                             : options.target_batch_size;
   }
   summary.target_batch_size = target_batch_size;
 
-  if (!use_sharded) {
-    ShardContext ctx;
-    ctx.shard_index = 0;
-    ctx.num_shards = 1;
-    ctx.archive = &compiled->local_archive_;
-    ctx.cf_workspace = &compiled->local_workspace_;
-    auto graph = std::make_unique<ExecGraph>();
-    USP_RETURN_NOT_OK(BuildGraph(
-        plan, options, ctx, raw, /*record=*/true, graph.get(),
-        &compiled->summary_, &compiled->sources_, &compiled->sinks_,
-        [raw, &options, &ctx](uncertain::SumStrategyKind kind) {
-          return raw->NewStrategy(kind, options.cf_grid_points,
-                                  ctx.cf_workspace);
-        },
-        watermark_only_aggs, make_dispatch));
-    USP_RETURN_NOT_OK(graph->Validate());
-    compiled->dag_ = std::make_unique<stream::DagExecutor>(std::move(graph));
-    // The single-DAG backend has no ingest lanes; CompiledQuery::PushBatch
-    // generates the periodic watermarks itself.
-    compiled->watermark_period_us_ = watermark_period_us;
-    compiled->watermark_lateness_us_ = options.watermark_lateness_us;
-    return compiled;
-  }
-
-  compiled->summary_.sharded = true;
-  compiled->summary_.shard_key_source = key.source;
   // --- resolve thread pinning --------------------------------------------
   // Auto: pin shard workers and ingest lanes to distinct cores when the
   // machine has enough of them that placement matters (>= 4 hardware
   // threads). On smaller machines pinning to the few shared cores only
   // fights the OS scheduler.
-  const size_t hw_for_pinning =
-      options.hardware_concurrency_override > 0
-          ? options.hardware_concurrency_override
-          : std::max(1u, std::thread::hardware_concurrency());
-  compiled->summary_.auto_pin_threads =
-      options.pin_threads == PlannerOptions::PinThreads::kAuto;
-  const bool pin_threads =
-      options.pin_threads == PlannerOptions::PinThreads::kOn ||
-      (options.pin_threads == PlannerOptions::PinThreads::kAuto &&
-       hw_for_pinning >= 4);
-  compiled->summary_.pin_threads = pin_threads;
+  summary.auto_pin_threads =
+      !runs_inline && options.pin_threads == PlannerOptions::PinThreads::kAuto;
+  summary.pin_threads =
+      !runs_inline &&
+      (options.pin_threads == PlannerOptions::PinThreads::kOn ||
+       (summary.auto_pin_threads && hardware_threads() >= 4));
   ShardedExecutor::Options sopts;
   sopts.num_shards = num_shards;
   sopts.num_ingest_lanes = num_lanes;
   sopts.queue_capacity = options.queue_capacity;
-  sopts.archive_retention_us = options.archive_retention_us;
   sopts.target_batch_size = target_batch_size;
   sopts.auto_target_batch_size = summary.auto_target_batch_size;
   sopts.watermark_period_us = watermark_period_us;
   sopts.watermark_lateness_us = options.watermark_lateness_us;
-  sopts.pin_threads = pin_threads;
+  sopts.pin_threads = summary.pin_threads;
   if (!have_key) {
-    // Single shard behind a multi-lane ingest: partitioning is a no-op,
-    // but the executor still requires a key function.
+    // Single shard: partitioning is a no-op, but the executor still
+    // requires a key function.
     key.fn = [](const Tuple&) { return uint64_t{0}; };
   }
   auto exec_or = ShardedExecutor::Create(
@@ -783,7 +717,7 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
       [&plan, &options, raw, &watermark_only_aggs, make_dispatch](
           ExecGraph* g, const ShardContext& ctx) {
         return BuildGraph(
-            plan, options, ctx, raw, /*record=*/ctx.shard_index == 0, g,
+            plan, options, ctx, /*record=*/ctx.shard_index == 0, g,
             &raw->summary_, &raw->sources_, &raw->sinks_,
             [raw, &options, &ctx](uncertain::SumStrategyKind kind) {
               return raw->NewStrategy(kind, options.cf_grid_points,
@@ -792,11 +726,13 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
             watermark_only_aggs, make_dispatch);
       });
   USP_RETURN_NOT_OK(exec_or.status());
-  compiled->sharded_ = exec_or.MoveValueUnsafe();
+  compiled->executor_ = exec_or.MoveValueUnsafe();
   // Route each source to its lane, round-robin in declaration order (the
-  // identity mapping when lanes were auto-chosen as one per source).
+  // identity mapping when lanes were auto-chosen as one per source). With
+  // one lane every source stays on lane 0, ingest_lane()'s default.
   size_t source_index = 0;
-  for (LogicalPlan::NodeId id = 0; id < plan.num_nodes(); ++id) {
+  for (LogicalPlan::NodeId id = 0; num_lanes > 1 && id < plan.num_nodes();
+       ++id) {
     if (plan.kind(id) != LogicalPlan::NodeKind::kSource) continue;
     const auto it = compiled->sources_.find(plan.node(id).name);
     if (it != compiled->sources_.end()) {
@@ -969,7 +905,7 @@ common::Result<std::unique_ptr<CompiledQuery>> Query::Compile() const {
 common::Result<std::unique_ptr<CompiledQuery>> Query::Compile(
     const PlannerOptions& options) const {
   USP_ASSIGN_OR_RETURN(LogicalPlan plan, Build());
-  return Planner::Compile(plan, options);
+  return Planner::Compile(std::move(plan), options);
 }
 
 common::Result<std::unique_ptr<MultiplexedQuery>> Query::CompileMultiplexed(

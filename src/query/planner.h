@@ -10,8 +10,8 @@
 //     state never crosses threads), with CF-inversion strategies wired to
 //     the shard's CfInversionWorkspace (ShardContext::cf_workspace) so the
 //     per-window FFT hot loop is allocation-free;
-//   * execution backend: a single-threaded DagExecutor at num_shards == 1,
-//     a ShardedExecutor otherwise;
+//   * execution backend: always a ShardedExecutor, which runs a 1-shard,
+//     1-lane plan inline on the caller's thread (no worker, no ring);
 //   * ingest partition key (sharded only): the caller's PartitionBy()
 //     override if present, else derived from the group-by key — hashed
 //     directly when only filters sit between the source and the group-by,
@@ -27,10 +27,12 @@
 //     threads, the ingest re-batching target from observed per-tuple
 //     operator cost (the executor's feedback tuner), and filters pushed
 //     below maps whenever the filter's declared read set lies inside the
-//     map's preserved prefix.
+//     map's preserved prefix. Plans that run inline keep pass-through
+//     ingest and no pinning: re-batching and pinning amortise and place a
+//     ring hop those plans do not have.
 //
-// The result is a CompiledQuery: one ingest/finish/result facade over both
-// backends, plus a PlanSummary describing the decisions for logs, tests,
+// The result is a CompiledQuery: an ingest/finish/result facade over the
+// executor, plus a PlanSummary describing the decisions for logs, tests,
 // and examples.
 
 #ifndef USP_QUERY_PLANNER_H_
@@ -47,9 +49,7 @@
 #include "query/subscription.h"
 #include "stats/characteristic_function.h"
 #include "stream/exec_graph.h"
-#include "stream/pipeline.h"
 #include "stream/sharded_executor.h"
-#include "stream/watermark.h"
 #include "uncertain/sum_strategies.h"
 
 namespace usp {
@@ -66,9 +66,10 @@ struct PlannerOptions {
   /// std::thread::hardware_concurrency() (capped at kMaxAutoShards) when
   /// the plan's partition key is derivable, falling back to 1 — with the
   /// reason recorded in PlanSummary — when it is not (joins, ungrouped
-  /// aggregates). An explicit 1 compiles to a single-threaded
-  /// DagExecutor; an explicit N > 1 fails Compile() if no key can be
-  /// derived or supplied.
+  /// aggregates). One shard behind one ingest lane runs inline on the
+  /// caller's thread — each push processes its batch before returning —
+  /// while every other shape gets worker threads; an explicit N > 1 fails
+  /// Compile() if no key can be derived or supplied.
   size_t num_shards = kAutoShards;
   /// Parallel ingest lanes (single producer thread each). kAutoLanes
   /// gives every source its own lane when the plan is sharded — radar A,
@@ -79,10 +80,9 @@ struct PlannerOptions {
   /// Per-(lane, shard) ingest ring depth, in batches (backpressure
   /// beyond).
   size_t queue_capacity = 64;
-  /// Archive retention for lineage resolution; negative keeps everything.
-  int64_t archive_retention_us = -1;
-  /// Sharded ingest merges undersized and splits oversized caller batches
-  /// toward this many tuples; 0 forwards caller-sized batches unchanged.
+  /// Ingest merges undersized and splits oversized caller batches toward
+  /// this many tuples; 0 forwards caller-sized batches unchanged. Plans
+  /// that run inline (one shard, one lane) always pass through.
   /// kAutoBatchSize (the default) turns on the executor's feedback tuner:
   /// the target is re-derived from observed per-tuple operator cost so
   /// one batch carries roughly a fixed cost budget of downstream work.
@@ -111,22 +111,12 @@ struct PlannerOptions {
 
   /// Pin shard workers and ingest lanes to distinct cores
   /// (ShardedExecutor::Options::pin_threads). kAuto pins when the machine
-  /// reports >= 4 hardware threads and the plan is sharded; kOff/kOn
-  /// force. Pinning also makes the deferred ring allocation first-touch
-  /// core-local (each shard's rings are faulted in by its pinned worker).
+  /// reports >= 4 hardware threads; kOff/kOn force. Plans that run inline
+  /// have no worker to place and are never pinned. Pinning also makes the
+  /// deferred ring allocation first-touch core-local (each shard's rings
+  /// are faulted in by its pinned worker).
   enum class PinThreads { kAuto, kOn, kOff };
   PinThreads pin_threads = PinThreads::kAuto;
-
-  /// Memory bound for join buffers when one input stalls: a join side
-  /// also expires once its own stream has advanced range + this many us
-  /// past a tuple (asserting the two inputs' clocks never diverge
-  /// further; matches beyond the divergence are dropped). Negative
-  /// (default) keeps exact unbounded-skew semantics. Superseded by
-  /// watermarks for the silent-input case — a watermark states the idle
-  /// side's clock instead of assuming it, so no matches are dropped —
-  /// but still honoured as a hard cap for feeds that send neither data
-  /// nor watermarks.
-  int64_t join_max_skew_us = -1;
 
   /// Event-time watermark generation period, in event-time microseconds.
   /// Watermarks are the runtime's progress signal: each source
@@ -166,7 +156,6 @@ struct PlannerOptions {
 struct PlanSummary {
   size_t num_shards = 1;
   bool auto_num_shards = false;
-  bool sharded = false;
   /// Why an auto shard choice fell back to 1 (e.g. underivable key);
   /// empty when it did not.
   std::string auto_shard_note;
@@ -177,11 +166,11 @@ struct PlanSummary {
   /// downstream of a join needs cross-source order); empty otherwise.
   std::string auto_lane_note;
 
-  /// Resolved ingest re-batching target (0 = pass-through / single DAG).
+  /// Resolved ingest re-batching target (0 = pass-through).
   size_t target_batch_size = 0;
-  /// True when the executor's feedback tuner owns the target; the
-  /// reported value is then the initial seed, see
-  /// CompiledQuery::current_target_batch_size() for the live value.
+  /// True when the executor's feedback tuner owns the target (never on
+  /// plans that run inline); the reported value is then the initial seed,
+  /// see CompiledQuery::current_target_batch_size() for the live value.
   bool auto_target_batch_size = false;
 
   enum class ShardKeySource {
@@ -241,10 +230,11 @@ struct PlanSummary {
 /// \brief A compiled, runnable physical plan.
 ///
 /// Push batches at sources (ids via source()), call Finish() exactly once
-/// after the last push, then read per-sink results. The facade hides
-/// whether a DagExecutor or a ShardedExecutor runs underneath; the only
-/// observable difference is the documented sharded-merge ordering (result
-/// sets are shard-count-independent, equal-timestamp tie order is not).
+/// after the last push, then read per-sink results. One ShardedExecutor
+/// runs every plan; a 1-shard, 1-lane plan runs inline on the pushing
+/// thread and keeps its emission order, any other plan merges by
+/// timestamp (result sets are shard-count-independent, equal-timestamp
+/// tie order is not).
 class CompiledQuery {
  public:
   /// Source/sink handle by the name declared in the logical plan;
@@ -255,8 +245,8 @@ class CompiledQuery {
   /// Ingest lane a source is routed through. Pushes for sources on
   /// DIFFERENT lanes may run concurrently from different threads (the
   /// multi-producer contract); pushes for one source — or two sources
-  /// sharing a lane — must be externally serialised. Single-DAG plans
-  /// report lane 0 for every source and are single-threaded throughout.
+  /// sharing a lane — must be externally serialised. One-lane plans
+  /// report lane 0 for every source.
   size_t ingest_lane(stream::ExecGraph::NodeId source) const;
 
   common::Status Push(stream::ExecGraph::NodeId source, stream::Tuple tuple);
@@ -276,12 +266,13 @@ class CompiledQuery {
                                int64_t watermark);
 
   /// Live ingest re-batching target (moves under the feedback tuner when
-  /// PlannerOptions::kAutoBatchSize is in effect; 0 on single-DAG plans).
+  /// PlannerOptions::kAutoBatchSize is in effect; 0 on pass-through
+  /// plans).
   size_t current_target_batch_size() const;
 
   /// End-of-stream: flush windows/joins (and join + drain the shard
-  /// workers when sharded). Idempotent; returns the first error any part
-  /// of the plan hit.
+  /// workers, if any). Idempotent; returns the first error any part of
+  /// the plan hit.
   common::Status Finish();
 
   /// Accumulated output of a sink, by id or by name. Complete only after
@@ -290,7 +281,8 @@ class CompiledQuery {
   const stream::TupleBatch& Result(const std::string& name) const;
   stream::TupleBatch TakeResult(stream::ExecGraph::NodeId sink);
 
-  /// Per-node metrics (merged across shards when sharded).
+  /// Per-node metrics merged across shards, plus one ingest-counter entry
+  /// per source.
   std::vector<stream::NodeMetrics> MetricsSnapshot() const;
 
   const PlanSummary& summary() const { return summary_; }
@@ -309,26 +301,14 @@ class CompiledQuery {
   PlanSummary summary_;
   std::unordered_map<std::string, stream::ExecGraph::NodeId> sources_;
   std::unordered_map<std::string, stream::ExecGraph::NodeId> sinks_;
-  /// Ingest lane per source node id (sharded backend only).
+  /// Ingest lane per source node id.
   std::unordered_map<stream::ExecGraph::NodeId, size_t> lane_of_source_;
   /// All shards' strategy instances (stable addresses; operators hold raw
   /// pointers into these).
   std::vector<std::unique_ptr<uncertain::SumStrategy>> strategies_;
-  /// Shard context for the single-shard DagExecutor backend (the sharded
-  /// backend uses the per-shard context owned by ShardedExecutor).
-  stream::TupleArchive local_archive_;
-  stats::CfInversionWorkspace local_workspace_;
-  /// Single-DAG watermark generation state (the sharded backend generates
-  /// lane-locally inside ShardedExecutor; same shared clock type).
-  std::unordered_map<stream::ExecGraph::NodeId, stream::SourceWatermarkClock>
-      source_clocks_;
-  int64_t watermark_period_us_ = 0;
-  int64_t watermark_lateness_us_ = 0;
-  /// Exactly one of these backs the query.
-  std::unique_ptr<stream::DagExecutor> dag_;
-  std::unique_ptr<stream::ShardedExecutor> sharded_;
+  std::unique_ptr<stream::ShardedExecutor> executor_;
+  /// Set by Finish(); results exist only after it.
   bool finished_ = false;
-  common::Status finish_status_;
 };
 
 /// \brief Many standing queries compiled onto ONE physical plan.
@@ -386,10 +366,11 @@ class MultiplexedQuery {
 
 class Planner {
  public:
-  /// Validates `plan` and compiles it. The plan is copied where needed
-  /// (closures are shared); it does not need to outlive the result.
+  /// Validates `plan` and compiles it. Taken by value (closures are
+  /// shared): move a plan in to skip the copy the planner's rewrites need.
+  /// It does not need to outlive the result.
   static common::Result<std::unique_ptr<CompiledQuery>> Compile(
-      const LogicalPlan& plan, const PlannerOptions& options = {});
+      LogicalPlan plan, const PlannerOptions& options = {});
 
   /// Compiles `templ` once and binds `subscriptions` to it (the set must
   /// be fresh — one set per call). The template must be the multiplexable
@@ -412,7 +393,7 @@ class Planner {
 
  private:
   static common::Result<std::unique_ptr<CompiledQuery>> CompileImpl(
-      const LogicalPlan& plan, const PlannerOptions& options,
+      LogicalPlan plan, const PlannerOptions& options,
       const DispatchFactory* make_dispatch);
 };
 

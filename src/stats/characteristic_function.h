@@ -32,7 +32,7 @@ CharFn ProductCf(const std::vector<const Distribution*>& dists);
 /// G groups over identically-parameterised sensor models evaluate each
 /// CfGrid once instead of G times. Owned by CfInversionWorkspace under the
 /// same rule as the rest of the workspace: one per shard, touched only by
-/// that shard's worker thread, so the counters are plain integers. Off by
+/// the thread running that shard, so the counters are plain integers. Off by
 /// default; the planner enables it (PlannerOptions::share_cf_grids) when a
 /// plan contains a CF-inversion aggregate.
 struct CfGridCache {

@@ -27,10 +27,7 @@ void SlidingWindowJoin::Expire() {
   // matches when one input lags the other, which multi-lane ingest
   // permits.) The clock is max(data high-water, watermark): a silent
   // side's data clock freezes, but its watermark keeps advancing the
-  // other buffer's expiry — the idle-source fix. With a max-skew cap, the
-  // OWN clock also expires — under the assumption the silent side's clock
-  // is at most max_skew behind — so a stalled input cannot grow the other
-  // buffer without bound even when nobody sends watermarks.
+  // other buffer's expiry — the idle-source fix.
   const int64_t left_clock = LeftClock();
   const int64_t right_clock = RightClock();
   int64_t left_horizon = INT64_MIN;
@@ -40,16 +37,6 @@ void SlidingWindowJoin::Expire() {
   }
   if (left_clock != INT64_MIN) {
     right_horizon = left_clock - range_us_;
-  }
-  if (max_skew_us_ >= 0) {
-    if (left_clock != INT64_MIN) {
-      left_horizon =
-          std::max(left_horizon, left_clock - range_us_ - max_skew_us_);
-    }
-    if (right_clock != INT64_MIN) {
-      right_horizon =
-          std::max(right_horizon, right_clock - range_us_ - max_skew_us_);
-    }
   }
   while (!left_.empty() && left_.front().timestamp() < left_horizon) {
     const uint64_t bytes = left_.front().ApproxBytes();

@@ -35,13 +35,9 @@ namespace stream {
 /// emission order depends on it.
 ///
 /// Buffer growth is range + cross-input skew. When data flows on both
-/// sides the executor's backpressure bounds the skew, but a SILENT input
-/// (sensor outage) never advances its clock, so the other buffer would
-/// grow without bound. `max_skew_us >= 0` caps that: each side also
-/// expires once its OWN stream has advanced `max_skew + range` past a
-/// tuple — asserting the inputs' clocks never diverge by more than
-/// max_skew, and trading matches beyond that divergence for bounded
-/// memory. Negative (default) keeps exact unbounded-skew semantics.
+/// sides the executor's backpressure bounds the skew; a SILENT input
+/// (sensor outage) never advances its data clock, so its watermarks
+/// (AdvanceWatermark) are what keep the other buffer bounded.
 /// Call Close() once after the last push.
 class SlidingWindowJoin {
  public:
@@ -55,12 +51,8 @@ class SlidingWindowJoin {
   using MatchFn = std::function<std::optional<Tuple>(const Tuple& left,
                                                      const Tuple& right)>;
 
-  SlidingWindowJoin(std::string name, int64_t range_us, MatchFn match,
-                    int64_t max_skew_us = -1)
-      : name_(std::move(name)),
-        range_us_(range_us),
-        max_skew_us_(max_skew_us),
-        match_(std::move(match)) {}
+  SlidingWindowJoin(std::string name, int64_t range_us, MatchFn match)
+      : name_(std::move(name)), range_us_(range_us), match_(std::move(match)) {}
 
   common::Status PushLeft(const Tuple& tuple, Collector* out);
   common::Status PushRight(const Tuple& tuple, Collector* out);
@@ -106,8 +98,6 @@ class SlidingWindowJoin {
 
   std::string name_;
   int64_t range_us_;
-  /// Max assumed clock divergence between the inputs; negative = none.
-  int64_t max_skew_us_;
   MatchFn match_;
   std::deque<Tuple> left_;
   std::deque<Tuple> right_;

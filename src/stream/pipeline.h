@@ -33,7 +33,7 @@ namespace stream {
 ///
 /// Deprecated: new code should describe plans declaratively with
 /// query::Query and compile them with query::Planner (src/query/), which
-/// picks the physical runtime (DagExecutor vs. ShardedExecutor, naive vs.
+/// picks the physical runtime (shard and lane counts, naive vs.
 /// pane-incremental aggregation) instead of hand-wiring it. Pipeline stays
 /// for the seed per-tuple API and its tests.
 class [[deprecated(

@@ -107,22 +107,9 @@ common::Result<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
     shard->last_seq.assign(num_nodes, 0);
     shard->source_watermark.assign(num_nodes, INT64_MIN);
   }
-  exec->source_lane_ =
-      std::make_unique<std::atomic<uint32_t>[]>(num_nodes);
-  exec->ingest_by_source_ = std::make_unique<IngestCounters[]>(num_nodes);
-  for (size_t n = 0; n < num_nodes; ++n) {
-    exec->source_lane_[n].store(kUnboundLane, std::memory_order_relaxed);
-  }
+  exec->ingest_by_source_ = std::make_unique<SourceIngest[]>(num_nodes);
   for (size_t l = 0; l < options.num_ingest_lanes; ++l) {
     auto lane = std::make_unique<Lane>();
-    lane->rings.reserve(options.num_shards);
-    for (size_t s = 0; s < options.num_shards; ++s) {
-      // Slot allocation is deferred to shard s's worker thread, which
-      // first-touches the pages on its (possibly pinned) core; the
-      // rings_ready_ wait below keeps producers out until then.
-      lane->rings.push_back(std::make_unique<SpscRing<Message>>(
-          options.queue_capacity, /*defer_alloc=*/true));
-    }
     lane->next_seq.assign(num_nodes, 0);
     lane->watermark_clocks.assign(num_nodes, SourceWatermarkClock());
     exec->lanes_.push_back(std::move(lane));
@@ -135,6 +122,19 @@ common::Result<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
   // Pre-size the merged sink store so sink_output() before Finish() reads
   // an empty batch instead of indexing out of bounds.
   exec->merged_sinks_.assign(num_nodes, TupleBatch());
+  // One shard behind one lane runs on the pushing thread: there is no hop
+  // to place, so no rings, no workers, no startup latch.
+  if (exec->RunsInline()) return exec;
+  for (auto& lane : exec->lanes_) {
+    lane->rings.reserve(options.num_shards);
+    for (size_t s = 0; s < options.num_shards; ++s) {
+      // Slot allocation is deferred to shard s's worker thread, which
+      // first-touches the pages on its (possibly pinned) core; the
+      // rings_ready_ wait below keeps producers out until then.
+      lane->rings.push_back(std::make_unique<SpscRing<Message>>(
+          options.queue_capacity, /*defer_alloc=*/true));
+    }
+  }
   for (auto& shard : exec->shards_) {
     Shard* raw = shard.get();
     shard->worker = std::thread([exec_ptr = exec.get(), raw] {
@@ -153,6 +153,7 @@ common::Result<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
 }
 
 void ShardedExecutor::MaybeEvictArchive(Shard* shard) {
+  if (options_.archive_retention_us < 0) return;  // keep everything
   // Eviction clock: the MIN across per-source event-time clocks seen on
   // this shard, so a source lagging behind the others (multi-lane skew)
   // does not have its freshly-archived tuples evicted by the fastest
@@ -169,7 +170,7 @@ void ShardedExecutor::MaybeEvictArchive(Shard* shard) {
   // archive, so running it per message would be O(messages * archive
   // size). No eviction until a non-empty batch has set the clock
   // (INT64_MIN - retention would underflow).
-  if (options_.archive_retention_us >= 0 && evict_watermark != INT64_MIN &&
+  if (evict_watermark != INT64_MIN &&
       (shard->last_evict_watermark == INT64_MIN ||
        evict_watermark - shard->last_evict_watermark >=
            std::max<int64_t>(1, options_.archive_retention_us / 4))) {
@@ -179,9 +180,9 @@ void ShardedExecutor::MaybeEvictArchive(Shard* shard) {
   }
 }
 
-void ShardedExecutor::ProcessMessage(Shard* shard, Message&& msg) {
+common::Status ShardedExecutor::ProcessMessage(Shard* shard, Message&& msg) {
   std::lock_guard<std::mutex> lock(shard->mu);
-  if (!shard->status.ok()) return;  // drain after failure
+  if (!shard->status.ok()) return shard->status;  // drain after failure
   // Per-source arrival-order invariant: lane FIFO means the slice
   // sequence this shard observes for one source must be strictly
   // increasing (gaps are slices whose partition had no tuples for us).
@@ -193,7 +194,7 @@ void ShardedExecutor::ProcessMessage(Shard* shard, Message&& msg) {
           std::to_string(msg.source) + " (seq " + std::to_string(msg.seq) +
           " after " + std::to_string(shard->last_seq[msg.source]) +
           "); was the source pushed from more than one thread?");
-      return;
+      return shard->status;
     }
     shard->last_seq[msg.source] = msg.seq;
   }
@@ -207,7 +208,7 @@ void ShardedExecutor::ProcessMessage(Shard* shard, Message&& msg) {
           std::max(shard->source_watermark[msg.source], msg.watermark);
     }
     MaybeEvictArchive(shard);
-    return;
+    return shard->status;
   }
   shard->status = shard->exec->PushBatch(msg.source, msg.batch);
   const int64_t batch_max_ts = msg.batch.MaxTimestamp();
@@ -217,6 +218,7 @@ void ShardedExecutor::ProcessMessage(Shard* shard, Message&& msg) {
         std::max(shard->source_watermark[msg.source], batch_max_ts);
   }
   MaybeEvictArchive(shard);
+  return shard->status;
 }
 
 void ShardedExecutor::WorkerLoop(Shard* shard) {
@@ -267,36 +269,44 @@ common::Status ShardedExecutor::Enqueue(Lane* lane, size_t shard,
   const ExecGraph::NodeId source = msg.source;
   const uint64_t tuples = msg.batch.size();
   const bool is_watermark = msg.watermark != INT64_MIN;
-  SpscRing<Message>& ring = *lane->rings[shard];
-  if (!ring.TryPush(msg)) {
-    // Full (backpressure) or closed: block with backoff and meter the
-    // wait so it shows up in the source's ingest counters.
-    common::Stopwatch blocked;
-    Backoff backoff;
-    for (;;) {
-      if (ring.closed()) {
-        return common::Status::FailedPrecondition("shard queue closed");
+  common::Status status;
+  uint64_t depth = 0;
+  if (RunsInline()) {
+    // No ring and no worker: the pushing thread runs the shard, so an
+    // operator error comes back from the push that hit it.
+    status = ProcessMessage(shards_[shard].get(), std::move(msg));
+  } else {
+    SpscRing<Message>& ring = *lane->rings[shard];
+    if (!ring.TryPush(msg)) {
+      // Full (backpressure) or closed: block with backoff and meter the
+      // wait so it shows up in the source's ingest counters.
+      common::Stopwatch blocked;
+      Backoff backoff;
+      for (;;) {
+        if (ring.closed()) {
+          return common::Status::FailedPrecondition("shard queue closed");
+        }
+        backoff.Pause();
+        if (ring.TryPush(msg)) break;
       }
-      backoff.Pause();
-      if (ring.TryPush(msg)) break;
+      ingest_by_source_[source].blocked_ns.fetch_add(
+          static_cast<uint64_t>(blocked.ElapsedSeconds() * 1e9),
+          std::memory_order_relaxed);
     }
-    ingest_by_source_[source].blocked_ns.fetch_add(
-        static_cast<uint64_t>(blocked.ElapsedSeconds() * 1e9),
-        std::memory_order_relaxed);
+    depth = ring.size();
   }
-  IngestCounters& counters = ingest_by_source_[source];
+  SourceIngest& counters = ingest_by_source_[source];
   counters.tuples.fetch_add(tuples, std::memory_order_relaxed);
   if (!is_watermark) {
     // Watermark control messages ride the same rings but are not data
     // batches; counting them would skew the ingest batch counters.
     counters.batches.fetch_add(1, std::memory_order_relaxed);
   }
-  const uint64_t depth = ring.size();
   uint64_t prev = counters.peak_depth.load(std::memory_order_relaxed);
   while (depth > prev && !counters.peak_depth.compare_exchange_weak(
                              prev, depth, std::memory_order_relaxed)) {
   }
-  return common::Status::OK();
+  return status;
 }
 
 common::Status ShardedExecutor::BroadcastWatermark(Lane* lane,
@@ -376,8 +386,12 @@ common::Status ShardedExecutor::AdmitPush(LaneId lane_id,
         "ingest lane " + std::to_string(lane_id) + " out of range (" +
         std::to_string(lanes_.size()) + " lanes)");
   }
-  if (source >= num_nodes_) {
-    return common::Status::InvalidArgument("unknown source node");
+  // Reject non-source ids before anything is enqueued: delivered to a
+  // shard, the push would fail there and poison the whole plan.
+  if (source >= num_nodes_ || shards_[0]->exec->graph().kind(source) !=
+                                  ExecGraph::NodeKind::kSource) {
+    return common::Status::InvalidArgument(
+        "node " + std::to_string(source) + " is not a source");
   }
   Lane* lane = lanes_[lane_id].get();
   // In-flight marker (seq_cst, paired with the seq_cst close in Finish):
@@ -402,7 +416,7 @@ common::Status ShardedExecutor::BindSourceToLane(LaneId lane_id,
   // Per-source order needs one lane per source: the first push binds the
   // source; a later push on a different lane is a contract violation.
   uint32_t expected = kUnboundLane;
-  if (!source_lane_[source].compare_exchange_strong(
+  if (!ingest_by_source_[source].lane.compare_exchange_strong(
           expected, static_cast<uint32_t>(lane_id),
           std::memory_order_acq_rel) &&
       expected != static_cast<uint32_t>(lane_id)) {
@@ -618,7 +632,10 @@ common::Status ShardedExecutor::Finish() {
   // Merge sink outputs: concatenate in shard-index order, then stable-sort
   // by timestamp. Per-shard output order is deterministic for single-lane
   // ingest, so the merged order is too, independent of how the workers
-  // interleaved.
+  // interleaved. An inline plan's output is taken as is, in emission
+  // order — no copy, no sort buffer. (One shard behind several lanes is
+  // still sorted: its emission order depends on how the worker
+  // interleaved the lanes.)
   const ExecGraph& plan = shards_[0]->exec->graph();
   merged_sinks_.assign(plan.num_nodes(), TupleBatch());
   for (ExecGraph::NodeId id = 0; id < plan.num_nodes(); ++id) {
@@ -627,6 +644,7 @@ common::Status ShardedExecutor::Finish() {
     for (auto& shard : shards_) {
       merged.Concat(shard->exec->TakeSinkOutput(id));
     }
+    if (RunsInline()) continue;
     std::stable_sort(
         merged.mutable_tuples().begin(), merged.mutable_tuples().end(),
         [](const Tuple& a, const Tuple& b) {
@@ -669,7 +687,7 @@ std::vector<NodeMetrics> ShardedExecutor::MetricsSnapshot() const {
     NodeMetrics entry;
     entry.node = id;
     entry.name = plan.name(id);
-    const IngestCounters& c = ingest_by_source_[id];
+    const SourceIngest& c = ingest_by_source_[id];
     entry.metrics.tuples_in = c.tuples.load(std::memory_order_relaxed);
     entry.metrics.batches_in = c.batches.load(std::memory_order_relaxed);
     entry.metrics.producer_block_seconds =

@@ -1,13 +1,21 @@
-// Key-sharded, multi-threaded DAG runtime with lock-free parallel ingest.
+// Key-sharded DAG runtime with lock-free parallel ingest — the one
+// execution backend behind every compiled plan.
 //
 // The executor owns N shards; each shard runs a private copy of the plan
 // (its own ExecGraph + operator instances, its own TupleArchive) on a
-// dedicated worker thread. Ingest runs through L *lanes*: a lane is one
-// producer thread's private ingest channel, connected to every shard by a
-// bounded lock-free SPSC ring — one ring per (lane, shard) pair — so
-// after the caller enters PushBatch no lock is ever taken on the way to a
-// shard. Multi-sensor feeds (radar A + radar B + RFID readers) each own a
-// lane and push concurrently from their own threads.
+// dedicated worker thread, except under the inline rule below. Ingest
+// runs through L *lanes*: a lane is one producer thread's private ingest
+// channel, connected to every shard by a bounded lock-free SPSC ring —
+// one ring per (lane, shard) pair — so after the caller enters PushBatch
+// no lock is ever taken on the way to a shard. Multi-sensor feeds (radar
+// A + radar B + RFID readers) each own a lane and push concurrently from
+// their own threads.
+//
+// Inline rule: with num_shards == 1 AND num_ingest_lanes == 1 there is no
+// hop to make, so the executor creates no worker thread, no rings and no
+// startup latch; each push runs the shard on the calling thread. Results
+// are emitted before the push returns, an operator error comes back from
+// the push that hit it, and the sink keeps the shard's emission order.
 //
 // Ordering contract: each source node must be fed through exactly ONE
 // lane (enforced: a push that re-binds a source to a different lane fails
@@ -18,9 +26,9 @@
 // operators downstream of a single source are unaffected, and fan-in
 // joins buffer by time range so their result SET is interleaving-
 // independent (emission order is not — under skew it regresses in
-// timestamp, so an operator that needs cross-source timestamp order,
-// e.g. a windowed aggregate downstream of a join, must be fed through a
-// single lane; the query planner enforces exactly that).
+// timestamp, so a windowed aggregate downstream of a join must close its
+// windows by watermark, not by data arrival; the query planner switches
+// such aggregates to watermark-only closure).
 // Workers verify the per-source sequence numbers and fail the shard
 // loudly on a violation instead of silently mis-windowing.
 //
@@ -29,8 +37,8 @@
 // shard: keyed plans (group-by, keyed joins, lineage resolution against
 // the shard archive) need no cross-shard coordination, and the result SET
 // is independent of both the shard count and the lane count (merged
-// output is timestamp-sorted; equal-timestamp tie order follows shard
-// assignment and worker interleaving).
+// output is timestamp-sorted unless the plan runs inline; equal-timestamp
+// tie order follows shard assignment and worker interleaving).
 //
 // Thread safety: PushBatch(lane, ...) is single-producer PER LANE — two
 // threads may push concurrently only on different lanes. The lane-less
@@ -74,7 +82,8 @@ struct ShardContext {
   /// Shard-private archive for lineage resolution; evicted by watermark.
   TupleArchive* archive = nullptr;
   /// Shard-private scratch for CF inversion / order-statistics grids.
-  /// Owned by the shard and touched only from its worker thread; plan
+  /// Owned by the shard and touched only by the thread running it (its
+  /// worker, or the pushing thread under the inline rule); plan
   /// builders hand it to CfInversionSum::set_workspace or the pane
   /// aggregates so the per-window hot loop is allocation-free.
   stats::CfInversionWorkspace* cf_workspace = nullptr;
@@ -161,7 +170,8 @@ class ShardedExecutor {
   using PlanBuilder =
       std::function<common::Status(ExecGraph* graph, const ShardContext& ctx)>;
 
-  /// Builds the per-shard graphs (validated) and starts the workers.
+  /// Builds the per-shard graphs (validated) and starts the workers —
+  /// none under the inline rule (one shard, one lane).
   static common::Result<std::unique_ptr<ShardedExecutor>> Create(
       const Options& options, KeyFn key_fn, const PlanBuilder& builder);
 
@@ -218,7 +228,9 @@ class ShardedExecutor {
   /// stable sort by timestamp — deterministic for any worker interleaving
   /// at a fixed shard count with single-lane ingest; across shard or lane
   /// counts the tuple SET and the timestamp order are identical but
-  /// equal-timestamp ties may reorder. Empty until Finish().
+  /// equal-timestamp ties may reorder. Under the inline rule the output
+  /// is not sorted: it keeps the shard's emission order. Empty until
+  /// Finish().
   const TupleBatch& sink_output(ExecGraph::NodeId sink) const;
   TupleBatch TakeSinkOutput(ExecGraph::NodeId sink);
 
@@ -254,9 +266,14 @@ class ShardedExecutor {
     int64_t watermark = INT64_MIN;
   };
 
-  /// Per-source ingest counters. Written by the owning lane's producer
-  /// thread, read by MetricsSnapshot() from anywhere (hence atomics).
-  struct IngestCounters {
+  /// Lane a source is bound to (first push wins); kUnboundLane = free.
+  static constexpr uint32_t kUnboundLane = UINT32_MAX;
+
+  /// Per-source ingest state: the lane binding plus counters written by
+  /// the owning lane's producer thread and read by MetricsSnapshot() from
+  /// anywhere (hence atomics).
+  struct SourceIngest {
+    std::atomic<uint32_t> lane{kUnboundLane};
     std::atomic<uint64_t> tuples{0};
     std::atomic<uint64_t> batches{0};
     std::atomic<uint64_t> blocked_ns{0};
@@ -264,8 +281,9 @@ class ShardedExecutor {
   };
 
   struct Lane {
-    /// One SPSC ring per shard; this lane's producer thread is the only
-    /// pusher, the shard worker the only popper.
+    /// One SPSC ring per shard (none under the inline rule); this lane's
+    /// producer thread is the only pusher, the shard worker the only
+    /// popper.
     std::vector<std::unique_ptr<SpscRing<Message>>> rings;
     /// Flipped first during Finish() so racing pushes fail loudly.
     /// seq_cst together with `active` (store/load vs. RMW/load on the
@@ -293,7 +311,8 @@ class ShardedExecutor {
   struct Shard {
     std::unique_ptr<DagExecutor> exec;
     TupleArchive archive;
-    /// Reusable CF/order-statistics scratch; worker-thread-private.
+    /// Reusable CF/order-statistics scratch; private to the thread
+    /// running the shard.
     stats::CfInversionWorkspace cf_workspace;
     std::thread worker;
     size_t index = 0;
@@ -316,8 +335,16 @@ class ShardedExecutor {
 
   ShardedExecutor(const Options& options, KeyFn key_fn);
 
+  /// The inline rule: one shard behind one lane runs on the pushing
+  /// thread (no rings, no worker).
+  bool RunsInline() const {
+    return shards_.size() == 1 && lanes_.size() == 1;
+  }
+
   void WorkerLoop(Shard* shard);
-  void ProcessMessage(Shard* shard, Message&& msg);
+  /// Runs one message through the shard's graph under its lock; returns
+  /// the shard's (latched) status.
+  common::Status ProcessMessage(Shard* shard, Message&& msg);
   /// Partition one (already target-sized) slice and enqueue per shard.
   common::Status PushSlice(Lane* lane, ExecGraph::NodeId source,
                            TupleBatch&& batch);
@@ -334,7 +361,9 @@ class ShardedExecutor {
   };
 
   /// Shared producer-admission protocol of PushBatch and PushWatermark:
-  /// finished/lane/source validation, then the in-flight marker (seq_cst,
+  /// finished/lane/source validation (the id must name a source node, so a
+  /// bad push is refused before it can reach and fail a shard), then the
+  /// in-flight marker (seq_cst,
   /// paired with the seq_cst lane close in Finish — either Finish sees
   /// the increment and waits, or the push sees the closed flag and fails
   /// loudly), then the closed-lane check. On OK, `*lane_out` is set and
@@ -344,7 +373,8 @@ class ShardedExecutor {
   /// Source->lane binding (first push wins; a later push on a different
   /// lane would break per-source arrival order and fails loudly).
   common::Status BindSourceToLane(LaneId lane_id, ExecGraph::NodeId source);
-  /// Blocking enqueue with block-time/peak-depth accounting.
+  /// Blocking enqueue with block-time/peak-depth accounting; under the
+  /// inline rule, processes the message on the calling thread instead.
   common::Status Enqueue(Lane* lane, size_t shard, Message&& msg);
   /// Broadcast a watermark message for `source` to every shard on this
   /// lane's rings (monotone per source; no-op when not an advance).
@@ -365,10 +395,7 @@ class ShardedExecutor {
   KeyFn key_fn_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Lane each source is bound to (first push wins); kUnboundLane = free.
-  static constexpr uint32_t kUnboundLane = UINT32_MAX;
-  std::unique_ptr<std::atomic<uint32_t>[]> source_lane_;
-  std::unique_ptr<IngestCounters[]> ingest_by_source_;
+  std::unique_ptr<SourceIngest[]> ingest_by_source_;
   size_t num_nodes_ = 0;
   /// Re-batching target; mutated by the tuner when auto.
   std::atomic<size_t> current_target_{0};

@@ -1,11 +1,10 @@
 // Bounded lock-free single-producer/single-consumer ring: the hot edge
-// between one ingest lane and one shard worker. The mutex+condvar
-// BoundedQueue costs a lock round-trip (and usually a futex wake) per
-// message; under multi-producer ingest every one of those serialises the
-// lanes. This ring replaces it on the ingest->shard path with two
-// cache-line-padded monotonic counters: the producer owns `tail_`, the
-// consumer owns `head_`, each caches the other side's counter so the
-// common case touches no shared cache line at all.
+// between one ingest lane and one shard worker. A mutex+condvar queue
+// would cost a lock round-trip (and usually a futex wake) per message and
+// serialise the lanes under multi-producer ingest; this ring uses two
+// cache-line-padded monotonic counters instead: the producer owns
+// `tail_`, the consumer owns `head_`, each caches the other side's
+// counter so the common case touches no shared cache line at all.
 //
 // Contract: exactly ONE thread calls TryPush/Push and exactly ONE thread
 // calls TryPop/Pop for the lifetime of the ring (Close() may be called
@@ -14,8 +13,7 @@
 //
 // Shutdown: Close() makes further pushes fail (Push returns false = the
 // loud backpressure path during Finish); items accepted before the close
-// remain poppable, so the consumer drains everything that was accepted —
-// same no-loss guarantee BoundedQueue gave.
+// remain poppable, so the consumer drains everything that was accepted.
 
 #ifndef USP_STREAM_SPSC_RING_H_
 #define USP_STREAM_SPSC_RING_H_

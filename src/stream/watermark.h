@@ -1,9 +1,8 @@
-// Per-source periodic watermark generation, shared by the two ingest
-// backends (ShardedExecutor lanes and CompiledQuery's single-DAG path) so
-// the gate arithmetic — INT64_MIN sentinels, lateness subtraction, the
-// "advanced a full period" test, monotone commit — has exactly one
-// implementation to evolve (e.g. toward a wall-clock idle timer, see
-// ROADMAP).
+// Per-source periodic watermark generation, run by each ShardedExecutor
+// ingest lane: the gate arithmetic — INT64_MIN sentinels, lateness
+// subtraction, the "advanced a full period" test, monotone commit — has
+// exactly one implementation to evolve (e.g. toward a wall-clock idle
+// timer).
 
 #ifndef USP_STREAM_WATERMARK_H_
 #define USP_STREAM_WATERMARK_H_

@@ -239,7 +239,6 @@ TEST(PlannerTest, Q1ShardKeyIsReplayedGroupKey) {
   auto compiled_or = Q1Builder().Compile(opts);
   ASSERT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
   const PlanSummary& s = compiled_or.value()->summary();
-  EXPECT_TRUE(s.sharded);
   EXPECT_EQ(s.num_shards, 4u);
   EXPECT_EQ(s.shard_key_source,
             PlanSummary::ShardKeySource::kReplayedGroupKey);
@@ -566,7 +565,6 @@ TEST(PlannerTest, AutoShardsResolveFromHardwareConcurrency) {
   const PlanSummary& s = compiled_or.value()->summary();
   EXPECT_TRUE(s.auto_num_shards);
   EXPECT_EQ(s.num_shards, 4u);
-  EXPECT_TRUE(s.sharded);
   EXPECT_EQ(s.shard_key_source, PlanSummary::ShardKeySource::kGroupKey);
   // Same results as the explicit single-shard plan.
   PlannerOptions one;
@@ -596,7 +594,7 @@ TEST(PlannerTest, PinThreadsResolvesFromHardwareConcurrency) {
   opts.hardware_concurrency_override = 4;
   auto big = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile(opts);
   ASSERT_TRUE(big.ok()) << big.status().ToString();
-  EXPECT_TRUE(big.value()->summary().sharded);
+  EXPECT_EQ(big.value()->summary().num_shards, 4u);
   EXPECT_TRUE(big.value()->summary().pin_threads);
   EXPECT_TRUE(big.value()->summary().auto_pin_threads);
   EXPECT_NE(big.value()->summary().ToString().find("thread pinning on [auto]"),
@@ -607,7 +605,7 @@ TEST(PlannerTest, PinThreadsResolvesFromHardwareConcurrency) {
   opts.num_shards = 2;  // sharded, but too few cores for auto pinning
   auto small = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile(opts);
   ASSERT_TRUE(small.ok());
-  EXPECT_TRUE(small.value()->summary().sharded);
+  EXPECT_EQ(small.value()->summary().num_shards, 2u);
   EXPECT_FALSE(small.value()->summary().pin_threads);
   EXPECT_TRUE(small.value()->summary().auto_pin_threads);
 
@@ -624,13 +622,14 @@ TEST(PlannerTest, PinThreadsResolvesFromHardwareConcurrency) {
   ASSERT_TRUE(forced_off.ok());
   EXPECT_FALSE(forced_off.value()->summary().pin_threads);
 
-  // Non-sharded plans have no worker threads to pin.
+  // A 1-shard, 1-lane plan runs inline: no worker threads to pin.
   PlannerOptions single;
   single.num_shards = 1;
   single.pin_threads = PlannerOptions::PinThreads::kOn;
   auto unsharded = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile(single);
   ASSERT_TRUE(unsharded.ok());
-  EXPECT_FALSE(unsharded.value()->summary().sharded);
+  EXPECT_EQ(unsharded.value()->summary().num_shards, 1u);
+  EXPECT_EQ(unsharded.value()->summary().num_ingest_lanes, 1u);
   EXPECT_FALSE(unsharded.value()->summary().pin_threads);
 }
 
@@ -970,6 +969,20 @@ TEST(PlannerTest, AutoTargetBatchSizeReportedAndOverridable) {
   EXPECT_FALSE(fixed_or.value()->summary().auto_target_batch_size);
   EXPECT_EQ(fixed_or.value()->summary().target_batch_size, 0u);
   EXPECT_EQ(fixed_or.value()->current_target_batch_size(), 0u);
+
+  // A 1-shard, 1-lane plan runs inline with pass-through ingest: no tuner
+  // owns its target, so the auto default must not be reported as auto.
+  PlannerOptions single;
+  single.num_shards = 1;
+  auto single_or = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile(single);
+  ASSERT_TRUE(single_or.ok());
+  EXPECT_EQ(single_or.value()->summary().num_ingest_lanes, 1u);
+  EXPECT_FALSE(single_or.value()->summary().auto_target_batch_size);
+  EXPECT_EQ(single_or.value()->summary().target_batch_size, 0u);
+  EXPECT_EQ(single_or.value()->current_target_batch_size(), 0u);
+  EXPECT_NE(single_or.value()->summary().ToString().find("inline"),
+            std::string::npos)
+      << single_or.value()->summary().ToString();
 }
 
 // ---- filter pushdown ----------------------------------------------------

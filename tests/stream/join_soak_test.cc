@@ -2,10 +2,9 @@
 // fixes. A sliding-window join expires each side against the OTHER side's
 // clock, so a silent input used to grow the peer buffer without bound
 // until it spoke again. With watermarks flowing for the silent side the
-// peer buffer must stay bounded by range + lateness worth of tuples; the
-// pre-watermark `max_skew_us` cap must keep working for feeds that send
-// neither data nor watermarks; and none of it may change the matched-pair
-// set for globally-ordered feeds (the Q2 shape).
+// peer buffer must stay bounded by range + lateness worth of tuples, and
+// none of it may change the matched-pair set for globally-ordered feeds
+// (the Q2 shape).
 
 #include "stream/join.h"
 
@@ -73,23 +72,6 @@ TEST(JoinSoakTest, SilentSourceBufferBoundedByWatermarks) {
   }
   EXPECT_EQ(unbounded.right_buffer_size(), 100 * tuples_per_range)
       << "control run should grow unboundedly without watermarks";
-}
-
-TEST(JoinSoakTest, MaxSkewCapStillBoundsWatermarklessFeeds) {
-  // Compatibility: the assumption-based max_skew_us cap must keep
-  // bounding the buffer when neither data nor watermarks arrive on the
-  // silent side.
-  const int64_t max_skew = 2000;
-  SlidingWindowJoin join("j", kRange, KeyMatch(), max_skew);
-  VectorCollector out;
-  ASSERT_TRUE(join.PushLeft(KV(0, 1, 1.0), &out).ok());
-  size_t max_right_buffer = 0;
-  for (int64_t i = 1; i <= 100 * (kRange / kSpacing); ++i) {
-    ASSERT_TRUE(join.PushRight(KV(i * kSpacing, 1, 2.0), &out).ok());
-    max_right_buffer = std::max(max_right_buffer, join.right_buffer_size());
-  }
-  EXPECT_LE(max_right_buffer,
-            static_cast<size_t>((kRange + max_skew) / kSpacing) + 2);
 }
 
 TEST(JoinSoakTest, WatermarksDoNotChangeMatchedPairsOnOrderedFeeds) {

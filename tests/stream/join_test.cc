@@ -124,28 +124,6 @@ TEST(JoinTest, SkewedInputsStillMatchWithinRange) {
   EXPECT_TRUE(join.Close().ok());
 }
 
-TEST(JoinTest, MaxSkewCapBoundsBufferWhenOneSideIsSilent) {
-  // Without the cap a silent right side would buffer every left tuple
-  // forever (its expiry clock never advances). With max_skew = 50 the
-  // left buffer stays ~range + skew deep, and pairs within the asserted
-  // divergence still match when the right side comes back.
-  SlidingWindowJoin uncapped("u", 10, KeyMatch());
-  SlidingWindowJoin capped("c", 10, KeyMatch(), /*max_skew_us=*/50);
-  VectorCollector out;
-  for (int64_t ts = 0; ts < 5000; ++ts) {
-    ASSERT_TRUE(uncapped.PushLeft(KV(ts, 1, 1.0), &out).ok());
-    ASSERT_TRUE(capped.PushLeft(KV(ts, 1, 1.0), &out).ok());
-  }
-  EXPECT_EQ(uncapped.left_buffer_size(), 5000u);
-  EXPECT_LE(capped.left_buffer_size(), 61u);  // range + skew + 1
-  // Right side speaks again within the asserted skew: still matches.
-  out.Clear();
-  ASSERT_TRUE(capped.PushRight(KV(4995, 1, 2.0), &out).ok());
-  EXPECT_EQ(out.tuples().size(), 15u);  // lefts 4985..4999
-  EXPECT_TRUE(uncapped.Close().ok());
-  EXPECT_TRUE(capped.Close().ok());
-}
-
 TEST(ConcatJoinedTupleTest, TakesMaxTimestamp) {
   const Tuple l = KV(5, 1, 1.0);
   const Tuple r = KV(3, 1, 2.0);

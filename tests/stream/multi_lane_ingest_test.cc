@@ -390,7 +390,8 @@ TEST(MultiLaneIngestTest, IngestCountersExposeBackpressure) {
   // behind it, the producer provably blocks, and the block time + peak
   // depth must surface in the source's appended metrics entry. The gate
   // opens only after the producer is observed stuck mid-push, so the
-  // "blocked" code path runs deterministically.
+  // "blocked" code path runs deterministically. Two lanes (the producer
+  // uses lane 0) keep the ring: one shard behind one lane runs inline.
   struct Gate {
     std::mutex mu;
     std::condition_variable cv;
@@ -399,6 +400,7 @@ TEST(MultiLaneIngestTest, IngestCountersExposeBackpressure) {
   auto gate = std::make_shared<Gate>();
   ShardedExecutor::Options opts;
   opts.num_shards = 1;
+  opts.num_ingest_lanes = 2;
   opts.queue_capacity = 1;
   ExecGraph::NodeId source = 0;
   auto exec_or = ShardedExecutor::Create(

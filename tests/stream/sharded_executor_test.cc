@@ -1,5 +1,6 @@
 // Sharded executor tests: shard-count determinism on keyed plans, merged
-// metrics, watermark-driven archive eviction, and error propagation.
+// metrics, watermark-driven archive eviction, error propagation, and the
+// inline rule (one shard behind one lane runs on the pushing thread).
 
 #include "stream/sharded_executor.h"
 
@@ -8,6 +9,8 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "stats/gaussian.h"
 #include "stream/basic_operators.h"
@@ -522,6 +525,179 @@ TEST(ShardedExecutorTest, CreateRejectsBadOptions) {
         return common::Status::OK();
       });
   EXPECT_FALSE(r.ok());
+}
+
+// ---- inline rule: 1 shard, 1 lane runs on the pushing thread --------------
+
+/// source -> "where" map (records the thread each tuple runs on) -> sink.
+common::Result<std::unique_ptr<ShardedExecutor>> MakeThreadRecordingPlan(
+    std::vector<std::thread::id>* threads, ExecGraph::NodeId* source,
+    ExecGraph::NodeId* sink) {
+  return ShardedExecutor::Create(
+      ShardedExecutor::Options(), KeyByIntValue(0),
+      [=](ExecGraph* g, const ShardContext&) {
+        *source = g->AddSource("src");
+        const auto where = g->AddOperator(
+            *source,
+            std::make_unique<MapOperator>(
+                "where", [threads](const Tuple& t) -> common::Result<Tuple> {
+                  threads->push_back(std::this_thread::get_id());
+                  return t;
+                }));
+        *sink = g->AddSink(where, "sink");
+        return common::Status::OK();
+      });
+}
+
+TEST(ShardedExecutorTest, InlineModeRunsOperatorsOnCallingThread) {
+  std::vector<std::thread::id> threads;
+  ExecGraph::NodeId source = 0, sink = 0;
+  auto exec_or = MakeThreadRecordingPlan(&threads, &source, &sink);
+  ASSERT_TRUE(exec_or.ok()) << exec_or.status().ToString();
+  auto exec = exec_or.MoveValueUnsafe();
+  ASSERT_TRUE(exec->PushBatch(source, MakeKeyedStream(50)).ok());
+  // Processed before the push returned, on this thread.
+  ASSERT_EQ(threads.size(), 50u);
+  ASSERT_TRUE(exec->PushBatch(source, MakeKeyedStream(30)).ok());
+  ASSERT_TRUE(exec->Finish().ok());
+  ASSERT_EQ(threads.size(), 80u);
+  for (const std::thread::id& id : threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(exec->sink_output(sink).size(), 80u);
+}
+
+TEST(ShardedExecutorTest, InlineModeKeepsEmissionOrder) {
+  // One shard: the merge takes the shard's output as emitted, without a
+  // timestamp sort.
+  std::vector<std::thread::id> threads;
+  ExecGraph::NodeId source = 0, sink = 0;
+  auto exec_or = MakeThreadRecordingPlan(&threads, &source, &sink);
+  ASSERT_TRUE(exec_or.ok());
+  auto exec = exec_or.MoveValueUnsafe();
+  TupleBatch batch;
+  for (int64_t ts : {30, 10, 20}) batch.Append(KV(ts, ts, 1.0));
+  ASSERT_TRUE(exec->PushBatch(source, std::move(batch)).ok());
+  ASSERT_TRUE(exec->Finish().ok());
+  const TupleBatch& out = exec->sink_output(sink);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out.tuples()[0].timestamp(), 30);
+  EXPECT_EQ(out.tuples()[1].timestamp(), 10);
+  EXPECT_EQ(out.tuples()[2].timestamp(), 20);
+}
+
+TEST(ShardedExecutorTest, InlineOperatorErrorReturnedByThePushThatHitIt) {
+  ExecGraph::NodeId source = 0;
+  auto exec_or = ShardedExecutor::Create(
+      ShardedExecutor::Options(), KeyByIntValue(0),
+      [&](ExecGraph* g, const ShardContext&) {
+        source = g->AddSource("src");
+        const auto boom = g->AddOperator(
+            source, std::make_unique<MapOperator>(
+                        "boom", [](const Tuple& t) -> common::Result<Tuple> {
+                          if (t.value(0).AsInt() == 3) {
+                            return common::Status::Internal("boom");
+                          }
+                          return t;
+                        }));
+        g->AddSink(boom, "sink");
+        return common::Status::OK();
+      });
+  ASSERT_TRUE(exec_or.ok());
+  auto exec = exec_or.MoveValueUnsafe();
+  TupleBatch clean;
+  clean.Append(KV(0, 1, 1.0));
+  ASSERT_TRUE(exec->PushBatch(source, std::move(clean)).ok());
+  TupleBatch bad;
+  bad.Append(KV(1, 3, 1.0));
+  const common::Status st = exec->PushBatch(source, std::move(bad));
+  EXPECT_EQ(st.code(), common::StatusCode::kInternal) << st.ToString();
+  EXPECT_FALSE(exec->Finish().ok());
+}
+
+TEST(ShardedExecutorTest, InlineWatermarkClosureEmitsBeforePushReturns) {
+  // The aggregate closes windows only by watermark; the watermark that
+  // closes [0, 100) is generated by the second push, and the row must
+  // reach the downstream map before that push returns.
+  std::vector<std::thread::id> observed;
+  ShardedExecutor::Options opts;
+  opts.watermark_period_us = 25;
+  ExecGraph::NodeId source = 0, sink = 0;
+  auto exec_or = ShardedExecutor::Create(
+      opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext&) {
+        source = g->AddSource("src");
+        auto agg = std::make_unique<GroupByAggregateOperator>(
+            "count", WindowSpec::Tumbling(100),
+            [](const Tuple&) { return std::string("all"); },
+            std::vector<AggregateSpec>{
+                {"n",
+                 [](const std::vector<const Tuple*>& group)
+                     -> common::Result<Value> {
+                   return Value(static_cast<int64_t>(group.size()));
+                 }}});
+        agg->set_watermark_only_closure(true);
+        const auto count = g->AddOperator(source, std::move(agg));
+        const auto observe = g->AddOperator(
+            count, std::make_unique<MapOperator>(
+                       "observe",
+                       [&observed](const Tuple& t) -> common::Result<Tuple> {
+                         observed.push_back(std::this_thread::get_id());
+                         return t;
+                       }));
+        sink = g->AddSink(observe, "sink");
+        return common::Status::OK();
+      });
+  ASSERT_TRUE(exec_or.ok()) << exec_or.status().ToString();
+  auto exec = exec_or.MoveValueUnsafe();
+  TupleBatch first;
+  for (int64_t ts = 0; ts < 90; ts += 10) first.Append(KV(ts, 0, 1.0));
+  ASSERT_TRUE(exec->PushBatch(source, std::move(first)).ok());
+  EXPECT_TRUE(observed.empty());  // watermark 80: window still open
+  TupleBatch second;
+  second.Append(KV(140, 0, 1.0));
+  ASSERT_TRUE(exec->PushBatch(source, std::move(second)).ok());
+  ASSERT_EQ(observed.size(), 1u) << "closed window not emitted in the push";
+  EXPECT_EQ(observed[0], std::this_thread::get_id());
+  ASSERT_TRUE(exec->Finish().ok());
+  const TupleBatch& out = exec->sink_output(sink);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.tuples()[0].timestamp(), 100);
+  EXPECT_EQ(out.tuples()[0].value(1).AsInt(), 9);
+}
+
+// ---- admission: only source ids are pushable ------------------------------
+
+TEST(ShardedExecutorTest, NonSourcePushIsRejectedAndDoesNotPoisonThePlan) {
+  for (size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards = " + std::to_string(shards));
+    ShardedExecutor::Options opts;
+    opts.num_shards = shards;
+    ExecGraph::NodeId source = 0, op = 0, sink = 0;
+    auto exec_or = ShardedExecutor::Create(
+        opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext&) {
+          source = g->AddSource("src");
+          op = g->AddOperator(source,
+                              std::make_unique<FilterOperator>(
+                                  "pass", [](const Tuple&) { return true; }));
+          sink = g->AddSink(op, "sink");
+          return common::Status::OK();
+        });
+    ASSERT_TRUE(exec_or.ok());
+    auto exec = exec_or.MoveValueUnsafe();
+    for (ExecGraph::NodeId bad : {op, sink}) {
+      TupleBatch batch;
+      batch.Append(KV(0, 1, 1.0));
+      EXPECT_EQ(exec->PushBatch(bad, std::move(batch)).code(),
+                common::StatusCode::kInvalidArgument);
+      EXPECT_EQ(exec->PushWatermark(bad, 10).code(),
+                common::StatusCode::kInvalidArgument);
+    }
+    TupleBatch good;
+    for (int64_t i = 0; i < 3; ++i) good.Append(KV(i, i, 1.0));
+    ASSERT_TRUE(exec->PushBatch(source, std::move(good)).ok());
+    ASSERT_TRUE(exec->Finish().ok());
+    EXPECT_EQ(exec->sink_output(sink).size(), 3u);
+  }
 }
 
 }  // namespace
