@@ -16,8 +16,9 @@
 //
 // The query is DECLARED, not wired: the logical plan below says
 // map -> window -> group-by -> sum -> having, and `Compile({num_shards=4})`
-// makes every physical choice — it builds the per-shard graphs, keeps the
-// exact per-window SUM kernel (tumbling window), and derives the ingest
+// makes every physical choice — it builds the per-shard graphs with the
+// pane-incremental aggregate (one pane per window here, which runs the
+// exact per-window SUM kernel), and derives the ingest
 // partition key from the group-by key by replaying the annotate map, so
 // one area's tuples always land on one shard and the per-area sums are
 // exact with zero cross-shard coordination.

@@ -3,8 +3,8 @@
 // the radar tornado plans) with NO physical choices in it. A LogicalPlan
 // says *what* to compute — sources, filters, maps, windowed group-by
 // aggregates, sliding-window joins, sinks — while the physical planner
-// (planner.h) decides *how*: naive vs. pane-incremental aggregation, shard
-// counts and partition keys, ingest lanes, workspace wiring.
+// (planner.h) decides *how*: shard counts and partition keys, ingest
+// lanes, watermarks, workspace wiring.
 //
 // Plans are built with the fluent query::Query builder (query.h) and are
 // acyclic by construction: every node's inputs must already exist, so
@@ -34,8 +34,8 @@
 namespace usp {
 namespace query {
 
-/// Aggregate functions the planner knows how to materialise on both the
-/// naive (exact per-window) and pane-incremental physical paths.
+/// Aggregate functions the planner materialises as pane-incremental
+/// partials (uncertain/pane_aggregates.h).
 enum class AggregateKind : uint8_t { kSum, kAvg, kMax, kMin, kCount };
 
 const char* AggregateKindName(AggregateKind kind);
@@ -47,8 +47,7 @@ struct AggregateDecl {
   /// Input attribute aggregated over (ignored for kCount).
   size_t attr_index = 0;
   /// SUM/AVG algorithm from the paper's Table 2 (§5.1). The planner turns
-  /// this into a per-shard SumStrategy instance (naive path) or the
-  /// matching pane partial (incremental path).
+  /// this into the matching pane partial.
   uncertain::SumStrategyKind strategy = uncertain::SumStrategyKind::kClt;
   /// Output histogram resolution for kMax/kMin order statistics.
   size_t bins = 256;

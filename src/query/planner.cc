@@ -7,10 +7,8 @@
 #include <utility>
 
 #include "query/query.h"
-#include "stream/group_by.h"
 #include "stream/pane_window.h"
 #include "stream/subscription_index.h"
-#include "uncertain/aggregates.h"
 #include "uncertain/pane_aggregates.h"
 #include "uncertain/selection.h"
 
@@ -28,7 +26,7 @@ using stream::Value;
 
 using stream::CanonicalKeyString;
 
-stream::GroupByAggregateOperator::KeyFn OperatorKeyFn(
+stream::PanedGroupByAggregateOperator::KeyFn OperatorKeyFn(
     const LogicalPlan::Node& node) {
   if (node.group_key_fn) return node.group_key_fn;
   if (node.group_key_attr.has_value()) {
@@ -166,8 +164,6 @@ common::Status BuildGraph(const LogicalPlan& plan,
                               sources,
                           std::unordered_map<std::string, ExecGraph::NodeId>*
                               sinks,
-                          std::function<uncertain::SumStrategy*(
-                              uncertain::SumStrategyKind)> new_strategy,
                           const std::vector<char>& watermark_only_aggs,
                           const Planner::DispatchFactory* make_dispatch) {
   std::vector<ExecGraph::NodeId> phys(plan.num_nodes(),
@@ -190,16 +186,6 @@ common::Status BuildGraph(const LogicalPlan& plan,
             std::make_unique<stream::MapOperator>(n.name, n.map));
         break;
       case LogicalPlan::NodeKind::kAggregate: {
-        // The planner's headline decision: pane-incremental aggregation
-        // exactly when windows overlap (slide < size), where each tuple
-        // would otherwise be re-aggregated once per overlapping window;
-        // tumbling windows use the exact per-window kernels (bitwise-
-        // identical results, no pane bookkeeping).
-        const bool paned =
-            options.aggregate_path ==
-                PlannerOptions::AggregatePath::kForcePaned ||
-            (options.aggregate_path == PlannerOptions::AggregatePath::kAuto &&
-             n.window->slide_us < n.window->size_us);
         const bool watermark_only =
             id < watermark_only_aggs.size() && watermark_only_aggs[id];
         // Cross-group CF grid sharing: when this aggregate runs CF
@@ -219,96 +205,47 @@ common::Status BuildGraph(const LogicalPlan& plan,
             }
           }
         }
-        stats::CfGridCache* cache = nullptr;
-        if (share_grids) {
-          cache = &ctx.cf_workspace->grid_cache;
-          cache->enabled = true;
+        uncertain::PaneAggregateOptions popts;
+        popts.grid_points = options.cf_grid_points;
+        popts.workspace = ctx.cf_workspace;
+        std::vector<stream::PaneAggregateSpec> specs;
+        specs.reserve(n.aggregates.size());
+        for (const AggregateDecl& a : n.aggregates) {
+          switch (a.kind) {
+            case AggregateKind::kSum:
+              specs.push_back(uncertain::MakePaneSumAggregate(
+                  a.output_name, a.attr_index, a.strategy, popts));
+              break;
+            case AggregateKind::kAvg:
+              specs.push_back(uncertain::MakePaneAvgAggregate(
+                  a.output_name, a.attr_index, a.strategy, popts));
+              break;
+            case AggregateKind::kMax:
+              specs.push_back(uncertain::MakePaneMaxAggregate(
+                  a.output_name, a.attr_index, a.bins, popts));
+              break;
+            case AggregateKind::kMin:
+              specs.push_back(uncertain::MakePaneMinAggregate(
+                  a.output_name, a.attr_index, a.bins, popts));
+              break;
+            case AggregateKind::kCount:
+              specs.push_back(uncertain::MakePaneCountAggregate(a.output_name));
+              break;
+          }
         }
-        auto key_fn = OperatorKeyFn(n);
-        std::unique_ptr<stream::Operator> op;
         // Accumulator footprint for the summary: output columns vs.
-        // distinct partial slots (pane path shares slots across columns
-        // with equal partial signatures, e.g. SUM + AVG of one attribute).
-        size_t partial_slots = n.aggregates.size();
-        if (paned) {
-          uncertain::PaneAggregateOptions popts;
-          popts.grid_points = options.cf_grid_points;
-          popts.workspace = ctx.cf_workspace;
-          std::vector<stream::PaneAggregateSpec> specs;
-          specs.reserve(n.aggregates.size());
-          for (const AggregateDecl& a : n.aggregates) {
-            switch (a.kind) {
-              case AggregateKind::kSum:
-                specs.push_back(uncertain::MakePaneSumAggregate(
-                    a.output_name, a.attr_index, a.strategy, popts));
-                break;
-              case AggregateKind::kAvg:
-                specs.push_back(uncertain::MakePaneAvgAggregate(
-                    a.output_name, a.attr_index, a.strategy, popts));
-                break;
-              case AggregateKind::kMax:
-                specs.push_back(uncertain::MakePaneMaxAggregate(
-                    a.output_name, a.attr_index, a.bins, popts));
-                break;
-              case AggregateKind::kMin:
-                specs.push_back(uncertain::MakePaneMinAggregate(
-                    a.output_name, a.attr_index, a.bins, popts));
-                break;
-              case AggregateKind::kCount:
-                specs.push_back(
-                    uncertain::MakePaneCountAggregate(a.output_name));
-                break;
-            }
-          }
-          partial_slots = stream::CountDistinctPartialSlots(specs);
-          auto paned_op =
-              std::make_unique<stream::PanedGroupByAggregateOperator>(
-                  n.name, *n.window, std::move(key_fn), std::move(specs),
-                  n.having);
-          if (watermark_only) paned_op->set_watermark_only_closure(true);
-          if (cache != nullptr) {
-            paned_op->set_grid_cache_probe([cache] {
-              return std::make_pair(cache->hits, cache->misses);
-            });
-          }
-          op = std::move(paned_op);
-        } else {
-          std::vector<stream::AggregateSpec> specs;
-          specs.reserve(n.aggregates.size());
-          for (const AggregateDecl& a : n.aggregates) {
-            switch (a.kind) {
-              case AggregateKind::kSum:
-                specs.push_back(uncertain::MakeSumAggregate(
-                    a.output_name, a.attr_index, new_strategy(a.strategy)));
-                break;
-              case AggregateKind::kAvg:
-                specs.push_back(uncertain::MakeAvgAggregate(
-                    a.output_name, a.attr_index, new_strategy(a.strategy)));
-                break;
-              case AggregateKind::kMax:
-                specs.push_back(uncertain::MakeMaxAggregate(
-                    a.output_name, a.attr_index, a.bins));
-                break;
-              case AggregateKind::kMin:
-                specs.push_back(uncertain::MakeMinAggregate(
-                    a.output_name, a.attr_index, a.bins));
-                break;
-              case AggregateKind::kCount:
-                specs.push_back(
-                    uncertain::MakeCountAggregate(a.output_name));
-                break;
-            }
-          }
-          auto naive_op = std::make_unique<stream::GroupByAggregateOperator>(
-              n.name, *n.window, std::move(key_fn), std::move(specs),
-              n.having);
-          if (watermark_only) naive_op->set_watermark_only_closure(true);
-          if (cache != nullptr) {
-            naive_op->set_grid_cache_probe([cache] {
-              return std::make_pair(cache->hits, cache->misses);
-            });
-          }
-          op = std::move(naive_op);
+        // distinct partial slots (columns with equal partial signatures,
+        // e.g. SUM + AVG of one attribute, share one slot).
+        const size_t partial_slots = stream::CountDistinctPartialSlots(specs);
+        auto op = std::make_unique<stream::PanedGroupByAggregateOperator>(
+            n.name, *n.window, OperatorKeyFn(n), std::move(specs), n.having);
+        if (watermark_only) op->set_watermark_only_closure(true);
+        if (share_grids) {
+          stats::CfGridCache* cache = &ctx.cf_workspace->grid_cache;
+          cache->enabled = true;
+          op->set_grid_cache_probe([cache] {
+            return std::make_pair(cache->hits, cache->misses);
+          });
         }
         phys[id] = graph->AddOperator(phys[n.inputs[0]], std::move(op));
         if (make_dispatch != nullptr && *make_dispatch) {
@@ -320,7 +257,7 @@ common::Status BuildGraph(const LogicalPlan& plan,
           phys[id] = graph->AddOperator(phys[id], std::move(dispatch_op));
         }
         if (record) {
-          summary->aggregates.push_back({n.name, paned});
+          summary->aggregates.push_back({n.name});
           if (share_grids) summary->cf_grid_sharing = true;
           if (watermark_only) summary->watermark_driven.push_back(n.name);
           if (make_dispatch != nullptr && *make_dispatch) {
@@ -403,10 +340,6 @@ std::string PlanSummary::ToString() const {
       out << ", partition key: group key via replayed maps";
       break;
   }
-  for (const AggregateChoice& a : aggregates) {
-    out << "; aggregate '" << a.node_name << "': "
-        << (a.paned ? "pane-incremental" : "exact per-window");
-  }
   if (cf_grid_sharing) out << "; cross-group CF grid sharing";
   if (!runs_inline) {
     out << "; thread pinning " << (pin_threads ? "on" : "off")
@@ -423,21 +356,6 @@ std::string PlanSummary::ToString() const {
         << " partial slot(s), predicate-index dispatch";
   }
   return out.str();
-}
-
-uncertain::SumStrategy* CompiledQuery::NewStrategy(
-    uncertain::SumStrategyKind kind, size_t cf_grid_points,
-    stats::CfInversionWorkspace* workspace) {
-  std::unique_ptr<uncertain::SumStrategy> strategy;
-  if (kind == uncertain::SumStrategyKind::kCfInversion) {
-    auto cf = std::make_unique<uncertain::CfInversionSum>(cf_grid_points);
-    cf->set_workspace(workspace);
-    strategy = std::move(cf);
-  } else {
-    strategy = uncertain::MakeSumStrategy(kind);
-  }
-  strategies_.push_back(std::move(strategy));
-  return strategies_.back().get();
 }
 
 stream::ExecGraph::NodeId CompiledQuery::source(
@@ -719,10 +637,6 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
         return BuildGraph(
             plan, options, ctx, /*record=*/ctx.shard_index == 0, g,
             &raw->summary_, &raw->sources_, &raw->sinks_,
-            [raw, &options, &ctx](uncertain::SumStrategyKind kind) {
-              return raw->NewStrategy(kind, options.cf_grid_points,
-                                      ctx.cf_workspace);
-            },
             watermark_only_aggs, make_dispatch);
       });
   USP_RETURN_NOT_OK(exec_or.status());

@@ -2,14 +2,16 @@
 // LogicalPlan into the existing physical runtime and makes every physical
 // choice the repo's examples used to hand-wire —
 //
-//   * aggregation path: PanedGroupByAggregateOperator (pane-incremental)
-//     whenever the window overlaps (slide < size); the exact per-window
-//     GroupByAggregateOperator for tumbling windows, where naive and paned
-//     results are bitwise-identical anyway and naive avoids pane overhead;
-//   * SUM/AVG strategies: one SumStrategy instance per shard (aggregate
-//     state never crosses threads), with CF-inversion strategies wired to
-//     the shard's CfInversionWorkspace (ShardContext::cf_workspace) so the
-//     per-window FFT hot loop is allocation-free;
+//   * aggregation operator: every windowed aggregate compiles to
+//     PanedGroupByAggregateOperator. Overlapping windows (slide < size)
+//     pay each tuple's accumulation once per pane instead of once per
+//     window; tumbling windows are one pane per window and take the exact
+//     per-window kernels, so their results equal the reference
+//     GroupByAggregateOperator bitwise (tested);
+//   * aggregate scratch: each shard's pane partials use that shard's
+//     CfInversionWorkspace (ShardContext::cf_workspace), so aggregate
+//     state never crosses threads and the per-window FFT hot loop is
+//     allocation-free;
 //   * execution backend: always a ShardedExecutor, which runs a 1-shard,
 //     1-lane plan inline on the caller's thread (no worker, no ring);
 //   * ingest partition key (sharded only): the caller's PartitionBy()
@@ -47,10 +49,8 @@
 
 #include "query/logical_plan.h"
 #include "query/subscription.h"
-#include "stats/characteristic_function.h"
 #include "stream/exec_graph.h"
 #include "stream/sharded_executor.h"
-#include "uncertain/sum_strategies.h"
 
 namespace usp {
 namespace query {
@@ -91,12 +91,6 @@ struct PlannerOptions {
   /// inside the map's preserved prefix (see Query::Filter/Map). On by
   /// default; semantics-preserving for pure maps.
   bool filter_pushdown = true;
-
-  /// Physical aggregation path selection. kAuto implements the planner
-  /// rule (paned iff the window overlaps); the force knobs exist for
-  /// benchmarks and equivalence tests, not applications.
-  enum class AggregatePath { kAuto, kForceNaive, kForcePaned };
-  AggregatePath aggregate_path = AggregatePath::kAuto;
 
   /// Grid resolution for CF-inversion SUM/AVG (FFT points / output bins).
   size_t cf_grid_points = 1024;
@@ -194,9 +188,10 @@ struct PlanSummary {
   /// join-consuming windowed plans.
   std::vector<std::string> watermark_driven;
 
+  /// The plan's windowed aggregate nodes, in plan order (each compiled to
+  /// PanedGroupByAggregateOperator).
   struct AggregateChoice {
     std::string node_name;
-    bool paned = false;  ///< pane-incremental vs. exact per-window
   };
   std::vector<AggregateChoice> aggregates;
 
@@ -216,7 +211,7 @@ struct PlanSummary {
   /// Standing-query multiplexing (Planner::CompileMultiplexed): how many
   /// subscriptions the shared plan served at compile time, and the
   /// state-sharing decision for the aggregate stage — m output columns
-  /// backed by s distinct accumulator slots (pane path; s < m when e.g.
+  /// backed by s distinct accumulator slots (s < m when e.g.
   /// SUM and AVG of one attribute share a partial). Zeros on ordinary
   /// Compile() plans.
   bool multiplexed = false;
@@ -292,20 +287,11 @@ class CompiledQuery {
   friend class Planner;
   CompiledQuery() = default;
 
-  /// Creates (and owns) one SumStrategy instance for one shard's operator,
-  /// wiring CF-inversion strategies to the shard's workspace.
-  uncertain::SumStrategy* NewStrategy(uncertain::SumStrategyKind kind,
-                                      size_t cf_grid_points,
-                                      stats::CfInversionWorkspace* workspace);
-
   PlanSummary summary_;
   std::unordered_map<std::string, stream::ExecGraph::NodeId> sources_;
   std::unordered_map<std::string, stream::ExecGraph::NodeId> sinks_;
   /// Ingest lane per source node id.
   std::unordered_map<stream::ExecGraph::NodeId, size_t> lane_of_source_;
-  /// All shards' strategy instances (stable addresses; operators hold raw
-  /// pointers into these).
-  std::vector<std::unique_ptr<uncertain::SumStrategy>> strategies_;
   std::unique_ptr<stream::ShardedExecutor> executor_;
   /// Set by Finish(); results exist only after it.
   bool finished_ = false;
@@ -377,7 +363,7 @@ class Planner {
   /// shape: exactly one source, one grouped windowed aggregate, one sink,
   /// no joins, and no explicit PartitionBy (the planner owns placement so
   /// the subscription table partitions exactly like the data). All
-  /// physical planning (sharding, lanes, watermarks, pane vs. naive) is
+  /// physical planning (sharding, lanes, watermarks, aggregate scratch) is
   /// inherited from Compile; the per-shard dispatch operator is spliced
   /// between the aggregate and the sink.
   static common::Result<std::unique_ptr<MultiplexedQuery>> CompileMultiplexed(

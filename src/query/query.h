@@ -84,7 +84,7 @@ class Query {
 
   /// Appends an aggregate column to the pending stage. For kSum/kAvg the
   /// `strategy` picks the Table 2 algorithm; the planner owns the physical
-  /// realisation (naive exact vs. pane-incremental).
+  /// realisation.
   Query Aggregate(AggregateDecl decl) const;
   Query Sum(std::string output_name, size_t attr_index,
             uncertain::SumStrategyKind strategy =

@@ -148,8 +148,10 @@ common::Status DagExecutor::Deliver(ExecGraph::NodeId id, int port,
       return st.ok() ? fwd : st;
     }
     case ExecGraph::NodeKind::kSink: {
+      // Plain appends: reserving size + batch on every delivery would
+      // defeat the vector's geometric growth and make many small
+      // deliveries quadratic.
       TupleBatch& sink = sink_outputs_[id];
-      sink.Reserve(sink.size() + batch.size());
       for (const Tuple& t : batch) sink.Append(t);
       return common::Status::OK();
     }

@@ -1,8 +1,7 @@
-// The box-arrow graph of §3 as an executable plan. The seed runtime only
-// ran a single synchronous operator chain (stream::Pipeline); ExecGraph
-// generalises that to a DAG with fan-out (one node feeding several
-// downstream plans, e.g. a sensor source driving both the Q1 fire-code
-// group-by and the Q2 flammable join) and fan-in (two-input join nodes).
+// The box-arrow graph of §3 as an executable plan: a DAG with fan-out (one
+// node feeding several downstream plans, e.g. a sensor source driving both
+// the Q1 fire-code group-by and the Q2 flammable join) and fan-in
+// (two-input join nodes).
 //
 // ExecGraph describes topology and owns the operator instances; the graph
 // is acyclic by construction because every edge must point at an
@@ -102,7 +101,7 @@ struct NodeMetrics {
 /// Batches injected at a source propagate depth-first along the edges;
 /// fan-out edges beyond the first receive copies. Close() flushes stateful
 /// nodes in topological (creation) order so a window's flush output still
-/// traverses all downstream nodes, exactly like the seed Pipeline did.
+/// traverses all downstream nodes.
 class DagExecutor {
  public:
   explicit DagExecutor(std::unique_ptr<ExecGraph> graph)

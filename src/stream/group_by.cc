@@ -69,11 +69,6 @@ common::Status GroupByAggregateOperator::EmitWindow(
     if (having_ && !having_(result)) continue;
     out->Emit(std::move(result));
   }
-  if (grid_cache_probe_) {
-    const auto [hits, misses] = grid_cache_probe_();
-    mutable_metrics().grid_cache_hits = hits;
-    mutable_metrics().grid_cache_misses = misses;
-  }
   return common::Status::OK();
 }
 

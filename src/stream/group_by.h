@@ -48,14 +48,6 @@ class GroupByAggregateOperator final : public WindowedOperator {
         aggregates_(std::move(aggregates)),
         having_(std::move(having)) {}
 
-  /// Metrics hook: reads the shard's cross-group CF grid-cache counters
-  /// (hits, misses); same contract as
-  /// PanedGroupByAggregateOperator::set_grid_cache_probe.
-  using GridCacheProbe = std::function<std::pair<uint64_t, uint64_t>()>;
-  void set_grid_cache_probe(GridCacheProbe probe) {
-    grid_cache_probe_ = std::move(probe);
-  }
-
  protected:
   common::Status ProcessBatch(const TupleBatch& batch,
                               Collector* out) override;
@@ -69,7 +61,6 @@ class GroupByAggregateOperator final : public WindowedOperator {
   KeyFn key_fn_;
   std::vector<AggregateSpec> aggregates_;
   HavingFn having_;
-  GridCacheProbe grid_cache_probe_;
   /// Per-window cached group keys, aligned with the window's tuple buffer.
   std::map<int64_t, std::vector<std::string>> open_keys_;
   /// Keys of the batch currently inside WindowedOperator::ProcessBatch;

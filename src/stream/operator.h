@@ -27,7 +27,7 @@ class Collector {
   virtual void Emit(Tuple tuple) = 0;
 };
 
-/// Collector that appends into a vector (used by Pipeline and tests).
+/// Collector that appends into a vector (used by tests and benches).
 class VectorCollector final : public Collector {
  public:
   void Emit(Tuple tuple) override { tuples_.push_back(std::move(tuple)); }

@@ -83,7 +83,7 @@ common::Status PanedGroupByAggregateOperator::AddToPane(
     Pane& pane, const Tuple& tuple, const std::string& key) {
   // Tuple-rate estimate of the pane-partial + lineage state this tuple
   // adds; mirrored into the buffered_bytes gauge so pane-buffer growth is
-  // observable alongside the naive path's window buffers.
+  // observable.
   const uint64_t approx = tuple.ApproxBytes();
   pane.approx_bytes += approx;
   buffered_bytes_ += approx;
@@ -205,7 +205,20 @@ common::Status PanedGroupByAggregateOperator::OnWatermark(int64_t watermark,
 common::Status PanedGroupByAggregateOperator::CheckNotBelowWatermark(
     int64_t ts) const {
   if (!watermark_only_closure_) return common::Status::OK();
-  return CheckTupleNotBelowWatermark(name(), spec_, applied_watermark_, ts);
+  // A tuple's earliest containing window ends at FirstAssignedStart +
+  // size; if even that has closed under the applied watermark, the tuple
+  // can only re-open an already-emitted window.
+  if (applied_watermark_ != std::numeric_limits<int64_t>::min() &&
+      spec_.FirstAssignedStart(ts) + spec_.size_us <= applied_watermark_) {
+    return common::Status::Internal(
+        "operator '" + name() + "': tuple at ts " + std::to_string(ts) +
+        " arrived below the applied watermark " +
+        std::to_string(applied_watermark_) +
+        " and its windows already closed; the upstream (a join MatchFn?) "
+        "must stamp outputs at >= the matched pair's max timestamp so "
+        "they never regress below the propagated watermark");
+  }
+  return common::Status::OK();
 }
 
 common::Status PanedGroupByAggregateOperator::Process(const Tuple& tuple,

@@ -8,7 +8,8 @@
 // CF-approx SUM, cached per-pane CF grids for CF-inversion SUM, and
 // accumulated log-CDF grids for MAX/MIN order statistics.
 //
-// Semantics match GroupByAggregateOperator exactly: windows close on event
+// This is the one windowed aggregate the query planner compiles. Semantics
+// match the reference GroupByAggregateOperator exactly: windows close on event
 // time (a tuple with ts >= end arrives, or end-of-stream), outputs are
 // [group_key, agg_1..agg_m] with timestamp = window end, group order is
 // first-seen arrival order within the window, lineage is the group's input
@@ -65,7 +66,8 @@ size_t CountDistinctPartialSlots(const std::vector<PaneAggregateSpec>& specs);
 
 /// \brief Windowed GROUP BY over pane-incremental aggregates.
 ///
-/// Accepts any WindowSpec; pane width is gcd(size, slide), so tumbling
+/// Accepts any WindowSpec with 0 < slide <= size (LogicalPlan::Validate
+/// rejects the rest); pane width is gcd(size, slide), so tumbling
 /// windows degenerate to one pane per window and sliding windows with
 /// overlap k touch each pane from k windows while paying its accumulation
 /// cost once.
@@ -81,8 +83,13 @@ class PanedGroupByAggregateOperator final : public Operator {
 
   int64_t pane_us() const { return pane_us_; }
 
-  /// Out-of-order input mode (same contract as
-  /// WindowedOperator::set_watermark_only_closure): pane assignment is
+  /// Out-of-order input mode: when set, data arrival no longer closes
+  /// windows — only propagated watermarks (and end-of-stream) do. The
+  /// planner enables this for windowed aggregates consuming join output
+  /// under multi-lane ingest, where emission order regresses in timestamp
+  /// under cross-source skew but never below the join's propagated
+  /// watermark (join output ts = max of an eligible pair, and each side's
+  /// future tuples are >= its watermark). Pane assignment is
   /// order-independent, so only closure moves to the watermark.
   void set_watermark_only_closure(bool on) { watermark_only_closure_ = on; }
 
@@ -129,8 +136,11 @@ class PanedGroupByAggregateOperator final : public Operator {
   /// retained pane.
   int64_t EarliestOpenWindowStart() const;
 
-  /// Loud guard for watermark-only mode (same contract as
-  /// WindowedOperator::CheckNotBelowWatermark).
+  /// Loud guard for watermark-only mode: a tuple whose EVERY containing
+  /// window already closed under the applied watermark can only re-open an
+  /// already-emitted window, which means the upstream broke the watermark
+  /// contract (see SlidingWindowJoin::MatchFn) — error out instead of
+  /// silently re-emitting the window.
   common::Status CheckNotBelowWatermark(int64_t ts) const;
 
   WindowSpec spec_;

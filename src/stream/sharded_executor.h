@@ -68,8 +68,8 @@
 #include "common/status.h"
 #include "stats/characteristic_function.h"
 #include "stream/exec_graph.h"
-#include "stream/pipeline.h"
 #include "stream/spsc_ring.h"
+#include "stream/tuple_archive.h"
 #include "stream/watermark.h"
 
 namespace usp {
@@ -84,8 +84,8 @@ struct ShardContext {
   /// Shard-private scratch for CF inversion / order-statistics grids.
   /// Owned by the shard and touched only by the thread running it (its
   /// worker, or the pushing thread under the inline rule); plan
-  /// builders hand it to CfInversionSum::set_workspace or the pane
-  /// aggregates so the per-window hot loop is allocation-free.
+  /// builders hand it to the pane aggregates so the per-window hot loop
+  /// is allocation-free.
   stats::CfInversionWorkspace* cf_workspace = nullptr;
 };
 

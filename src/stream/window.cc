@@ -43,26 +43,6 @@ common::Status WindowedOperator::CloseWindowsBefore(int64_t ts,
   return common::Status::OK();
 }
 
-common::Status CheckTupleNotBelowWatermark(const std::string& op_name,
-                                           const WindowSpec& spec,
-                                           int64_t applied_watermark,
-                                           int64_t ts) {
-  // A tuple's earliest containing window ends at FirstAssignedStart +
-  // size; if even that has closed under the applied watermark, the tuple
-  // can only re-open an already-emitted window.
-  if (applied_watermark != INT64_MIN &&
-      spec.FirstAssignedStart(ts) + spec.size_us <= applied_watermark) {
-    return common::Status::Internal(
-        "operator '" + op_name + "': tuple at ts " + std::to_string(ts) +
-        " arrived below the applied watermark " +
-        std::to_string(applied_watermark) +
-        " and its windows already closed; the upstream (a join MatchFn?) "
-        "must stamp outputs at >= the matched pair's max timestamp so "
-        "they never regress below the propagated watermark");
-  }
-  return common::Status::OK();
-}
-
 void WindowedOperator::AppendRun(int64_t window_start, const Tuple* tuples,
                                  size_t count, size_t batch_offset) {
   (void)batch_offset;
@@ -85,16 +65,8 @@ void WindowedOperator::AppendRun(int64_t window_start, const Tuple* tuples,
   mutable_metrics().buffered_bytes = buffered_bytes_;
 }
 
-common::Status WindowedOperator::CheckNotBelowWatermark(int64_t ts) const {
-  if (!watermark_only_closure_) return common::Status::OK();
-  return CheckTupleNotBelowWatermark(name(), spec_, applied_watermark_, ts);
-}
-
 common::Status WindowedOperator::Process(const Tuple& tuple, Collector* out) {
-  if (!watermark_only_closure_) {
-    USP_RETURN_NOT_OK(CloseWindowsBefore(tuple.timestamp(), out));
-  }
-  USP_RETURN_NOT_OK(CheckNotBelowWatermark(tuple.timestamp()));
+  USP_RETURN_NOT_OK(CloseWindowsBefore(tuple.timestamp(), out));
   run_bytes_valid_ = false;  // new run: one tuple, all its windows
   spec_.ForEachAssignedStart(tuple.timestamp(), [this, &tuple](int64_t start) {
     AppendRun(start, &tuple, 1, SIZE_MAX);
@@ -108,7 +80,6 @@ common::Status WindowedOperator::OnWatermark(int64_t watermark,
   // window ending at or below it is complete — the same closure rule the
   // arrival path applies with the arriving tuple's timestamp, which keeps
   // the two paths' outputs identical on ordered input.
-  if (watermark > applied_watermark_) applied_watermark_ = watermark;
   return CloseWindowsBefore(watermark, out);
 }
 
@@ -118,10 +89,7 @@ common::Status WindowedOperator::ProcessBatch(const TupleBatch& batch,
   size_t i = 0;
   while (i < n) {
     const int64_t ts = batch[i].timestamp();
-    if (!watermark_only_closure_) {
-      USP_RETURN_NOT_OK(CloseWindowsBefore(ts, out));
-    }
-    USP_RETURN_NOT_OK(CheckNotBelowWatermark(ts));
+    USP_RETURN_NOT_OK(CloseWindowsBefore(ts, out));
     const int64_t first = spec_.FirstAssignedStart(ts);
     const int64_t last = spec_.LastAssignedStart(ts);
     // Extend the run while consecutive tuples land in the same window

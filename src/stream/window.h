@@ -70,16 +70,6 @@ class WindowedOperator : public Operator {
   WindowedOperator(std::string name, WindowSpec spec)
       : Operator(std::move(name)), spec_(spec) {}
 
-  /// Out-of-order input mode: when set, data arrival no longer closes
-  /// windows — only propagated watermarks (and end-of-stream) do. The
-  /// planner enables this for windowed aggregates consuming join output
-  /// under multi-lane ingest, where emission order regresses in timestamp
-  /// under cross-source skew but never below the join's propagated
-  /// watermark (join output ts = max of an eligible pair, and each side's
-  /// future tuples are >= its watermark). Window ASSIGNMENT is
-  /// order-independent; only closure needs the watermark gate.
-  void set_watermark_only_closure(bool on) { watermark_only_closure_ = on; }
-
  protected:
   common::Status Process(const Tuple& tuple, Collector* out) override;
   /// Batch-native path: window closure is checked per run instead of per
@@ -113,16 +103,8 @@ class WindowedOperator : public Operator {
   common::Status CloseWindowsBefore(int64_t ts, Collector* out);
   /// Emit + erase the earliest open window (shared by close paths).
   common::Status EmitEarliest(Collector* out);
-  /// Loud guard for watermark-only mode: a tuple whose every window has
-  /// already closed under the applied watermark means the upstream broke
-  /// the watermark contract (see SlidingWindowJoin::MatchFn) — error out
-  /// instead of silently re-opening and re-emitting the window.
-  common::Status CheckNotBelowWatermark(int64_t ts) const;
 
   WindowSpec spec_;
-  bool watermark_only_closure_ = false;
-  /// Highest watermark applied via OnWatermark (INT64_MIN before any).
-  int64_t applied_watermark_ = INT64_MIN;
   /// Incremental Tuple::ApproxBytes sum over every buffered copy (a tuple
   /// in k overlapping windows is charged k times — that is the real
   /// footprint); mirrored into OperatorMetrics::buffered_bytes.
@@ -135,18 +117,6 @@ class WindowedOperator : public Operator {
   bool run_bytes_valid_ = false;
   std::map<int64_t, std::vector<Tuple>> open_;  // window start -> buffer
 };
-
-/// Shared loud guard for watermark-only closure (used by WindowedOperator
-/// and PanedGroupByAggregateOperator — interchangeable planner choices for
-/// the same logical aggregate, so the contract text must stay identical):
-/// a tuple whose EVERY containing window already closed under the applied
-/// watermark can only re-open an already-emitted window, which means the
-/// upstream broke the watermark contract (see SlidingWindowJoin::MatchFn).
-/// `applied_watermark` of INT64_MIN (none applied yet) always passes.
-common::Status CheckTupleNotBelowWatermark(const std::string& op_name,
-                                           const WindowSpec& spec,
-                                           int64_t applied_watermark,
-                                           int64_t ts);
 
 /// Windowed count: emits one tuple [count] per window; mostly a test probe
 /// and the simplest WindowedOperator example.

@@ -53,7 +53,7 @@ common::Result<stream::Value> ExtremeDistributionValue(
 
 /// Clip an order-statistics histogram against a certain extreme: for MAX,
 /// mass below `certain_ext` collapses onto its bin (the grid widens when
-/// the extreme lies outside the support). Shared by the naive and
+/// the extreme lies outside the support). Shared by the reference and
 /// pane-incremental MAX/MIN paths.
 common::Result<stream::Value> ClipExtremeWithCertain(
     const stats::Histogram& h, double certain_ext, bool is_max);

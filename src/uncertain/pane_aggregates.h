@@ -19,8 +19,11 @@
 //
 // Tumbling windows (one pane per window) delegate to the exact per-window
 // kernels (CltSum / FitGaussianToCf / InvertSumCfToDensity /
-// ExtremeDistributionValue), so their results are bitwise-identical to the
-// naive GroupByAggregateOperator + MakeSumAggregate path.
+// ExtremeDistributionValue, and the strategy itself for kHistogram /
+// kMonteCarlo), so their results are bitwise-identical to the reference
+// GroupByAggregateOperator + MakeSumAggregate path. The planner compiles
+// every windowed aggregate to these partials; the reference operator is
+// kept for the differential tests.
 
 #ifndef USP_UNCERTAIN_PANE_AGGREGATES_H_
 #define USP_UNCERTAIN_PANE_AGGREGATES_H_

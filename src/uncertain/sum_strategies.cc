@@ -128,10 +128,9 @@ common::Result<DistributionPtr> CfInversionSum::SumOf(
   opts.mean = mean;
   opts.stddev = sd;
   // Grid-kernel evaluation of the product CF (one CfGrid call per input
-  // instead of one closure call per (input, frequency) pair), reusing the
-  // caller-provided workspace when set. Bitwise-identical to the closure
-  // path.
-  auto hist = stats::InvertSumCfToDensity(inputs, opts, workspace_);
+  // instead of one closure call per (input, frequency) pair).
+  // Bitwise-identical to the closure path.
+  auto hist = stats::InvertSumCfToDensity(inputs, opts, nullptr);
   if (!hist.ok()) return hist.status();
   return DistributionPtr(
       std::make_shared<stats::Histogram>(hist.MoveValueUnsafe()));

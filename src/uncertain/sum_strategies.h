@@ -24,7 +24,6 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "stats/characteristic_function.h"
 #include "stats/distribution.h"
 
 namespace usp {
@@ -94,15 +93,9 @@ class CfInversionSum final : public SumStrategy {
   common::Result<stats::DistributionPtr> SumOf(
       const std::vector<const stats::Distribution*>& inputs) override;
 
-  /// Optional reusable scratch for the kFft path (frequency grid, FFT
-  /// buffer); not owned, one workspace per thread. The sharded executor
-  /// exposes a per-shard workspace through ShardContext.
-  void set_workspace(stats::CfInversionWorkspace* ws) { workspace_ = ws; }
-
  private:
   size_t grid_points_;
   Mode mode_;
-  stats::CfInversionWorkspace* workspace_ = nullptr;
 };
 
 /// CF approximation: cumulant-matched Gaussian (num_components == 1) or a

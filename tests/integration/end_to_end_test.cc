@@ -9,7 +9,6 @@
 #include "radar/grid.h"
 #include "rfid/transform_operator.h"
 #include "stream/group_by.h"
-#include "stream/pipeline.h"
 #include "uncertain/aggregates.h"
 #include "uncertain/selection.h"
 

@@ -1,9 +1,9 @@
 // Planner decision tests: builder-compiled plans are result-identical to
-// the hand-wired graphs they replaced (bitwise for tumbling windows,
-// tolerance for sliding), pane-incremental aggregation is chosen iff the
-// window overlaps, shard keys derive from the group-by (replaying
-// upstream maps when needed), and invalid logical plans fail at Compile()
-// with actionable statuses instead of failing at runtime.
+// the hand-wired graphs they replaced, shard keys derive from the group-by
+// (replaying upstream maps when needed), and invalid logical plans fail at
+// Compile() with actionable statuses instead of failing at runtime. The
+// paned-vs-naive aggregate comparison lives in the differential harness
+// (tests/stream/differential_test.cc).
 //
 // Hand-wired ExecGraph construction is allowed HERE (and inside the
 // planner) precisely because these are the graph-level equivalence
@@ -243,7 +243,6 @@ TEST(PlannerTest, Q1ShardKeyIsReplayedGroupKey) {
   EXPECT_EQ(s.shard_key_source,
             PlanSummary::ShardKeySource::kReplayedGroupKey);
   ASSERT_EQ(s.aggregates.size(), 1u);
-  EXPECT_FALSE(s.aggregates[0].paned);  // tumbling => exact per-window
 }
 
 // ---- Q2: fan-in join, hand-wired vs. builder ----------------------------
@@ -378,62 +377,6 @@ common::Result<TupleBatch> RunKeyedSum(WindowSpec spec,
                                         MakeKeyedGaussianStream(500)));
   USP_RETURN_NOT_OK(compiled->Finish());
   return compiled->TakeResult(compiled->sink("out"));
-}
-
-TEST(PlannerTest, PanedAggregationChosenIffWindowOverlaps) {
-  auto sliding = KeyedSumQuery(WindowSpec::Sliding(100, 25)).Compile();
-  auto tumbling = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile();
-  ASSERT_TRUE(sliding.ok());
-  ASSERT_TRUE(tumbling.ok());
-  ASSERT_EQ(sliding.value()->summary().aggregates.size(), 1u);
-  EXPECT_TRUE(sliding.value()->summary().aggregates[0].paned);
-  EXPECT_FALSE(tumbling.value()->summary().aggregates[0].paned);
-}
-
-TEST(PlannerTest, ForceKnobsOverrideAggregatePath) {
-  PlannerOptions force_paned;
-  force_paned.aggregate_path = PlannerOptions::AggregatePath::kForcePaned;
-  PlannerOptions force_naive;
-  force_naive.aggregate_path = PlannerOptions::AggregatePath::kForceNaive;
-  auto paned = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile(force_paned);
-  auto naive =
-      KeyedSumQuery(WindowSpec::Sliding(100, 25)).Compile(force_naive);
-  ASSERT_TRUE(paned.ok());
-  ASSERT_TRUE(naive.ok());
-  EXPECT_TRUE(paned.value()->summary().aggregates[0].paned);
-  EXPECT_FALSE(naive.value()->summary().aggregates[0].paned);
-}
-
-TEST(PlannerTest, TumblingPanedAndNaiveAreBitwiseIdentical) {
-  PlannerOptions force_paned;
-  force_paned.aggregate_path = PlannerOptions::AggregatePath::kForcePaned;
-  auto naive = RunKeyedSum(WindowSpec::Tumbling(100), PlannerOptions{});
-  auto paned = RunKeyedSum(WindowSpec::Tumbling(100), force_paned);
-  ASSERT_TRUE(naive.ok());
-  ASSERT_TRUE(paned.ok());
-  ASSERT_FALSE(naive.value().empty());
-  EXPECT_EQ(Rendered(naive.value()), Rendered(paned.value()));
-}
-
-TEST(PlannerTest, SlidingPanedMatchesNaiveWithinTolerance) {
-  PlannerOptions force_naive;
-  force_naive.aggregate_path = PlannerOptions::AggregatePath::kForceNaive;
-  auto naive = RunKeyedSum(WindowSpec::Sliding(100, 25), force_naive);
-  auto paned = RunKeyedSum(WindowSpec::Sliding(100, 25), PlannerOptions{});
-  ASSERT_TRUE(naive.ok());
-  ASSERT_TRUE(paned.ok());
-  const TupleBatch& a = naive.value();
-  const TupleBatch& b = paned.value();
-  ASSERT_FALSE(a.empty());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].timestamp(), b[i].timestamp());
-    EXPECT_EQ(a[i].value(0).AsString(), b[i].value(0).AsString());
-    const auto& da = *a[i].value(1).AsDistribution();
-    const auto& db = *b[i].value(1).AsDistribution();
-    EXPECT_NEAR(da.Mean(), db.Mean(), 1e-6);
-    EXPECT_NEAR(da.Stddev(), db.Stddev(), 1e-6);
-  }
 }
 
 TEST(PlannerTest, ShardedKeyedSumMatchesSingleShard) {

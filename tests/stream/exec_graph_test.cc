@@ -48,6 +48,44 @@ TEST(ExecGraphTest, LinearChainPassesBatches) {
   EXPECT_EQ(out[1].value(0).AsDouble(), 4.0);
 }
 
+TEST(ExecGraphTest, MapNotFoundDropsTupleWithoutError) {
+  auto graph = std::make_unique<ExecGraph>();
+  const auto src = graph->AddSource("src");
+  const auto drop_neg = graph->AddOperator(
+      src, std::make_unique<MapOperator>(
+               "drop_neg", [](const Tuple& t) -> common::Result<Tuple> {
+                 if (t.value(0).AsDouble() < 0.0) {
+                   return common::Status::NotFound("dropped");
+                 }
+                 return t;
+               }));
+  const auto sink = graph->AddSink(drop_neg, "sink");
+  DagExecutor exec(std::move(graph));
+  ASSERT_TRUE(exec.PushBatch(src, Batch({V(0, 1.0), V(1, -2.0)})).ok());
+  ASSERT_TRUE(exec.Close().ok());
+  const TupleBatch& out = exec.sink_output(sink);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].value(0).AsDouble(), 1.0);
+}
+
+TEST(ExecGraphTest, TapObservesWithoutModifying) {
+  int seen = 0;
+  auto graph = std::make_unique<ExecGraph>();
+  const auto src = graph->AddSource("src");
+  const auto tap = graph->AddOperator(
+      src,
+      std::make_unique<TapOperator>("tap", [&seen](const Tuple&) { ++seen; }));
+  const auto sink = graph->AddSink(tap, "sink");
+  DagExecutor exec(std::move(graph));
+  ASSERT_TRUE(exec.PushBatch(src, Batch({V(0, 1.0), V(1, 2.0)})).ok());
+  ASSERT_TRUE(exec.Close().ok());
+  EXPECT_EQ(seen, 2);
+  const TupleBatch& out = exec.sink_output(sink);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].value(0).AsDouble(), 1.0);
+  EXPECT_EQ(out[1].value(0).AsDouble(), 2.0);
+}
+
 TEST(ExecGraphTest, FanOutDeliversToEveryBranch) {
   // src feeds two independent filters; each sink sees its own selection.
   auto graph = std::make_unique<ExecGraph>();
@@ -121,8 +159,7 @@ TEST(ExecGraphTest, FanInJoinMatchesAcrossSources) {
 }
 
 TEST(ExecGraphTest, CloseFlushTraversesDownstreamNodes) {
-  // Window flush output must still pass the downstream filter, exactly
-  // like the seed Pipeline semantics.
+  // Window flush output must still pass the downstream filter.
   auto graph = std::make_unique<ExecGraph>();
   const auto src = graph->AddSource("src");
   const auto win = graph->AddOperator(

@@ -22,6 +22,10 @@ namespace usp {
 namespace stream {
 namespace gen {
 
+/// The optional filter's predicate, shared by the built query and the
+/// differential test's hand-wired reference plan.
+inline bool KeepTuple(const Tuple& t) { return t.value(0).AsInt() % 3 != 1; }
+
 struct GeneratedPlan {
   uint64_t seed = 0;
   WindowSpec window{100, 100};
@@ -46,15 +50,12 @@ struct GeneratedPlan {
   }
 
   /// The Q1 shape: From -> [Filter] -> Window -> GroupBy(key) -> SUM
-  /// [AVG] [COUNT] -> Sink. CLT sums keep the math deterministic on both
-  /// physical paths.
+  /// [AVG] [COUNT] -> Sink. CLT sums keep the math deterministic on the
+  /// compiled plan and on the reference operator.
   query::Query Build() const {
     query::Query q = query::Query::From("src", 2);
     if (has_filter) {
-      q = q.Filter(
-          "keep",
-          [](const Tuple& t) { return t.value(0).AsInt() % 3 != 1; },
-          /*reads_attrs=*/{0});
+      q = q.Filter("keep", KeepTuple, /*reads_attrs=*/{0});
     }
     q = q.Window(window).GroupBy(0).Sum(
         "total", 1, uncertain::SumStrategyKind::kClt);

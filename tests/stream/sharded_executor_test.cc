@@ -626,15 +626,11 @@ TEST(ShardedExecutorTest, InlineWatermarkClosureEmitsBeforePushReturns) {
   auto exec_or = ShardedExecutor::Create(
       opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext&) {
         source = g->AddSource("src");
-        auto agg = std::make_unique<GroupByAggregateOperator>(
+        auto agg = std::make_unique<PanedGroupByAggregateOperator>(
             "count", WindowSpec::Tumbling(100),
             [](const Tuple&) { return std::string("all"); },
-            std::vector<AggregateSpec>{
-                {"n",
-                 [](const std::vector<const Tuple*>& group)
-                     -> common::Result<Value> {
-                   return Value(static_cast<int64_t>(group.size()));
-                 }}});
+            std::vector<PaneAggregateSpec>{
+                uncertain::MakePaneCountAggregate("n")});
         agg->set_watermark_only_closure(true);
         const auto count = g->AddOperator(source, std::move(agg));
         const auto observe = g->AddOperator(

@@ -14,7 +14,6 @@
 
 #include "stream/basic_operators.h"
 #include "stream/exec_graph.h"
-#include "stream/group_by.h"
 #include "stream/join.h"
 #include "stream/pane_window.h"
 #include "stream/sharded_executor.h"
@@ -230,33 +229,6 @@ TEST(WatermarkTest, WindowedOperatorMetricsExposeWatermarkAndBytes) {
 
 // ---- watermark-only closure (out-of-order join output) -------------------
 
-TEST(WatermarkTest, WatermarkOnlyClosureToleratesOutOfOrderInput) {
-  // Timestamp-regressing input (what skewed join output looks like):
-  // arrival-driven closure would close [0, 100) at ts 150 and then drop
-  // the late ts 50 tuple into a window that re-flushes at Finish,
-  // splitting the count. Watermark-only closure buffers until the
-  // watermark says the window is complete.
-  GroupByAggregateOperator naive(
-      "g", WindowSpec::Tumbling(100),
-      [](const Tuple&) { return std::string("all"); },
-      {{"n", [](const std::vector<const Tuple*>& group)
-                 -> common::Result<Value> {
-          return Value(static_cast<int64_t>(group.size()));
-        }}});
-  naive.set_watermark_only_closure(true);
-  VectorCollector out;
-  ASSERT_TRUE(naive.Push(V(150, 1.0), &out).ok());
-  ASSERT_TRUE(naive.Push(V(50, 2.0), &out).ok());  // late, window still open
-  ASSERT_TRUE(naive.Push(V(70, 3.0), &out).ok());
-  EXPECT_TRUE(out.tuples().empty());
-  ASSERT_TRUE(naive.AdvanceWatermark(100, &out).ok());
-  ASSERT_EQ(out.tuples().size(), 1u);
-  EXPECT_EQ(out.tuples()[0].value(1).AsInt(), 2);  // ts 50 + ts 70
-  ASSERT_TRUE(naive.AdvanceWatermark(200, &out).ok());
-  ASSERT_EQ(out.tuples().size(), 2u);
-  EXPECT_EQ(out.tuples()[1].value(1).AsInt(), 1);  // ts 150
-}
-
 TEST(WatermarkTest, PanedWatermarkOnlyClosureToleratesOutOfOrderInput) {
   // Same out-of-order shape through the pane-incremental operator in
   // watermark-only mode; sliding windows [s, s+100) every 50.
@@ -291,27 +263,13 @@ TEST(WatermarkTest, WatermarkOnlyClosureRejectsContractBreakingLateTuples) {
   // A tuple whose EVERY window already closed under the applied watermark
   // means the upstream broke the join MatchFn timestamp contract (output
   // stamped below the pair max); silently re-opening the window would
-  // split/duplicate results, so both operators must fail loudly instead.
-  GroupByAggregateOperator naive(
-      "g", WindowSpec::Tumbling(100),
-      [](const Tuple&) { return std::string("all"); },
-      {{"n", [](const std::vector<const Tuple*>& group)
-                 -> common::Result<Value> {
-          return Value(static_cast<int64_t>(group.size()));
-        }}});
-  naive.set_watermark_only_closure(true);
-  VectorCollector out;
-  ASSERT_TRUE(naive.AdvanceWatermark(200, &out).ok());
-  EXPECT_TRUE(naive.Push(V(200, 1.0), &out).ok());  // window [200,300): fine
-  const auto late = naive.Push(V(50, 1.0), &out);   // window [0,100): closed
-  ASSERT_FALSE(late.ok());
-  EXPECT_NE(late.ToString().find("watermark"), std::string::npos);
-
+  // split/duplicate results, so the operator must fail loudly instead.
   PanedGroupByAggregateOperator paned(
       "p", WindowSpec::Sliding(100, 50),
       [](const Tuple& t) { return std::to_string(t.value(0).AsInt()); },
       {CountPaneSpec()});
   paned.set_watermark_only_closure(true);
+  VectorCollector out;
   ASSERT_TRUE(paned.AdvanceWatermark(200, &out).ok());
   // ts 200: earliest window [150, 250) still open under wm 200 — fine.
   EXPECT_TRUE(paned.Push(KV(200, 1, 1.0), &out).ok());
