@@ -118,7 +118,6 @@ double RunQ1Sharding(size_t num_shards, const std::vector<TupleBatch>& input,
           .PartitionBy(usp::stream::KeyByIntValue(0));
   usp::query::PlannerOptions opts;
   opts.num_shards = num_shards;
-  opts.queue_capacity = 64;
   opts.target_batch_size = 0;  // measure raw ingest, not re-batching
   opts.watermark_period_us = watermark_period_us;
   auto exec_or = q1.Compile(opts);

@@ -96,23 +96,11 @@ int main() {
   //      per-operator progress/memory is observable as `low_watermark` /
   //      `buffered_bytes` in MetricsSnapshot().
   //
-  //      Hardware-saturation knobs (defaults are right for nearly
-  //      everyone):
-  //      * The CF/CDF math dispatches to SIMD kernels picked by cpuid at
-  //        startup (AVX2 when available, scalar otherwise). Every tier
-  //        is bitwise-identical, so this is invisible except in speed;
-  //        set env `USP_SIMD=scalar` to force the fallback.
-  //      * `share_cf_grids` (on): plans with a CF-inversion SUM/AVG
-  //        cache evaluated CF grids by distribution-parameter signature,
-  //        so groups over identically-parameterised sensor models
-  //        evaluate each grid once. Bitwise-neutral; hit/miss counters
-  //        appear as `grid_cache_hits/misses` in MetricsSnapshot() and
-  //        the decision in summary().
-  //      * `pin_threads` (kAuto): on sharded plans on machines with
-  //        >= 4 hardware threads, shard workers and ingest lanes pin to
-  //        distinct cores and ring buffers are first-touched core-local.
-  //        kOff if the query shares the host with other work; kOn to
-  //        force pinning on smaller machines.
+  //      Hardware saturation needs no knob: the CF/CDF math dispatches
+  //      to SIMD kernels picked by cpuid at startup (AVX2 when
+  //      available, scalar otherwise). Every tier is bitwise-identical,
+  //      so this is invisible except in speed; set env `USP_SIMD=scalar`
+  //      to force the fallback.
   //
   // Tuples: (zone, weight). One 5-second tumbling window, grouped by zone.
   const auto make_tuple = [](int64_t ts, const char* zone,

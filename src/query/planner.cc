@@ -156,7 +156,6 @@ common::Result<ShardKeyDecision> DeriveShardKey(const LogicalPlan& plan) {
 /// true exactly once (shard 0) so the name maps and the summary are filled
 /// without duplicates.
 common::Status BuildGraph(const LogicalPlan& plan,
-                          const PlannerOptions& options,
                           const ShardContext& ctx, bool record,
                           ExecGraph* graph,
                           PlanSummary* summary,
@@ -195,7 +194,7 @@ common::Status BuildGraph(const LogicalPlan& plan,
         // compute), and install a probe so the operator's metrics report
         // the hit rate.
         bool share_grids = false;
-        if (options.share_cf_grids && ctx.cf_workspace != nullptr) {
+        if (ctx.cf_workspace != nullptr) {
           for (const AggregateDecl& a : n.aggregates) {
             if ((a.kind == AggregateKind::kSum ||
                  a.kind == AggregateKind::kAvg) &&
@@ -206,7 +205,6 @@ common::Status BuildGraph(const LogicalPlan& plan,
           }
         }
         uncertain::PaneAggregateOptions popts;
-        popts.grid_points = options.cf_grid_points;
         popts.workspace = ctx.cf_workspace;
         std::vector<stream::PaneAggregateSpec> specs;
         specs.reserve(n.aggregates.size());
@@ -342,8 +340,7 @@ std::string PlanSummary::ToString() const {
   }
   if (cf_grid_sharing) out << "; cross-group CF grid sharing";
   if (!runs_inline) {
-    out << "; thread pinning " << (pin_threads ? "on" : "off")
-        << (auto_pin_threads ? " [auto]" : "");
+    out << "; thread pinning " << (pin_threads ? "on" : "off");
   }
   for (const auto& [filter_name, map_name] : pushed_filters) {
     out << "; filter '" << filter_name << "' pushed below map '" << map_name
@@ -444,9 +441,7 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   // preserved-prefix maps so the (often expensive) map runs only on
   // surviving tuples. Everything downstream — key derivation included —
   // sees the rewritten plan.
-  if (options.filter_pushdown) {
-    plan.PushFiltersBelowMaps(&summary.pushed_filters);
-  }
+  plan.PushFiltersBelowMaps(&summary.pushed_filters);
 
   size_t num_sources = 0;
   for (LogicalPlan::NodeId id = 0; id < plan.num_nodes(); ++id) {
@@ -606,20 +601,14 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   summary.target_batch_size = target_batch_size;
 
   // --- resolve thread pinning --------------------------------------------
-  // Auto: pin shard workers and ingest lanes to distinct cores when the
-  // machine has enough of them that placement matters (>= 4 hardware
-  // threads). On smaller machines pinning to the few shared cores only
-  // fights the OS scheduler.
-  summary.auto_pin_threads =
-      !runs_inline && options.pin_threads == PlannerOptions::PinThreads::kAuto;
-  summary.pin_threads =
-      !runs_inline &&
-      (options.pin_threads == PlannerOptions::PinThreads::kOn ||
-       (summary.auto_pin_threads && hardware_threads() >= 4));
+  // Pin shard workers and ingest lanes to distinct cores when the machine
+  // has enough of them that placement matters (>= 4 hardware threads).
+  // On smaller machines pinning to the few shared cores only fights the
+  // OS scheduler.
+  summary.pin_threads = !runs_inline && hardware_threads() >= 4;
   ShardedExecutor::Options sopts;
   sopts.num_shards = num_shards;
   sopts.num_ingest_lanes = num_lanes;
-  sopts.queue_capacity = options.queue_capacity;
   sopts.target_batch_size = target_batch_size;
   sopts.auto_target_batch_size = summary.auto_target_batch_size;
   sopts.watermark_period_us = watermark_period_us;
@@ -632,10 +621,10 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   }
   auto exec_or = ShardedExecutor::Create(
       sopts, std::move(key.fn),
-      [&plan, &options, raw, &watermark_only_aggs, make_dispatch](
+      [&plan, raw, &watermark_only_aggs, make_dispatch](
           ExecGraph* g, const ShardContext& ctx) {
         return BuildGraph(
-            plan, options, ctx, /*record=*/ctx.shard_index == 0, g,
+            plan, ctx, /*record=*/ctx.shard_index == 0, g,
             &raw->summary_, &raw->sources_, &raw->sinks_,
             watermark_only_aggs, make_dispatch);
       });

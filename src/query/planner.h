@@ -23,15 +23,21 @@
 //     actionable Status instead of silently mis-partitioning — unless the
 //     shard count itself was auto, in which case the planner falls back
 //     to one shard and says why in the summary;
-//   * physical auto-tuning (each overridable in PlannerOptions): shard
-//     count from std::thread::hardware_concurrency(), one ingest lane per
-//     source on sharded plans so multi-sensor feeds push from their own
-//     threads, the ingest re-batching target from observed per-tuple
-//     operator cost (the executor's feedback tuner), and filters pushed
-//     below maps whenever the filter's declared read set lies inside the
-//     map's preserved prefix. Plans that run inline keep pass-through
-//     ingest and no pinning: re-batching and pinning amortise and place a
-//     ring hop those plans do not have.
+//   * physical auto-tuning: shard count from
+//     std::thread::hardware_concurrency(), one ingest lane per source on
+//     sharded plans so multi-sensor feeds push from their own threads,
+//     and the ingest re-batching target from observed per-tuple operator
+//     cost (the executor's feedback tuner) — each overridable in
+//     PlannerOptions. Shard workers and ingest lanes are pinned to cores
+//     when the machine has >= 4 hardware threads. Plans that run inline
+//     keep pass-through ingest and no pinning: re-batching and pinning
+//     amortise and place a ring hop those plans do not have;
+//   * logical rewrites: filters are pushed below maps whenever the
+//     filter's declared read set lies inside the map's preserved prefix
+//     (an opaque filter — no declared reads — stays where it is);
+//   * CF grid sharing: a plan with a CF-inversion SUM/AVG turns on its
+//     shards' CF grid caches (stats::CfGridCache), so groups over
+//     identically-parameterised models evaluate each grid once.
 //
 // The result is a CompiledQuery: an ingest/finish/result facade over the
 // executor, plus a PlanSummary describing the decisions for logs, tests,
@@ -77,9 +83,6 @@ struct PlannerOptions {
   /// lane otherwise. Sources are assigned round-robin in declaration
   /// order when there are fewer lanes than sources.
   size_t num_ingest_lanes = kAutoLanes;
-  /// Per-(lane, shard) ingest ring depth, in batches (backpressure
-  /// beyond).
-  size_t queue_capacity = 64;
   /// Ingest merges undersized and splits oversized caller batches toward
   /// this many tuples; 0 forwards caller-sized batches unchanged. Plans
   /// that run inline (one shard, one lane) always pass through.
@@ -87,30 +90,6 @@ struct PlannerOptions {
   /// the target is re-derived from observed per-tuple operator cost so
   /// one batch carries roughly a fixed cost budget of downstream work.
   size_t target_batch_size = kAutoBatchSize;
-  /// Push filters below maps when the filter declares a read set fully
-  /// inside the map's preserved prefix (see Query::Filter/Map). On by
-  /// default; semantics-preserving for pure maps.
-  bool filter_pushdown = true;
-
-  /// Grid resolution for CF-inversion SUM/AVG (FFT points / output bins).
-  size_t cf_grid_points = 1024;
-
-  /// Share evaluated CF grids across a window's groups: the per-shard
-  /// workspace keys CfGrid evaluations by distribution-parameter signature
-  /// (stats::CfGridCache), so G groups over identically-parameterised
-  /// sensor models pay for each grid once. Enabled (when true) only on
-  /// plans with a CF-inversion SUM/AVG; bitwise-neutral — a cache hit
-  /// returns the exact grid a miss would have computed.
-  bool share_cf_grids = true;
-
-  /// Pin shard workers and ingest lanes to distinct cores
-  /// (ShardedExecutor::Options::pin_threads). kAuto pins when the machine
-  /// reports >= 4 hardware threads; kOff/kOn force. Plans that run inline
-  /// have no worker to place and are never pinned. Pinning also makes the
-  /// deferred ring allocation first-touch core-local (each shard's rings
-  /// are faulted in by its pinned worker).
-  enum class PinThreads { kAuto, kOn, kOff };
-  PinThreads pin_threads = PinThreads::kAuto;
 
   /// Event-time watermark generation period, in event-time microseconds.
   /// Watermarks are the runtime's progress signal: each source
@@ -125,7 +104,8 @@ struct PlannerOptions {
   /// 0 disables generation explicitly (pre-watermark behaviour:
   /// arrival-driven closure only). With lateness 0 (below), watermark
   /// closure fires exactly where arrival-driven closure already fired,
-  /// so result sets are unchanged.
+  /// so result sets are unchanged. Any other negative value fails
+  /// Compile().
   static constexpr int64_t kAutoWatermarkPeriod = -1;
   int64_t watermark_period_us = kAutoWatermarkPeriod;
   /// Slack subtracted from a source's max ingested timestamp when its
@@ -135,7 +115,9 @@ struct PlannerOptions {
   /// L of event time. It does NOT make the arrival-driven closure path
   /// tolerate out-of-order input: windowed operators fed directly by a
   /// source still require per-source timestamp order regardless of this
-  /// knob. Per-source order makes 0 exact; leave it there.
+  /// knob. Per-source order makes 0 exact; leave it there. A negative
+  /// value would run the watermark ahead of the data (closing windows
+  /// before their tuples arrive) and fails Compile().
   int64_t watermark_lateness_us = 0;
 
   /// Auto shard counts are capped here: past ~8 shards ingest
@@ -195,15 +177,14 @@ struct PlanSummary {
   };
   std::vector<AggregateChoice> aggregates;
 
-  /// Cross-group CF grid sharing is live (PlannerOptions::share_cf_grids
-  /// on a plan with a CF-inversion SUM/AVG). Hit/miss counts surface in
-  /// the aggregate node's OperatorMetrics.
+  /// Cross-group CF grid sharing is live (the plan has a CF-inversion
+  /// SUM/AVG). Hit/miss counts surface in the aggregate node's
+  /// OperatorMetrics.
   bool cf_grid_sharing = false;
 
-  /// Shard workers / ingest lanes are pinned to cores, and whether that
-  /// was the auto rule (>= 4 hardware threads) or an explicit override.
+  /// Shard workers / ingest lanes are pinned to cores (plans with worker
+  /// threads, on machines with >= 4 hardware threads).
   bool pin_threads = false;
-  bool auto_pin_threads = false;
 
   /// Filters the planner pushed below maps: (filter_name, map_name).
   std::vector<std::pair<std::string, std::string>> pushed_filters;

@@ -33,8 +33,8 @@ CharFn ProductCf(const std::vector<const Distribution*>& dists);
 /// CfGrid once instead of G times. Owned by CfInversionWorkspace under the
 /// same rule as the rest of the workspace: one per shard, touched only by
 /// the thread running that shard, so the counters are plain integers. Off by
-/// default; the planner enables it (PlannerOptions::share_cf_grids) when a
-/// plan contains a CF-inversion aggregate.
+/// default; the planner enables it whenever a plan contains a CF-inversion
+/// SUM/AVG.
 struct CfGridCache {
   bool enabled = false;
   uint64_t hits = 0;

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 #ifdef __linux__
 #include <pthread.h>
 #include <sched.h>
 #endif
 
-#include "common/logging.h"
 #include "common/stopwatch.h"
 
 namespace usp {
@@ -66,6 +64,19 @@ common::Result<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
   if (options.queue_capacity == 0) {
     return common::Status::InvalidArgument("queue_capacity must be >= 1");
   }
+  if (options.watermark_period_us < 0) {
+    return common::Status::InvalidArgument(
+        "watermark_period_us must be >= 0 (0 = no generation), got " +
+        std::to_string(options.watermark_period_us));
+  }
+  // A negative lateness would run each watermark ahead of its source's
+  // data: windows would close before their tuples arrive, and those
+  // tuples would land in panes evicted without ever being emitted.
+  if (options.watermark_lateness_us < 0) {
+    return common::Status::InvalidArgument(
+        "watermark_lateness_us must be >= 0, got " +
+        std::to_string(options.watermark_lateness_us));
+  }
   if (!key_fn) {
     return common::Status::InvalidArgument("key_fn is required");
   }
@@ -78,7 +89,6 @@ common::Result<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
     ShardContext ctx;
     ctx.shard_index = i;
     ctx.num_shards = options.num_shards;
-    ctx.archive = &shard->archive;
     ctx.cf_workspace = &shard->cf_workspace;
     USP_RETURN_NOT_OK(builder(graph.get(), ctx));
     USP_RETURN_NOT_OK(graph->Validate());
@@ -103,10 +113,7 @@ common::Result<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
   }
   const size_t num_nodes = exec->shards_[0]->exec->graph().num_nodes();
   exec->num_nodes_ = num_nodes;
-  for (auto& shard : exec->shards_) {
-    shard->last_seq.assign(num_nodes, 0);
-    shard->source_watermark.assign(num_nodes, INT64_MIN);
-  }
+  for (auto& shard : exec->shards_) shard->last_seq.assign(num_nodes, 0);
   exec->ingest_by_source_ = std::make_unique<SourceIngest[]>(num_nodes);
   for (size_t l = 0; l < options.num_ingest_lanes; ++l) {
     auto lane = std::make_unique<Lane>();
@@ -152,34 +159,6 @@ common::Result<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
   return exec;
 }
 
-void ShardedExecutor::MaybeEvictArchive(Shard* shard) {
-  if (options_.archive_retention_us < 0) return;  // keep everything
-  // Eviction clock: the MIN across per-source event-time clocks seen on
-  // this shard, so a source lagging behind the others (multi-lane skew)
-  // does not have its freshly-archived tuples evicted by the fastest
-  // source's timestamps. The per-source clock advances on data AND on
-  // propagated watermarks — the same signal that closes windows — so an
-  // idle source no longer pins the whole shard's archive.
-  int64_t evict_watermark = INT64_MAX;
-  for (const int64_t wm : shard->source_watermark) {
-    if (wm != INT64_MIN) evict_watermark = std::min(evict_watermark, wm);
-  }
-  if (evict_watermark == INT64_MAX) evict_watermark = INT64_MIN;
-  // Evict only once the clock has advanced at least a quarter of the
-  // retention span past the last eviction: EvictBefore scans the whole
-  // archive, so running it per message would be O(messages * archive
-  // size). No eviction until a non-empty batch has set the clock
-  // (INT64_MIN - retention would underflow).
-  if (evict_watermark != INT64_MIN &&
-      (shard->last_evict_watermark == INT64_MIN ||
-       evict_watermark - shard->last_evict_watermark >=
-           std::max<int64_t>(1, options_.archive_retention_us / 4))) {
-    shard->archive.EvictBefore(evict_watermark -
-                               options_.archive_retention_us);
-    shard->last_evict_watermark = evict_watermark;
-  }
-}
-
 common::Status ShardedExecutor::ProcessMessage(Shard* shard, Message&& msg) {
   std::lock_guard<std::mutex> lock(shard->mu);
   if (!shard->status.ok()) return shard->status;  // drain after failure
@@ -200,24 +179,11 @@ common::Status ShardedExecutor::ProcessMessage(Shard* shard, Message&& msg) {
   }
   if (msg.watermark != INT64_MIN) {
     // Watermark control message: propagate through the shard's graph
-    // (closing windows, expiring join buffers) and advance the eviction
-    // clock — no tuples to process.
+    // (closing windows, expiring join buffers) — no tuples to process.
     shard->status = shard->exec->PushWatermark(msg.source, msg.watermark);
-    if (msg.source < shard->source_watermark.size()) {
-      shard->source_watermark[msg.source] =
-          std::max(shard->source_watermark[msg.source], msg.watermark);
-    }
-    MaybeEvictArchive(shard);
-    return shard->status;
+  } else {
+    shard->status = shard->exec->PushBatch(msg.source, msg.batch);
   }
-  shard->status = shard->exec->PushBatch(msg.source, msg.batch);
-  const int64_t batch_max_ts = msg.batch.MaxTimestamp();
-  shard->watermark = std::max(shard->watermark, batch_max_ts);
-  if (msg.source < shard->source_watermark.size()) {
-    shard->source_watermark[msg.source] =
-        std::max(shard->source_watermark[msg.source], batch_max_ts);
-  }
-  MaybeEvictArchive(shard);
   return shard->status;
 }
 
@@ -585,8 +551,8 @@ common::Status ShardedExecutor::Push(ExecGraph::NodeId source, Tuple tuple) {
 common::Status ShardedExecutor::Finish() {
   // Serialises concurrent Finish() calls: a second caller blocks until the
   // first completes, then sees finished_ == true and the final status.
-  // finished_ itself only flips after the merge, so the archive()/
-  // watermark()/sink_output() guards stay closed while workers drain.
+  // finished_ itself only flips after the merge, so the sink_output()
+  // guards stay closed while workers drain.
   std::lock_guard<std::mutex> finish_lock(finish_mu_);
   if (finished_) return final_status_;
   // (1) Close the lanes FIRST: a racing push fails loudly with
@@ -698,26 +664,6 @@ std::vector<NodeMetrics> ShardedExecutor::MetricsSnapshot() const {
     merged.push_back(std::move(entry));
   }
   return merged;
-}
-
-const TupleArchive& ShardedExecutor::archive(size_t shard) const {
-  // Always-on check: before Finish() the worker thread still mutates the
-  // archive, so returning the reference would hand out a data race.
-  if (!finished_) {
-    USP_LOG(Error) << "ShardedExecutor::archive(" << shard
-                   << ") before Finish()";
-    std::abort();
-  }
-  return shards_[shard]->archive;
-}
-
-int64_t ShardedExecutor::watermark(size_t shard) const {
-  if (!finished_) {
-    USP_LOG(Error) << "ShardedExecutor::watermark(" << shard
-                   << ") before Finish()";
-    std::abort();
-  }
-  return shards_[shard]->watermark;
 }
 
 ShardedExecutor::KeyFn KeyByStringValue(size_t value_index) {

@@ -2,7 +2,7 @@
 // execution backend behind every compiled plan.
 //
 // The executor owns N shards; each shard runs a private copy of the plan
-// (its own ExecGraph + operator instances, its own TupleArchive) on a
+// (its own ExecGraph + operator instances, its own CF scratch) on a
 // dedicated worker thread, except under the inline rule below. Ingest
 // runs through L *lanes*: a lane is one producer thread's private ingest
 // channel, connected to every shard by a bounded lock-free SPSC ring —
@@ -34,11 +34,11 @@
 //
 // Each shard hash-partitions nothing itself — partitioning happens on the
 // lane's producer thread — and all tuples of one key are processed by one
-// shard: keyed plans (group-by, keyed joins, lineage resolution against
-// the shard archive) need no cross-shard coordination, and the result SET
-// is independent of both the shard count and the lane count (merged
-// output is timestamp-sorted unless the plan runs inline; equal-timestamp
-// tie order follows shard assignment and worker interleaving).
+// shard: keyed plans (group-by, keyed joins) need no cross-shard
+// coordination, and the result SET is independent of both the shard count
+// and the lane count (merged output is timestamp-sorted unless the plan
+// runs inline; equal-timestamp tie order follows shard assignment and
+// worker interleaving).
 //
 // Thread safety: PushBatch(lane, ...) is single-producer PER LANE — two
 // threads may push concurrently only on different lanes. The lane-less
@@ -50,10 +50,9 @@
 // (tuples/batches enqueued, producer block time, peak queue depth), so
 // backpressure is observable instead of inferred.
 //
-// Archives: each shard exposes a TupleArchive to the plan builder; the
-// worker advances a per-shard watermark (max timestamp seen) and evicts
-// archived tuples older than `watermark - archive_retention_us` after
-// each message, bounding archive memory without any global pause.
+// The executor keeps no per-shard tuple state of its own: anything that
+// must outlive a batch (window panes, join buffers) belongs to an
+// operator, which bounds it in OnWatermark.
 
 #ifndef USP_STREAM_SHARDED_EXECUTOR_H_
 #define USP_STREAM_SHARDED_EXECUTOR_H_
@@ -69,7 +68,6 @@
 #include "stats/characteristic_function.h"
 #include "stream/exec_graph.h"
 #include "stream/spsc_ring.h"
-#include "stream/tuple_archive.h"
 #include "stream/watermark.h"
 
 namespace usp {
@@ -79,8 +77,6 @@ namespace stream {
 struct ShardContext {
   size_t shard_index = 0;
   size_t num_shards = 1;
-  /// Shard-private archive for lineage resolution; evicted by watermark.
-  TupleArchive* archive = nullptr;
   /// Shard-private scratch for CF inversion / order-statistics grids.
   /// Owned by the shard and touched only by the thread running it (its
   /// worker, or the pushing thread under the inline rule); plan
@@ -104,9 +100,6 @@ class ShardedExecutor {
     /// Bounded ring depth, in batches, per (lane, shard) pair (rounded up
     /// to a power of two; producers block beyond = backpressure).
     size_t queue_capacity = 64;
-    /// Archived tuples older than watermark - retention are evicted after
-    /// each processed message; negative = keep everything.
-    int64_t archive_retention_us = -1;
     /// When > 0, ingest re-batches caller pushes toward this many tuples
     /// before partitioning: oversized batches are split into target-sized
     /// slices (bounding per-message queue occupancy and shard latency for
@@ -129,18 +122,20 @@ class ShardedExecutor {
     bool auto_target_batch_size = false;
     /// Event-time watermark generation period per source, in event-time
     /// microseconds; 0 disables generation (explicit PushWatermark still
-    /// works). When a source's max ingested timestamp minus
-    /// `watermark_lateness_us` has advanced at least this far past its
-    /// last emitted watermark, the lane broadcasts a watermark message to
-    /// EVERY shard (partitioning splits a source's tuples across shards,
-    /// so each shard must hear the source's progress) and the per-shard
-    /// DagExecutor propagates it along the graph edges.
+    /// works) and a negative value fails Create(). When a source's max
+    /// ingested timestamp minus `watermark_lateness_us` has advanced at
+    /// least this far past its last emitted watermark, the lane
+    /// broadcasts a watermark message to EVERY shard (partitioning splits
+    /// a source's tuples across shards, so each shard must hear the
+    /// source's progress) and the per-shard DagExecutor propagates it
+    /// along the graph edges.
     int64_t watermark_period_us = 0;
     /// Slack subtracted from the max ingested timestamp when generating a
     /// watermark: the promise becomes "no future tuple below max - L".
     /// Weakens only the promise (delaying watermark-gated closure and
     /// expiry); the arrival-driven paths still require per-source
-    /// timestamp order. 0 matches that contract exactly.
+    /// timestamp order. 0 matches that contract exactly; a negative value
+    /// would promise past the data and fails Create().
     int64_t watermark_lateness_us = 0;
     /// Pin threads to distinct cores (Linux only; elsewhere a no-op):
     /// shard worker i -> core i % ncpu, and the producer thread of lane l
@@ -150,8 +145,8 @@ class ShardedExecutor {
     /// long as pushes don't overlap — gets only the first thread pinned).
     /// Ring slot arrays and the shard's CF workspace are then
     /// first-touched from the pinned worker, so the hot consumer-side
-    /// state is core-local. The planner enables this automatically on
-    /// sharded plans when the machine has >= 4 hardware threads.
+    /// state is core-local. The planner sets this on sharded plans when
+    /// the machine has >= 4 hardware threads.
     bool pin_threads = false;
   };
 
@@ -239,13 +234,6 @@ class ShardedExecutor {
   /// block time); safe to call while running.
   std::vector<NodeMetrics> MetricsSnapshot() const;
 
-  /// Shard-local archive inspection (tests, lineage debugging). Only
-  /// valid after Finish().
-  const TupleArchive& archive(size_t shard) const;
-  /// Highest timestamp shard `shard` has processed. Only valid after
-  /// Finish().
-  int64_t watermark(size_t shard) const;
-
   size_t num_shards() const { return shards_.size(); }
   size_t num_lanes() const { return lanes_.size(); }
   /// Current re-batching target (fixed unless auto_target_batch_size).
@@ -261,8 +249,8 @@ class ShardedExecutor {
     uint64_t seq = 0;
     TupleBatch batch;
     /// When != INT64_MIN this is a watermark control message (batch
-    /// empty): the worker forwards it into the shard's DagExecutor and
-    /// advances the eviction clock instead of processing tuples.
+    /// empty): the worker forwards it into the shard's DagExecutor
+    /// instead of processing tuples.
     int64_t watermark = INT64_MIN;
   };
 
@@ -310,27 +298,16 @@ class ShardedExecutor {
 
   struct Shard {
     std::unique_ptr<DagExecutor> exec;
-    TupleArchive archive;
     /// Reusable CF/order-statistics scratch; private to the thread
     /// running the shard.
     stats::CfInversionWorkspace cf_workspace;
     std::thread worker;
     size_t index = 0;
-    /// Guards exec/archive/watermark/status against snapshot readers.
+    /// Guards exec/status against snapshot readers.
     mutable std::mutex mu;
     common::Status status;
-    int64_t watermark = INT64_MIN;
-    int64_t last_evict_watermark = INT64_MIN;
     /// Last sequence number seen per source node id (worker-private).
     std::vector<uint64_t> last_seq;
-    /// Event-time clock per source node id (worker-private): max of the
-    /// source's data timestamps and its propagated watermarks. Archive
-    /// eviction uses the MIN across sources that have reached this shard:
-    /// under multi-lane skew the fastest source's clock must not evict a
-    /// lagging source's freshly-archived tuples. A stalled source used to
-    /// stall eviction forever; its explicit/periodic watermarks now keep
-    /// this clock — and therefore eviction — moving.
-    std::vector<int64_t> source_watermark;
   };
 
   ShardedExecutor(const Options& options, KeyFn key_fn);
@@ -380,9 +357,6 @@ class ShardedExecutor {
   /// lane's rings (monotone per source; no-op when not an advance).
   common::Status BroadcastWatermark(Lane* lane, ExecGraph::NodeId source,
                                     int64_t watermark);
-  /// Advance the shard's min-across-sources eviction clock and evict the
-  /// archive when it moved far enough. Caller holds shard->mu.
-  void MaybeEvictArchive(Shard* shard);
   /// Re-batching ingest path: merge + split toward `target` using the
   /// lane-local buffer. Flushes the pending buffer on source change.
   common::Status PushRebatched(Lane* lane, ExecGraph::NodeId source,
@@ -409,7 +383,7 @@ class ShardedExecutor {
   std::vector<TupleBatch> merged_sinks_;  // indexed by NodeId, post-Finish
   std::mutex finish_mu_;  // serialises Finish() calls
   /// True only once workers are joined and sinks merged; gates the
-  /// archive()/watermark()/sink_output() accessors.
+  /// sink_output() accessors.
   std::atomic<bool> finished_{false};
   common::Status final_status_;
 };

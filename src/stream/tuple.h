@@ -3,8 +3,9 @@
 // Lineage (§5.2) is a set of base-tuple ids recording which independent
 // upstream tuples produced this tuple; downstream operators use shared
 // lineage to detect correlation (e.g. a join that matched one tuple against
-// many) and to fetch archived inputs for exact result-distribution
-// computation.
+// many). An operator that keeps a TupleArchive can also resolve a lineage
+// set back to its inputs for exact result-distribution computation; no
+// compiled plan does so today.
 
 #ifndef USP_STREAM_TUPLE_H_
 #define USP_STREAM_TUPLE_H_

@@ -19,8 +19,8 @@ namespace stream {
 /// \brief Id-addressable store of archived base tuples (§3, operator A4 /
 /// J1 example: the last operator "uses the tuple lineage and previously
 /// archived independent tuples to compute its result distributions").
-/// Under the sharded executor each shard owns a private archive, so
-/// lineage resolution stays shard-local and needs no locking.
+/// Not thread-safe: an operator that resolves lineage owns its archive
+/// and evicts it from OnWatermark, as join buffers are evicted.
 class TupleArchive {
  public:
   void Archive(const Tuple& tuple) { by_id_.emplace(tuple.id(), tuple); }

@@ -405,7 +405,6 @@ TEST(PlannerTest, CfInversionWorkspaceWiredIntoShardedPlan) {
   auto run = [&](size_t shards) {
     PlannerOptions opts;
     opts.num_shards = shards;
-    opts.cf_grid_points = 256;
     auto compiled_or = query.Compile(opts);
     EXPECT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
     auto compiled = compiled_or.MoveValueUnsafe();
@@ -531,44 +530,30 @@ TEST(PlannerTest, ExplicitShardCountWinsOverAuto) {
 }
 
 TEST(PlannerTest, PinThreadsResolvesFromHardwareConcurrency) {
-  // Auto rule: pin on sharded plans when the machine has >= 4 hardware
-  // threads; the override pins the "machine" so the test is host-stable.
+  // Pin on sharded plans when the machine has >= 4 hardware threads; the
+  // override pins the "machine" so the test is host-stable.
   PlannerOptions opts;
   opts.hardware_concurrency_override = 4;
   auto big = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile(opts);
   ASSERT_TRUE(big.ok()) << big.status().ToString();
   EXPECT_EQ(big.value()->summary().num_shards, 4u);
   EXPECT_TRUE(big.value()->summary().pin_threads);
-  EXPECT_TRUE(big.value()->summary().auto_pin_threads);
-  EXPECT_NE(big.value()->summary().ToString().find("thread pinning on [auto]"),
+  EXPECT_NE(big.value()->summary().ToString().find("thread pinning on"),
             std::string::npos)
       << big.value()->summary().ToString();
 
   opts.hardware_concurrency_override = 2;
-  opts.num_shards = 2;  // sharded, but too few cores for auto pinning
+  opts.num_shards = 2;  // sharded, but too few cores for pinning
   auto small = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile(opts);
   ASSERT_TRUE(small.ok());
   EXPECT_EQ(small.value()->summary().num_shards, 2u);
   EXPECT_FALSE(small.value()->summary().pin_threads);
-  EXPECT_TRUE(small.value()->summary().auto_pin_threads);
 
-  // Explicit knobs win over the auto rule in both directions.
-  opts.pin_threads = PlannerOptions::PinThreads::kOn;
-  auto forced_on = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile(opts);
-  ASSERT_TRUE(forced_on.ok());
-  EXPECT_TRUE(forced_on.value()->summary().pin_threads);
-  EXPECT_FALSE(forced_on.value()->summary().auto_pin_threads);
-
-  opts.hardware_concurrency_override = 8;
-  opts.pin_threads = PlannerOptions::PinThreads::kOff;
-  auto forced_off = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile(opts);
-  ASSERT_TRUE(forced_off.ok());
-  EXPECT_FALSE(forced_off.value()->summary().pin_threads);
-
-  // A 1-shard, 1-lane plan runs inline: no worker threads to pin.
+  // A 1-shard, 1-lane plan runs inline: no worker threads to pin, however
+  // many cores the machine has.
   PlannerOptions single;
   single.num_shards = 1;
-  single.pin_threads = PlannerOptions::PinThreads::kOn;
+  single.hardware_concurrency_override = 8;
   auto unsharded = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile(single);
   ASSERT_TRUE(unsharded.ok());
   EXPECT_EQ(unsharded.value()->summary().num_shards, 1u);
@@ -579,10 +564,13 @@ TEST(PlannerTest, PinThreadsResolvesFromHardwareConcurrency) {
 TEST(PlannerTest, CfGridSharingRecordedAndObservableInMetrics) {
   // Every tuple carries the same sensor model, split across 4 groups: the
   // cross-group CF grid cache turns all but the first evaluation of each
-  // grid shape into hits, results stay bitwise-identical, and the
-  // hit/miss counters surface through the aggregate's OperatorMetrics.
+  // grid shape into hits, results stay bitwise-identical to an uncached
+  // reference, and the hit/miss counters surface through the aggregate's
+  // OperatorMetrics. Tumbling windows, so the compiled (paned) operator
+  // takes the exact per-window kernel the reference uses.
+  const WindowSpec window = WindowSpec::Tumbling(280);
   auto query = Query::From("src", 2)
-                   .Window(WindowSpec::Sliding(40, 10))
+                   .Window(window)
                    .GroupBy(0)
                    .Sum("total", 1, uncertain::SumStrategyKind::kCfInversion)
                    .Sink("out");
@@ -595,44 +583,51 @@ TEST(PlannerTest, CfGridSharingRecordedAndObservableInMetrics) {
     t.InitBaseLineage();
     stream.Append(std::move(t));
   }
-  struct RunResult {
-    std::vector<std::string> rows;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-  };
-  auto run = [&](bool share) {
-    RunResult r;
-    PlannerOptions opts;
-    opts.num_shards = 1;
-    opts.cf_grid_points = 256;
-    opts.share_cf_grids = share;
-    auto compiled_or = query.Compile(opts);
-    EXPECT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
-    auto compiled = compiled_or.MoveValueUnsafe();
-    EXPECT_EQ(compiled->summary().cf_grid_sharing, share);
-    if (share) {
-      EXPECT_NE(compiled->summary().ToString().find("CF grid sharing"),
-                std::string::npos)
-          << compiled->summary().ToString();
-    }
-    EXPECT_TRUE(compiled->PushBatch(compiled->source("src"), stream).ok());
-    EXPECT_TRUE(compiled->Finish().ok());
-    r.rows = Canonical(compiled->TakeResult(compiled->sink("out")));
-    for (const auto& m : compiled->MetricsSnapshot()) {
-      r.hits += m.metrics.grid_cache_hits;
-      r.misses += m.metrics.grid_cache_misses;
-    }
-    return r;
-  };
-  const RunResult shared = run(true);
-  const RunResult unshared = run(false);
-  ASSERT_FALSE(shared.rows.empty());
-  EXPECT_EQ(shared.rows, unshared.rows);  // sharing is bitwise-neutral
-  EXPECT_GT(shared.hits, 0u);
-  EXPECT_GT(shared.misses, 0u);
-  EXPECT_GT(shared.hits, shared.misses);  // one model -> mostly hits
-  EXPECT_EQ(unshared.hits, 0u);
-  EXPECT_EQ(unshared.misses, 0u);
+
+  PlannerOptions opts;
+  opts.num_shards = 1;
+  auto compiled_or = query.Compile(opts);
+  ASSERT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
+  auto compiled = compiled_or.MoveValueUnsafe();
+  EXPECT_TRUE(compiled->summary().cf_grid_sharing);
+  EXPECT_NE(compiled->summary().ToString().find("CF grid sharing"),
+            std::string::npos)
+      << compiled->summary().ToString();
+  ASSERT_TRUE(compiled->PushBatch(compiled->source("src"), stream).ok());
+  ASSERT_TRUE(compiled->Finish().ok());
+  const std::vector<std::string> shared =
+      Canonical(compiled->TakeResult(compiled->sink("out")));
+  uint64_t hits = 0, misses = 0;
+  for (const auto& m : compiled->MetricsSnapshot()) {
+    hits += m.metrics.grid_cache_hits;
+    misses += m.metrics.grid_cache_misses;
+  }
+
+  // Reference: the naive operator driven directly with a CfInversionSum,
+  // which has no workspace and therefore no grid cache.
+  uncertain::CfInversionSum inversion;
+  auto graph = std::make_unique<ExecGraph>();
+  const auto src = graph->AddSource("src");
+  const auto agg = graph->AddOperator(
+      src, std::make_unique<stream::GroupByAggregateOperator>(
+               "agg", window,
+               [](const Tuple& t) {
+                 return stream::CanonicalKeyString(t.value(0));
+               },
+               std::vector<stream::AggregateSpec>{
+                   uncertain::MakeSumAggregate("total", 1, &inversion)}));
+  const auto sink = graph->AddSink(agg, "out");
+  DagExecutor reference(std::move(graph));
+  ASSERT_TRUE(reference.PushBatch(src, stream).ok());
+  ASSERT_TRUE(reference.Close().ok());
+  const std::vector<std::string> uncached =
+      Canonical(reference.TakeSinkOutput(sink));
+
+  ASSERT_FALSE(shared.empty());
+  EXPECT_EQ(shared, uncached);  // sharing is bitwise-neutral
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+  EXPECT_GT(hits, misses);  // one model -> mostly hits
 }
 
 TEST(PlannerTest, AutoShardsFallBackToOneWhenKeyUnderivable) {
@@ -891,6 +886,56 @@ TEST(PlannerTest, WatermarksDoNotChangeSingleLaneResults) {
   EXPECT_EQ(with_watermarks, without);
 }
 
+TEST(PlannerTest, NegativeWatermarkSettingsFailAtCompile) {
+  // A negative lateness runs each watermark ahead of its source's data:
+  // windows close before their tuples arrive, and those tuples land in
+  // panes evicted without ever being emitted. Compile() refuses it (and
+  // a period below the auto marker) instead of silently losing rows.
+  const auto query = Query::From("src", 2)
+                         .Window(WindowSpec::Tumbling(1000))
+                         .GroupBy(0)
+                         .Count("n")
+                         .Sink("out");
+  auto run = [&](int64_t lateness) -> common::Result<TupleBatch> {
+    PlannerOptions opts;
+    opts.num_shards = 1;
+    opts.watermark_lateness_us = lateness;
+    USP_ASSIGN_OR_RETURN(auto compiled, query.Compile(opts));
+    const auto src = compiled->source("src");
+    for (int64_t ts = 0; ts < 3000; ts += 10) {
+      USP_RETURN_NOT_OK(
+          compiled->Push(src, Tuple(ts, {Value(int64_t{0}), Value(1.0)})));
+    }
+    USP_RETURN_NOT_OK(compiled->Finish());
+    return compiled->TakeResult(compiled->sink("out"));
+  };
+  // Lateness 0: every tumbling window holds all of its 100 tuples.
+  auto exact = run(0);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  ASSERT_EQ(exact.value().size(), 3u);
+  for (const Tuple& row : exact.value()) {
+    EXPECT_EQ(row.value(1).AsInt(), 100) << "window ending " << row.timestamp();
+  }
+
+  auto ahead = run(-1000);
+  ASSERT_FALSE(ahead.ok()) << "negative lateness compiled and returned "
+                           << ahead.value().size() << " rows";
+  EXPECT_EQ(ahead.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(ahead.status().message().find("watermark_lateness_us"),
+            std::string::npos)
+      << ahead.status().ToString();
+
+  PlannerOptions bad_period;
+  bad_period.num_shards = 1;
+  bad_period.watermark_period_us = PlannerOptions::kAutoWatermarkPeriod - 1;
+  auto period_or = query.Compile(bad_period);
+  ASSERT_FALSE(period_or.ok());
+  EXPECT_EQ(period_or.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(period_or.status().message().find("watermark_period_us"),
+            std::string::npos)
+      << period_or.status().ToString();
+}
+
 TEST(PlannerTest, AutoTargetBatchSizeReportedAndOverridable) {
   PlannerOptions auto_opts;
   auto_opts.num_shards = 2;
@@ -930,20 +975,23 @@ TEST(PlannerTest, AutoTargetBatchSizeReportedAndOverridable) {
 
 // ---- filter pushdown ----------------------------------------------------
 
-Query PushdownQuery() {
+Query PushdownQuery(bool declare_reads = true) {
   // annotate appends a derived attribute (preserving the 2 source attrs);
-  // the filter reads only attribute 0, so the planner may run it first.
-  return Query::From("src", 2)
-      .Map("annotate",
-           [](const Tuple& t) -> common::Result<Tuple> {
-             Tuple out = t;
-             out.AppendValue(Value(t.value(0).AsInt() * 10));
-             return out;
-           },
-           3, /*preserved_prefix=*/2)
-      .Filter("keep",
-              [](const Tuple& t) { return t.value(0).AsInt() % 2 == 0; },
-              /*reads_attrs=*/{0})
+  // the filter reads only attribute 0, so the planner may run it first —
+  // unless the read set is left undeclared, which makes the predicate
+  // opaque and keeps the filter above the map.
+  const Query mapped =
+      Query::From("src", 2)
+          .Map("annotate",
+               [](const Tuple& t) -> common::Result<Tuple> {
+                 Tuple out = t;
+                 out.AppendValue(Value(t.value(0).AsInt() * 10));
+                 return out;
+               },
+               3, /*preserved_prefix=*/2);
+  const auto keep = [](const Tuple& t) { return t.value(0).AsInt() % 2 == 0; };
+  return (declare_reads ? mapped.Filter("keep", keep, /*reads_attrs=*/{0})
+                        : mapped.Filter("keep", keep))
       .Window(WindowSpec::Tumbling(100))
       .GroupBy(0)
       .Sum("total", 1, uncertain::SumStrategyKind::kClt)
@@ -954,10 +1002,10 @@ TEST(PlannerTest, FilterPushdownPreservesResultsAndShrinksMapWork) {
   auto run = [](bool pushdown) {
     PlannerOptions opts;
     opts.num_shards = 1;
-    opts.filter_pushdown = pushdown;
-    auto compiled_or = PushdownQuery().Compile(opts);
+    auto compiled_or = PushdownQuery(/*declare_reads=*/pushdown).Compile(opts);
     EXPECT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
     auto compiled = compiled_or.MoveValueUnsafe();
+    EXPECT_EQ(compiled->summary().pushed_filters.size(), pushdown ? 1u : 0u);
     EXPECT_TRUE(compiled
                     ->PushBatch(compiled->source("src"),
                                 MakeKeyedGaussianStream(400))

@@ -336,53 +336,6 @@ TEST(MultiLaneIngestTest, ConcurrentPushAndFinishNeverDeadlocks) {
   EXPECT_EQ(exec->sink_output(sink).size(), acknowledged.load());
 }
 
-TEST(MultiLaneIngestTest, LaggingSourceArchiveSurvivesFasterSourceClock) {
-  // Archive eviction must use the MIN across per-source watermarks: a
-  // source lagging far behind another (multi-lane skew) must not have
-  // its freshly-archived tuples evicted by the fast source's timestamps.
-  ShardedExecutor::Options opts;
-  opts.num_shards = 1;
-  opts.num_ingest_lanes = 2;
-  opts.archive_retention_us = 100;
-  ExecGraph::NodeId fast = 0, slow = 0;
-  auto exec_or = ShardedExecutor::Create(
-      opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext& ctx) {
-        TupleArchive* archive = ctx.archive;
-        fast = g->AddSource("fast");
-        slow = g->AddSource("slow");
-        for (const auto src : {fast, slow}) {
-          const auto tap = g->AddOperator(
-              src, std::make_unique<TapOperator>(
-                       "tap" + std::to_string(src),
-                       [archive](const Tuple& t) { archive->Archive(t); }));
-          g->AddSink(tap, "out" + std::to_string(src));
-        }
-        return common::Status::OK();
-      });
-  ASSERT_TRUE(exec_or.ok()) << exec_or.status().ToString();
-  auto exec = exec_or.MoveValueUnsafe();
-  // Fast source races to ts 100000 on lane 0...
-  TupleBatch ahead;
-  for (int i = 0; i < 100; ++i) ahead.Append(KV(99000 + i * 10, i, 1.0));
-  ASSERT_TRUE(exec->PushBatch(0, fast, std::move(ahead)).ok());
-  // ...then the lagging source delivers old-timestamped tuples on lane 1
-  // (far below fast's clock minus retention).
-  std::vector<Tuple> lagging;
-  TupleBatch behind;
-  for (int i = 0; i < 20; ++i) {
-    Tuple t = KV(10 + i, i, 2.0);
-    lagging.push_back(t);
-    behind.Append(std::move(t));
-  }
-  ASSERT_TRUE(exec->PushBatch(1, slow, std::move(behind)).ok());
-  ASSERT_TRUE(exec->Finish().ok());
-  // Every lagging tuple is still resolvable in the shard archive.
-  for (const Tuple& t : lagging) {
-    EXPECT_TRUE(exec->archive(0).Lookup(t.id()).ok())
-        << "lagging tuple ts=" << t.timestamp() << " was evicted";
-  }
-}
-
 TEST(MultiLaneIngestTest, IngestCountersExposeBackpressure) {
   // A gated operator behind a depth-1 ring: the worker parks on a
   // condition variable (not a scheduler-granularity sleep, which a

@@ -1,5 +1,5 @@
 // Sharded executor tests: shard-count determinism on keyed plans, merged
-// metrics, watermark-driven archive eviction, error propagation, and the
+// metrics, key-hash shard placement, error propagation, and the
 // inline rule (one shard behind one lane runs on the pushing thread).
 
 #include "stream/sharded_executor.h"
@@ -173,53 +173,21 @@ TEST(ShardedExecutorTest, MetricsMergeAcrossShards) {
   EXPECT_EQ(exec->sink_output(sink).size(), 1000u);
 }
 
-TEST(ShardedExecutorTest, WatermarkEvictsArchivedTuples) {
-  ShardedExecutor::Options opts;
-  opts.num_shards = 2;
-  opts.archive_retention_us = 100;
-  ExecGraph::NodeId source = 0;
-  auto exec_or = ShardedExecutor::Create(
-      opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext& ctx) {
-        source = g->AddSource("src");
-        TupleArchive* archive = ctx.archive;
-        const auto tap = g->AddOperator(
-            source, std::make_unique<TapOperator>(
-                        "archive", [archive](const Tuple& t) {
-                          archive->Archive(t);
-                        }));
-        g->AddSink(tap, "sink");
-        return common::Status::OK();
-      });
-  ASSERT_TRUE(exec_or.ok());
-  auto exec = exec_or.MoveValueUnsafe();
-  // Timestamps 0..999: after the watermark reaches ~999, only tuples with
-  // ts >= watermark - 100 may survive in any shard archive.
-  ASSERT_TRUE(exec->PushBatch(source, MakeKeyedStream(1000)).ok());
-  ASSERT_TRUE(exec->Finish().ok());
-  size_t archived = 0;
-  for (size_t s = 0; s < exec->num_shards(); ++s) {
-    EXPECT_GT(exec->watermark(s), 0);
-    archived += exec->archive(s).size();
-    // At most retention+1 distinct timestamps can survive per shard.
-    EXPECT_LE(exec->archive(s).size(),
-              static_cast<size_t>(opts.archive_retention_us) + 1);
-  }
-  // Without eviction both shards together would hold all 1000 tuples.
-  EXPECT_LT(archived, 1000u);
-}
-
-TEST(ShardedExecutorTest, ShardLocalArchiveSeesOnlyOwnKeys) {
+TEST(ShardedExecutorTest, ShardPlacementFollowsKeyHash) {
   ShardedExecutor::Options opts;
   opts.num_shards = 4;
+  // One id list per shard, each written only by the thread running that
+  // shard and read after Finish() has joined the workers.
+  std::vector<std::vector<TupleId>> seen(opts.num_shards);
   ExecGraph::NodeId source = 0;
   auto exec_or = ShardedExecutor::Create(
       opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext& ctx) {
         source = g->AddSource("src");
-        TupleArchive* archive = ctx.archive;
+        std::vector<TupleId>* mine = &seen[ctx.shard_index];
         const auto tap = g->AddOperator(
             source, std::make_unique<TapOperator>(
-                        "archive", [archive](const Tuple& t) {
-                          archive->Archive(t);
+                        "record", [mine](const Tuple& t) {
+                          mine->push_back(t.id());
                         }));
         g->AddSink(tap, "sink");
         return common::Status::OK();
@@ -235,16 +203,17 @@ TEST(ShardedExecutorTest, ShardLocalArchiveSeesOnlyOwnKeys) {
   }
   ASSERT_TRUE(exec->PushBatch(source, batch).ok());
   ASSERT_TRUE(exec->Finish().ok());
-  // Every tuple is archived in exactly the shard its key hashes to.
+  // Every tuple is seen exactly once, on the shard its key hashes to.
   size_t total = 0;
-  for (size_t s = 0; s < exec->num_shards(); ++s) {
-    total += exec->archive(s).size();
-  }
+  for (const auto& ids : seen) total += ids.size();
   EXPECT_EQ(total, 64u);
   for (const Tuple& t : originals) {
     const size_t expected_shard =
         std::hash<int64_t>{}(t.value(0).AsInt()) % exec->num_shards();
-    EXPECT_TRUE(exec->archive(expected_shard).Lookup(t.id()).ok());
+    EXPECT_EQ(std::count(seen[expected_shard].begin(),
+                         seen[expected_shard].end(), t.id()),
+              1)
+        << "tuple " << t.id() << " with key " << t.value(0).AsInt();
   }
 }
 

@@ -2,7 +2,7 @@
 // executor, fan-in min at joins, watermark-driven window closure (incl.
 // the watermark-only mode for out-of-order join output), monotonicity,
 // the low_watermark / buffered_bytes metric surfaces, and the sharded
-// executor's broadcast + eviction plumbing.
+// executor's watermark broadcast and generation.
 
 #include <gtest/gtest.h>
 
@@ -359,58 +359,25 @@ TEST(WatermarkTest, PeriodicGenerationClosesWindowsMidStream) {
   ASSERT_TRUE(exec->Finish().ok());
 }
 
-TEST(WatermarkTest, SilentSourceWatermarkUnblocksArchiveEviction) {
-  // Eviction clock = min across per-source clocks. A silent source used
-  // to pin it forever; its explicit watermark now advances eviction.
-  ShardedExecutor::Options opts;
-  opts.num_shards = 1;
-  opts.num_ingest_lanes = 2;
-  opts.archive_retention_us = 100;
-  ExecGraph::NodeId fast = 0, silent = 0;
-  auto exec_or = ShardedExecutor::Create(
-      opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext& ctx) {
-        fast = g->AddSource("fast");
-        silent = g->AddSource("silent");
-        TupleArchive* archive = ctx.archive;
-        const auto tapf = g->AddOperator(
-            fast, std::make_unique<TapOperator>(
-                      "archive_f", [archive](const Tuple& t) {
-                        archive->Archive(t);
-                      }));
-        g->AddSink(tapf, "out_f");
-        const auto taps = g->AddOperator(
-            silent, std::make_unique<TapOperator>(
-                        "archive_s", [archive](const Tuple& t) {
-                          archive->Archive(t);
-                        }));
-        g->AddSink(taps, "out_s");
-        return common::Status::OK();
-      });
-  ASSERT_TRUE(exec_or.ok()) << exec_or.status().ToString();
-  auto exec = exec_or.MoveValueUnsafe();
-  // The silent source binds lane 1 and speaks exactly once, early.
-  Tuple early = KV(0, 1, 1.0);
-  const TupleId early_id = early.id();
-  TupleBatch once;
-  once.Append(std::move(early));
-  ASSERT_TRUE(exec->PushBatch(1, silent, std::move(once)).ok());
-  // The fast source streams far past retention.
-  for (int64_t i = 1; i <= 50; ++i) {
-    TupleBatch b;
-    b.Append(KV(i * 100, 0, 2.0));
-    ASSERT_TRUE(exec->PushBatch(0, fast, std::move(b)).ok());
-  }
-  // Silent source announces progress; the eviction clock may now advance
-  // to min(fast_clock, silent_wm) and drop the early tuple.
-  ASSERT_TRUE(exec->PushWatermark(1, silent, 5000).ok());
-  // One more fast push gives the worker an eviction trigger after the
-  // watermark is consumed.
-  TupleBatch trailer;
-  trailer.Append(KV(5100, 0, 2.0));
-  ASSERT_TRUE(exec->PushBatch(0, fast, std::move(trailer)).ok());
-  ASSERT_TRUE(exec->Finish().ok());
-  EXPECT_FALSE(exec->archive(0).Lookup(early_id).ok())
-      << "silent-source watermark failed to unblock archive eviction";
+TEST(WatermarkTest, NegativeGenerationSettingsAreRejected) {
+  // A negative lateness would promise past the data, and a negative
+  // period is meaningless; Create() refuses both before building a shard.
+  const auto build = [](ExecGraph* g, const ShardContext&) {
+    g->AddSink(g->AddSource("src"), "out");
+    return common::Status::OK();
+  };
+  ShardedExecutor::Options late;
+  late.watermark_period_us = 50;
+  late.watermark_lateness_us = -1;
+  auto late_or = ShardedExecutor::Create(late, KeyByIntValue(0), build);
+  ASSERT_FALSE(late_or.ok());
+  EXPECT_EQ(late_or.status().code(), common::StatusCode::kInvalidArgument);
+
+  ShardedExecutor::Options period;
+  period.watermark_period_us = -1;
+  auto period_or = ShardedExecutor::Create(period, KeyByIntValue(0), build);
+  ASSERT_FALSE(period_or.ok());
+  EXPECT_EQ(period_or.status().code(), common::StatusCode::kInvalidArgument);
 }
 
 TEST(WatermarkTest, WatermarkCannotOvertakePendingMergeBuffer) {
