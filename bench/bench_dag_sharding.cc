@@ -1,4 +1,4 @@
-// Scaling of the sharded DAG runtime, in three sections, emitting
+// Scaling of the sharded DAG runtime, in two sections, emitting
 // BENCH_dag_sharding.json so the perf trajectory is tracked across PRs.
 // `--smoke` shrinks every axis for sanitizer CI runs; `--ingest-threads
 // a,b,c` overrides the ingest-lane axis.
@@ -21,9 +21,6 @@
 //    with the fluent builder (only Join merges From-chains), so this
 //    section wires the graph directly — the graph-level exception the
 //    ROADMAP grants benches of the executor itself.
-//
-// 3. "watermark": the same Q1 plan on one shard with watermark
-//    generation off vs. planner-auto, so the signal's cost is visible.
 //
 // NOTE: the dev container is single-core; multi-shard and multi-lane
 // rows are expected ~flat there (<10% overhead is the acceptance bar),
@@ -97,9 +94,7 @@ std::vector<TupleBatch> MakeQ1Input() {
   return batches;
 }
 
-double RunQ1Sharding(size_t num_shards, const std::vector<TupleBatch>& input,
-                     int64_t watermark_period_us =
-                         usp::query::PlannerOptions::kAutoWatermarkPeriod) {
+double RunQ1Sharding(size_t num_shards, const std::vector<TupleBatch>& input) {
   auto q1 =
       usp::query::Query::From("src", 2)
           .Map("annotate",
@@ -119,7 +114,6 @@ double RunQ1Sharding(size_t num_shards, const std::vector<TupleBatch>& input,
   usp::query::PlannerOptions opts;
   opts.num_shards = num_shards;
   opts.target_batch_size = 0;  // measure raw ingest, not re-batching
-  opts.watermark_period_us = watermark_period_us;
   auto exec_or = q1.Compile(opts);
   if (!exec_or.ok()) {
     fprintf(stderr, "compile failed: %s\n",
@@ -277,27 +271,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- section 3: watermark signalling overhead --------------------------
-  // Same Q1 plan, watermark generation off (period 0) vs. on (planner
-  // auto: several watermarks per window), single shard so the signal's
-  // propagation cost is not hidden behind worker parallelism. Best-of-3
-  // per arm filters scheduler noise; the acceptance target is <2%
-  // overhead (watermarks ride existing batches/rings — one control
-  // message per period, min over inputs at fan-ins).
-  printf("\n=== 3. watermark overhead: Q1, 1 shard, off vs auto ===\n");
-  double wm_off = 0.0, wm_on = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    wm_off = std::max(wm_off, RunQ1Sharding(1, q1_input,
-                                            /*watermark_period_us=*/0));
-    wm_on = std::max(wm_on, RunQ1Sharding(1, q1_input));
-  }
-  const double wm_overhead_pct =
-      wm_off > 0.0 ? (wm_off - wm_on) / wm_off * 100.0 : 100.0;
-  printf("%-18s %14.0f tuples/sec\n", "watermarks off", wm_off);
-  printf("%-18s %14.0f tuples/sec   (overhead %.2f%%, target < 2%%)\n",
-         "watermarks auto", wm_on, wm_overhead_pct);
-  if (wm_off <= 0.0 || wm_on <= 0.0) failed = true;
-
   FILE* f = fopen("BENCH_dag_sharding.json", "w");
   if (f) {
     fprintf(f, "{\n  \"bench\": \"dag_sharding\",\n");
@@ -317,11 +290,7 @@ int main(int argc, char** argv) {
               ingest_rows[i].tps,
               i + 1 < ingest_rows.size() ? "," : "");
     }
-    fprintf(f, "  ],\n  \"watermark\": {\n");
-    fprintf(f, "    \"off_tuples_per_sec\": %.1f,\n", wm_off);
-    fprintf(f, "    \"auto_tuples_per_sec\": %.1f,\n", wm_on);
-    fprintf(f, "    \"overhead_pct\": %.3f\n", wm_overhead_pct);
-    fprintf(f, "  }\n}\n");
+    fprintf(f, "  ]\n}\n");
     fclose(f);
   }
   if (failed) {

@@ -195,8 +195,15 @@ double DriveOperator(usp::stream::Operator& op,
   }
   usp::stream::VectorCollector out;
   usp::common::Stopwatch sw;
+  // Each batch is followed by the watermark the executor would carry on
+  // it (max ingested ts, lateness 0): without it the paned operator, which
+  // closes windows only on watermarks, would buffer every pane until
+  // Close().
   for (const usp::stream::TupleBatch& batch : batches) {
-    if (!op.PushBatch(batch, &out).ok()) return 0.0;
+    if (!op.PushBatch(batch, &out).ok() ||
+        !op.AdvanceWatermark(batch.MaxTimestamp(), &out).ok()) {
+      return 0.0;
+    }
   }
   if (!op.Close(&out).ok()) return 0.0;
   return static_cast<double>(stream.size()) / sw.ElapsedSeconds();

@@ -222,11 +222,9 @@ int main() {
   }
   printf("sensor outage: 60 s of temps against a silent RFID feed buffered"
          " %llu bytes in the join;\n"
-         "one idle-source watermark shrank that to %llu bytes (plan: %s)\n\n",
+         "one idle-source watermark shrank that to %llu bytes\n\n",
          static_cast<unsigned long long>(grown),
-         static_cast<unsigned long long>(released),
-         exec->summary().watermark_period_us > 0 ? "watermarks on"
-                                                 : "watermarks off");
+         static_cast<unsigned long long>(released));
 
   (void)exec->Finish();
 

@@ -75,23 +75,22 @@ int main() {
   //      re-batching entirely; inline plans never re-batch). Explicit
   //      values always win over auto-tuning.
   //
-  //      Watermark knobs (event-time progress): every source
-  //      periodically announces "no future tuple below T"; the runtime
-  //      forwards that signal along the plan's edges (fan-ins take the
-  //      min of their inputs), closes windows by it, and expires join
-  //      buffers by it — so a SILENT sensor no longer stalls windows or
-  //      grows the peer side of a join (push progress explicitly with
-  //      `CompiledQuery::PushWatermark` during an outage).
-  //      * `watermark_period_us`: how often each source emits one.
-  //        Default kAutoWatermarkPeriod derives a quarter of the
-  //        smallest window slide / join range from the plan; 0 turns
-  //        generation off (arrival-driven closure only).
-  //      * `watermark_lateness_us`: slack subtracted from the source's
-  //        max ingested timestamp. It only weakens the PROMISE (delaying
-  //        watermark-gated closure/expiry by that much event time); it
-  //        does not let operators on the arrival-driven path accept
-  //        out-of-order input — per-source timestamp order remains the
-  //        ingest contract. Leave at 0 (exact).
+  //      Watermark knob (event-time progress): every ingested batch
+  //      carries its source's promise "no future tuple below T"; the
+  //      runtime forwards that signal along the plan's edges (fan-ins
+  //      take the min of their inputs), closes windows by it, and
+  //      expires join buffers by it — so a SILENT sensor no longer
+  //      stalls windows or grows the peer side of a join (push progress
+  //      explicitly with `CompiledQuery::PushWatermark` during an
+  //      outage). Sharded plans also broadcast it to every shard, a
+  //      quarter of the smallest window slide / join range apart.
+  //      * `watermark_lateness_us`: T is the source's max ingested
+  //        timestamp minus this, so a window still accepts tuples up to
+  //        that far behind the newest one. A tuple that arrives after
+  //        all of its windows closed is dropped and counted as
+  //        `late_dropped` in MetricsSnapshot(). Joins still need
+  //        per-source timestamp order. 0 (the default) closes each
+  //        window as soon as data passes it.
   //      The decisions appear in summary() with every other knob, and
   //      per-operator progress/memory is observable as `low_watermark` /
   //      `buffered_bytes` in MetricsSnapshot().

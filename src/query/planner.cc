@@ -163,7 +163,6 @@ common::Status BuildGraph(const LogicalPlan& plan,
                               sources,
                           std::unordered_map<std::string, ExecGraph::NodeId>*
                               sinks,
-                          const std::vector<char>& watermark_only_aggs,
                           const Planner::DispatchFactory* make_dispatch) {
   std::vector<ExecGraph::NodeId> phys(plan.num_nodes(),
                                       ExecGraph::kInvalidNode);
@@ -185,8 +184,6 @@ common::Status BuildGraph(const LogicalPlan& plan,
             std::make_unique<stream::MapOperator>(n.name, n.map));
         break;
       case LogicalPlan::NodeKind::kAggregate: {
-        const bool watermark_only =
-            id < watermark_only_aggs.size() && watermark_only_aggs[id];
         // Cross-group CF grid sharing: when this aggregate runs CF
         // inversion, turn on the shard workspace's grid cache so G groups
         // over identically-parameterised models evaluate each CfGrid once
@@ -237,7 +234,6 @@ common::Status BuildGraph(const LogicalPlan& plan,
         const size_t partial_slots = stream::CountDistinctPartialSlots(specs);
         auto op = std::make_unique<stream::PanedGroupByAggregateOperator>(
             n.name, *n.window, OperatorKeyFn(n), std::move(specs), n.having);
-        if (watermark_only) op->set_watermark_only_closure(true);
         if (share_grids) {
           stats::CfGridCache* cache = &ctx.cf_workspace->grid_cache;
           cache->enabled = true;
@@ -257,7 +253,6 @@ common::Status BuildGraph(const LogicalPlan& plan,
         if (record) {
           summary->aggregates.push_back({n.name});
           if (share_grids) summary->cf_grid_sharing = true;
-          if (watermark_only) summary->watermark_driven.push_back(n.name);
           if (make_dispatch != nullptr && *make_dispatch) {
             summary->multiplex_agg_columns = n.aggregates.size();
             summary->multiplex_partial_slots = partial_slots;
@@ -314,16 +309,10 @@ std::string PlanSummary::ToString() const {
     }
   }
   if (watermark_period_us > 0) {
-    out << ", watermarks every " << watermark_period_us << " us"
-        << (auto_watermark_period ? " [auto]" : "");
-    if (watermark_lateness_us > 0) {
-      out << " (lateness " << watermark_lateness_us << " us)";
-    }
-  } else {
-    out << ", watermarks off" << (auto_watermark_period ? " [auto]" : "");
+    out << ", watermarks every " << watermark_period_us << " us";
   }
-  for (const std::string& name : watermark_driven) {
-    out << "; aggregate '" << name << "': watermark-only window closure";
+  if (watermark_lateness_us > 0) {
+    out << " (lateness " << watermark_lateness_us << " us)";
   }
   switch (shard_key_source) {
     case ShardKeySource::kNone:
@@ -448,30 +437,23 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
     if (plan.kind(id) == LogicalPlan::NodeKind::kSource) ++num_sources;
   }
 
-  // --- resolve watermark generation ---------------------------------------
-  // Auto: derive the period from the plan's event-time spans — a quarter
-  // of the smallest window slide / join range keeps several watermarks
-  // per window (timely closure, bounded join buffers) at negligible
-  // signalling cost — and turn generation off for plans with no
-  // event-time state (nothing would consume the signal).
-  summary.auto_watermark_period =
-      options.watermark_period_us == PlannerOptions::kAutoWatermarkPeriod;
-  int64_t watermark_period_us = options.watermark_period_us;
-  if (summary.auto_watermark_period) {
-    int64_t min_span = INT64_MAX;
-    for (LogicalPlan::NodeId id = 0; id < plan.num_nodes(); ++id) {
-      const LogicalPlan::Node& n = plan.node(id);
-      if (n.kind == LogicalPlan::NodeKind::kAggregate && n.window) {
-        min_span = std::min(min_span, n.window->slide_us);
-      } else if (n.kind == LogicalPlan::NodeKind::kJoin &&
-                 n.join_range_us > 0) {
-        min_span = std::min(min_span, n.join_range_us);
-      }
+  // --- resolve the watermark broadcast period ---------------------------
+  // A quarter of the smallest window slide / join range keeps several
+  // watermarks per window on every shard (timely closure, bounded join
+  // buffers) at negligible signalling cost. Plans with no event-time
+  // state have nothing to consume the signal and get no broadcast.
+  int64_t min_span = INT64_MAX;
+  for (LogicalPlan::NodeId id = 0; id < plan.num_nodes(); ++id) {
+    const LogicalPlan::Node& n = plan.node(id);
+    if (n.kind == LogicalPlan::NodeKind::kAggregate && n.window) {
+      min_span = std::min(min_span, n.window->slide_us);
+    } else if (n.kind == LogicalPlan::NodeKind::kJoin &&
+               n.join_range_us > 0) {
+      min_span = std::min(min_span, n.join_range_us);
     }
-    watermark_period_us =
-        min_span == INT64_MAX ? 0 : std::max<int64_t>(1, min_span / 4);
   }
-  summary.watermark_period_us = watermark_period_us;
+  summary.watermark_period_us =
+      min_span == INT64_MAX ? 0 : std::max<int64_t>(1, min_span / 4);
   summary.watermark_lateness_us = options.watermark_lateness_us;
 
   // Asked only when a decision needs it: hardware_concurrency() may read
@@ -523,60 +505,42 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
                          : options.num_ingest_lanes;
   // Multi-lane ingest only guarantees PER-SOURCE timestamp order. A join
   // tolerates cross-source skew (its matched-pair set is skew-invariant),
-  // but its emission order then regresses in timestamp. A windowed
-  // aggregate downstream of the join absorbs that when watermarks flow:
-  // join output never regresses below the join's propagated watermark
-  // (output ts = max of an eligible pair; each side's future tuples are
-  // >= its watermark), so switching the aggregate to watermark-only
-  // window closure restores correct closure without cross-source order —
-  // the relaxation that used to force such plans single-lane. With
-  // watermarks disabled, the old refusal stands. A SECOND join consuming
-  // join output stays refused either way: its per-side expiry clocks need
-  // each input in timestamp order, which skewed join output never has.
-  std::vector<char> watermark_only_aggs(plan.num_nodes(), 0);
+  // but its emission order then regresses in timestamp — never below the
+  // join's propagated watermark (output ts = max of an eligible pair;
+  // each side's future tuples are >= its watermark), so the windowed
+  // aggregates downstream, which close on watermarks, are unaffected. A
+  // SECOND join consuming join output is refused: its per-side expiry
+  // clocks need each input in timestamp order, which skewed join output
+  // never has.
   if (num_lanes > 1) {
     std::vector<char> join_upstream(plan.num_nodes(), 0);
-    std::string blocked;  // "kind 'name'" of the first order-sensitive node
-    std::string blocked_reason;
+    std::string blocked;  // name of the first join below a join
     for (LogicalPlan::NodeId id = 0; id < plan.num_nodes(); ++id) {
       const LogicalPlan::Node& n = plan.node(id);
       char up_in = 0;
       for (LogicalPlan::NodeId in : n.inputs) {
         if (join_upstream[in]) up_in = 1;
       }
-      if (up_in && blocked.empty()) {
-        if (n.kind == LogicalPlan::NodeKind::kAggregate) {
-          if (watermark_period_us > 0) {
-            watermark_only_aggs[id] = 1;  // relaxation: close by watermark
-          } else {
-            blocked = "windowed aggregate '" + n.name + "'";
-            blocked_reason =
-                " (enable watermarks — PlannerOptions::watermark_period_us"
-                " — to lift this: watermark-gated closure tolerates the"
-                " skewed join emission order)";
-          }
-        } else if (n.kind == LogicalPlan::NodeKind::kJoin) {
-          blocked = "join '" + n.name + "'";
-        }
+      if (up_in && blocked.empty() &&
+          n.kind == LogicalPlan::NodeKind::kJoin) {
+        blocked = n.name;
       }
       join_upstream[id] =
           up_in || n.kind == LogicalPlan::NodeKind::kJoin ? 1 : 0;
     }
     if (!blocked.empty()) {
-      std::fill(watermark_only_aggs.begin(), watermark_only_aggs.end(), 0);
       if (summary.auto_num_ingest_lanes) {
         num_lanes = 1;
         summary.auto_lane_note =
-            "single-lane ingest: " + blocked +
-            " sits downstream of a join and needs cross-source "
+            "single-lane ingest: join '" + blocked +
+            "' sits downstream of a join and needs cross-source "
             "timestamp order";
       } else {
         return common::Status::InvalidArgument(
-            "num_ingest_lanes > 1 is unsafe here: " + blocked +
-            " sits downstream of a join, and multi-lane ingest only "
+            "num_ingest_lanes > 1 is unsafe here: join '" + blocked +
+            "' sits downstream of a join, and multi-lane ingest only "
             "preserves per-source timestamp order — the skewed join "
-            "output would corrupt it; use num_ingest_lanes = 1" +
-            blocked_reason);
+            "output would corrupt it; use num_ingest_lanes = 1");
       }
     }
   }
@@ -611,7 +575,7 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   sopts.num_ingest_lanes = num_lanes;
   sopts.target_batch_size = target_batch_size;
   sopts.auto_target_batch_size = summary.auto_target_batch_size;
-  sopts.watermark_period_us = watermark_period_us;
+  sopts.watermark_period_us = summary.watermark_period_us;
   sopts.watermark_lateness_us = options.watermark_lateness_us;
   sopts.pin_threads = summary.pin_threads;
   if (!have_key) {
@@ -621,12 +585,10 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   }
   auto exec_or = ShardedExecutor::Create(
       sopts, std::move(key.fn),
-      [&plan, raw, &watermark_only_aggs, make_dispatch](
-          ExecGraph* g, const ShardContext& ctx) {
-        return BuildGraph(
-            plan, ctx, /*record=*/ctx.shard_index == 0, g,
-            &raw->summary_, &raw->sources_, &raw->sinks_,
-            watermark_only_aggs, make_dispatch);
+      [&plan, raw, make_dispatch](ExecGraph* g, const ShardContext& ctx) {
+        return BuildGraph(plan, ctx, /*record=*/ctx.shard_index == 0, g,
+                          &raw->summary_, &raw->sources_, &raw->sinks_,
+                          make_dispatch);
       });
   USP_RETURN_NOT_OK(exec_or.status());
   compiled->executor_ = exec_or.MoveValueUnsafe();

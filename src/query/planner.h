@@ -91,33 +91,21 @@ struct PlannerOptions {
   /// one batch carries roughly a fixed cost budget of downstream work.
   size_t target_batch_size = kAutoBatchSize;
 
-  /// Event-time watermark generation period, in event-time microseconds.
-  /// Watermarks are the runtime's progress signal: each source
-  /// periodically announces "no future tuple below T", executors forward
-  /// the signal along graph edges (fan-in nodes take the min of their
-  /// inputs), windowed operators close windows by it, and join buffers
-  /// expire by it — which is what keeps a join bounded when one input
-  /// goes silent (CompiledQuery::PushWatermark covers the fully idle
-  /// case). kAutoWatermarkPeriod (default) derives the period from the
-  /// plan — a quarter of the smallest window slide / join range — when
-  /// the plan has event-time state, and disables generation otherwise.
-  /// 0 disables generation explicitly (pre-watermark behaviour:
-  /// arrival-driven closure only). With lateness 0 (below), watermark
-  /// closure fires exactly where arrival-driven closure already fired,
-  /// so result sets are unchanged. Any other negative value fails
-  /// Compile().
-  static constexpr int64_t kAutoWatermarkPeriod = -1;
-  int64_t watermark_period_us = kAutoWatermarkPeriod;
-  /// Slack subtracted from a source's max ingested timestamp when its
-  /// watermark is generated ("no future tuple below max - L"). This
-  /// weakens only the PROMISE — it delays watermark-gated actions
-  /// (watermark-only window closure below joins, join-buffer expiry) by
-  /// L of event time. It does NOT make the arrival-driven closure path
-  /// tolerate out-of-order input: windowed operators fed directly by a
-  /// source still require per-source timestamp order regardless of this
-  /// knob. Per-source order makes 0 exact; leave it there. A negative
-  /// value would run the watermark ahead of the data (closing windows
-  /// before their tuples arrive) and fails Compile().
+  /// Event-time lateness: a source's watermark is its max ingested
+  /// timestamp minus this ("no future tuple below max - L"). Watermarks
+  /// are the runtime's progress signal: every ingested slice carries its
+  /// source's, fan-in nodes take the min of their inputs, windowed
+  /// aggregates close windows by it, and join buffers expire by it —
+  /// which is what keeps a join bounded when one input goes silent
+  /// (CompiledQuery::PushWatermark covers the fully idle case). A window
+  /// therefore still accepts tuples up to L behind the newest one; a
+  /// tuple that arrives after all of its windows closed is dropped and
+  /// counted in the aggregate's OperatorMetrics::late_dropped. Joins
+  /// still need per-source timestamp order, because they expire buffers
+  /// against the peer's data high-water mark as well as its watermark. 0
+  /// (the default) is exact for in-order sources and closes each window
+  /// as soon as data passes it. A negative value would run the watermark
+  /// ahead of the data and fails Compile().
   int64_t watermark_lateness_us = 0;
 
   /// Auto shard counts are capped here: past ~8 shards ingest
@@ -138,8 +126,8 @@ struct PlanSummary {
 
   size_t num_ingest_lanes = 1;
   bool auto_num_ingest_lanes = false;
-  /// Why an auto lane choice was reduced (e.g. a windowed aggregate
-  /// downstream of a join needs cross-source order); empty otherwise.
+  /// Why an auto lane choice was reduced (e.g. a join downstream of a
+  /// join needs cross-source order); empty otherwise.
   std::string auto_lane_note;
 
   /// Resolved ingest re-batching target (0 = pass-through).
@@ -157,18 +145,11 @@ struct PlanSummary {
   };
   ShardKeySource shard_key_source = ShardKeySource::kNone;
 
-  /// Resolved watermark generation period (0 = off) and whether the
-  /// planner derived it from the plan's window/join spans.
+  /// Watermark broadcast period, derived from the plan (a quarter of the
+  /// smallest window slide / join range; 0 when the plan has no
+  /// event-time state), and the lateness in force.
   int64_t watermark_period_us = 0;
-  bool auto_watermark_period = false;
   int64_t watermark_lateness_us = 0;
-  /// Windowed aggregates switched to watermark-only closure: they consume
-  /// join output under multi-lane ingest, where emission order regresses
-  /// in timestamp under cross-source skew but never below the join's
-  /// propagated watermark — so the watermark, not data arrival, closes
-  /// their windows. This is what lifts the old multi-lane refusal for
-  /// join-consuming windowed plans.
-  std::vector<std::string> watermark_driven;
 
   /// The plan's windowed aggregate nodes, in plan order (each compiled to
   /// PanedGroupByAggregateOperator).
@@ -234,8 +215,8 @@ class CompiledQuery {
   /// pushed at `source` has timestamp >= watermark, letting windows close
   /// and the peer side of a join expire while this feed is silent (a
   /// sensor outage stops data, not time). Live sources need no explicit
-  /// calls — the compiled plan generates watermarks periodically from
-  /// ingested timestamps (see PlannerOptions::watermark_period_us). Same
+  /// calls — every ingested slice carries its source's watermark (see
+  /// PlannerOptions::watermark_lateness_us). Same
   /// threading contract as PushBatch for the same source; monotonic per
   /// source (regressions are ignored).
   common::Status PushWatermark(stream::ExecGraph::NodeId source,

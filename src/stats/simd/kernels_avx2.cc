@@ -7,6 +7,19 @@
 
 #ifdef USP_SIMD_HAVE_AVX2
 
+// GCC 12's auto-vectorisers pack the scalar complex arithmetic in
+// FftAvx2's butterflies/twiddles and the PhaseRotateT tail into
+// vfmaddsub/vfmsubadd, fusing a multiply with an add/sub even under
+// -ffp-contract=off: the SLP vectoriser at -O3, the loop vectoriser at
+// -O2. That breaks the lane-exact contract with the scalar tier, so both
+// are off for this file (its hot loops are explicit AVX2 intrinsics). A
+// pragma rather than a build flag, so every build of this source
+// (including ones with their own flags) gets it; the
+// stats_simd_avx2_no_fused_addsub test checks the object.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("no-tree-slp-vectorize", "no-tree-loop-vectorize")
+#endif
+
 #include <immintrin.h>
 
 #include <cmath>

@@ -46,8 +46,9 @@ class SlidingWindowJoin {
   /// what ConcatJoinedTuple produces. Watermark reasoning depends on it:
   /// the executor forwards min(left wm, right wm) past this join, and
   /// output stamped at the pair max provably never regresses below that;
-  /// an earlier stamp can land below the propagated watermark, which a
-  /// downstream watermark-only window rejects with a loud error.
+  /// an earlier stamp can land below the propagated watermark, where a
+  /// downstream windowed aggregate drops it as late once all of its
+  /// windows have closed.
   using MatchFn = std::function<std::optional<Tuple>(const Tuple& left,
                                                      const Tuple& right)>;
 

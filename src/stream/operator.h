@@ -84,6 +84,10 @@ struct OperatorMetrics {
   /// counter: it tracks current occupancy, so silent buffer growth (e.g.
   /// a join peer outrunning an idle source) is observable.
   uint64_t buffered_bytes = 0;
+  /// Tuples dropped on arrival because the watermark had already closed
+  /// every window containing them (they trailed the newest tuple by more
+  /// than the plan's lateness).
+  uint64_t late_dropped = 0;
 
   // Cross-group CF grid cache counters (aggregate operators over CF
   // inversion only; see stats::CfGridCache). A hit means one CfGrid
@@ -104,6 +108,7 @@ struct OperatorMetrics {
         low_watermark < other.low_watermark ? low_watermark
                                             : other.low_watermark;
     buffered_bytes += other.buffered_bytes;
+    late_dropped += other.late_dropped;
     grid_cache_hits += other.grid_cache_hits;
     grid_cache_misses += other.grid_cache_misses;
   }

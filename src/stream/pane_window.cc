@@ -58,8 +58,7 @@ PanedGroupByAggregateOperator::PanedGroupByAggregateOperator(
       key_fn_(std::move(key_fn)),
       aggregates_(std::move(aggregates)),
       having_(std::move(having)),
-      next_close_end_(std::numeric_limits<int64_t>::max()),
-      last_emitted_start_(std::numeric_limits<int64_t>::min()) {
+      closed_start_(std::numeric_limits<int64_t>::min()) {
   assert(spec.size_us > 0 && spec.slide_us > 0 &&
          spec.slide_us <= spec.size_us);
   slot_of_ = AssignPartialSlots(aggregates_, &slot_rep_);
@@ -73,8 +72,8 @@ int64_t PanedGroupByAggregateOperator::EarliestOpenWindowStart() const {
   // pane outlives windows it already served).
   const int64_t p0 = panes_.begin()->first;
   int64_t s = CeilToMultiple(p0 + pane_us_ - spec_.size_us, spec_.slide_us);
-  if (last_emitted_start_ != std::numeric_limits<int64_t>::min()) {
-    s = std::max(s, last_emitted_start_ + spec_.slide_us);
+  if (closed_start_ != std::numeric_limits<int64_t>::min()) {
+    s = std::max(s, closed_start_ + spec_.slide_us);
   }
   return s;
 }
@@ -106,17 +105,6 @@ common::Status PanedGroupByAggregateOperator::AddToPane(
   gs.lineage.insert(gs.lineage.end(), tuple.lineage().begin(),
                     tuple.lineage().end());
   return common::Status::OK();
-}
-
-common::Status PanedGroupByAggregateOperator::Add(const Tuple& tuple,
-                                                  const std::string& key) {
-  const int64_t pane_start = FloorToMultiple(tuple.timestamp(), pane_us_);
-  const bool was_empty = panes_.empty();
-  Pane& pane = panes_[pane_start];
-  if (was_empty) {
-    next_close_end_ = EarliestOpenWindowStart() + spec_.size_us;
-  }
-  return AddToPane(pane, tuple, key);
 }
 
 common::Status PanedGroupByAggregateOperator::EmitWindow(int64_t start,
@@ -161,7 +149,7 @@ common::Status PanedGroupByAggregateOperator::EmitWindow(int64_t start,
     mutable_metrics().grid_cache_hits = hits;
     mutable_metrics().grid_cache_misses = misses;
   }
-  last_emitted_start_ = start;
+  closed_start_ = start;
   return common::Status::OK();
 }
 
@@ -177,81 +165,55 @@ void PanedGroupByAggregateOperator::EvictPanesServedBy(int64_t start) {
   mutable_metrics().buffered_bytes = buffered_bytes_;
 }
 
-common::Status PanedGroupByAggregateOperator::CloseWindowsBefore(
-    int64_t ts, Collector* out) {
+common::Status PanedGroupByAggregateOperator::OnWatermark(int64_t watermark,
+                                                          Collector* out) {
+  // The watermark bounds every future timestamp from below (up to the
+  // late tuples dropped on arrival), so windows ending at or below it are
+  // complete.
   while (!panes_.empty()) {
     const int64_t s = EarliestOpenWindowStart();
-    if (s + spec_.size_us > ts) {
-      next_close_end_ = s + spec_.size_us;
-      return common::Status::OK();
-    }
+    if (s + spec_.size_us > watermark) break;
     USP_RETURN_NOT_OK(EmitWindow(s, out));
     EvictPanesServedBy(s);
   }
-  next_close_end_ = std::numeric_limits<int64_t>::max();
-  return common::Status::OK();
-}
-
-common::Status PanedGroupByAggregateOperator::OnWatermark(int64_t watermark,
-                                                          Collector* out) {
-  // Same closure rule as the arrival path: the watermark bounds every
-  // future timestamp from below, so windows ending at or below it are
-  // complete regardless of input-order anomalies the watermark-only mode
-  // tolerates.
-  if (watermark > applied_watermark_) applied_watermark_ = watermark;
-  return CloseWindowsBefore(watermark, out);
-}
-
-common::Status PanedGroupByAggregateOperator::CheckNotBelowWatermark(
-    int64_t ts) const {
-  if (!watermark_only_closure_) return common::Status::OK();
-  // A tuple's earliest containing window ends at FirstAssignedStart +
-  // size; if even that has closed under the applied watermark, the tuple
-  // can only re-open an already-emitted window.
-  if (applied_watermark_ != std::numeric_limits<int64_t>::min() &&
-      spec_.FirstAssignedStart(ts) + spec_.size_us <= applied_watermark_) {
-    return common::Status::Internal(
-        "operator '" + name() + "': tuple at ts " + std::to_string(ts) +
-        " arrived below the applied watermark " +
-        std::to_string(applied_watermark_) +
-        " and its windows already closed; the upstream (a join MatchFn?) "
-        "must stamp outputs at >= the matched pair's max timestamp so "
-        "they never regress below the propagated watermark");
+  // Windows that were empty when the watermark passed them are closed
+  // too: a tuple that arrives for one of them now is late.
+  if (watermark >= std::numeric_limits<int64_t>::min() + spec_.size_us) {
+    closed_start_ = std::max(
+        closed_start_,
+        FloorToMultiple(watermark - spec_.size_us, spec_.slide_us));
   }
   return common::Status::OK();
 }
 
-common::Status PanedGroupByAggregateOperator::Process(const Tuple& tuple,
-                                                      Collector* out) {
-  if (!watermark_only_closure_ && tuple.timestamp() >= next_close_end_) {
-    USP_RETURN_NOT_OK(CloseWindowsBefore(tuple.timestamp(), out));
+common::Status PanedGroupByAggregateOperator::Process(
+    const Tuple& tuple, Collector* /*out*/) {
+  const int64_t ts = tuple.timestamp();
+  if (IsLate(ts)) {
+    ++mutable_metrics().late_dropped;
+    return common::Status::OK();
   }
-  USP_RETURN_NOT_OK(CheckNotBelowWatermark(tuple.timestamp()));
-  return Add(tuple, key_fn_(tuple));
+  return AddToPane(panes_[FloorToMultiple(ts, pane_us_)], tuple,
+                   key_fn_(tuple));
 }
 
 common::Status PanedGroupByAggregateOperator::ProcessBatch(
-    const TupleBatch& batch, Collector* out) {
+    const TupleBatch& batch, Collector* /*out*/) {
   // Same per-tuple logic, but consecutive tuples falling into the same
-  // pane reuse the pane map node (std::map nodes are stable; the cache is
-  // only dropped when a closing scan may evict panes).
+  // pane reuse the pane map node (std::map nodes are stable, and nothing
+  // evicts panes mid-batch: windows close only on watermarks).
   Pane* pane = nullptr;
   int64_t pane_start = 0;
   for (const Tuple& tuple : batch) {
     const int64_t ts = tuple.timestamp();
-    if (!watermark_only_closure_ && ts >= next_close_end_) {
-      USP_RETURN_NOT_OK(CloseWindowsBefore(ts, out));
-      pane = nullptr;
+    if (IsLate(ts)) {
+      ++mutable_metrics().late_dropped;
+      continue;
     }
-    USP_RETURN_NOT_OK(CheckNotBelowWatermark(ts));
     const int64_t start = FloorToMultiple(ts, pane_us_);
     if (pane == nullptr || start != pane_start) {
-      const bool was_empty = panes_.empty();
       pane = &panes_[start];
       pane_start = start;
-      if (was_empty) {
-        next_close_end_ = EarliestOpenWindowStart() + spec_.size_us;
-      }
     }
     USP_RETURN_NOT_OK(AddToPane(*pane, tuple, key_fn_(tuple)));
   }
@@ -266,7 +228,6 @@ common::Status PanedGroupByAggregateOperator::Finish(Collector* out) {
     USP_RETURN_NOT_OK(EmitWindow(s, out));
     EvictPanesServedBy(s);
   }
-  next_close_end_ = std::numeric_limits<int64_t>::max();
   return common::Status::OK();
 }
 

@@ -8,9 +8,17 @@
 // CF-approx SUM, cached per-pane CF grids for CF-inversion SUM, and
 // accumulated log-CDF grids for MAX/MIN order statistics.
 //
-// This is the one windowed aggregate the query planner compiles. Semantics
-// match the reference GroupByAggregateOperator exactly: windows close on event
-// time (a tuple with ts >= end arrives, or end-of-stream), outputs are
+// This is the one windowed aggregate the query planner compiles. Windows
+// close on event-time progress only: a watermark at or past the window end
+// (the executor applies each ingested slice's source watermark right after
+// the slice), or end-of-stream. Pane assignment is order-independent, so a
+// tuple may arrive out of order as long as one of its windows is still
+// open; a tuple whose every window the watermark already closed is late —
+// dropped and counted in OperatorMetrics::late_dropped, never an error
+// (so the operator never emits a row at or below a watermark it has
+// passed on). With
+// in-order input and watermark = max ingested ts, results match the
+// reference GroupByAggregateOperator exactly: outputs are
 // [group_key, agg_1..agg_m] with timestamp = window end, group order is
 // first-seen arrival order within the window, lineage is the group's input
 // lineage union, and HAVING filters emitted rows.
@@ -83,16 +91,6 @@ class PanedGroupByAggregateOperator final : public Operator {
 
   int64_t pane_us() const { return pane_us_; }
 
-  /// Out-of-order input mode: when set, data arrival no longer closes
-  /// windows — only propagated watermarks (and end-of-stream) do. The
-  /// planner enables this for windowed aggregates consuming join output
-  /// under multi-lane ingest, where emission order regresses in timestamp
-  /// under cross-source skew but never below the join's propagated
-  /// watermark (join output ts = max of an eligible pair, and each side's
-  /// future tuples are >= its watermark). Pane assignment is
-  /// order-independent, so only closure moves to the watermark.
-  void set_watermark_only_closure(bool on) { watermark_only_closure_ = on; }
-
   /// Metrics hook: reads the shard's cross-group CF grid-cache counters
   /// (hits, misses). The planner installs it when grid sharing is enabled
   /// so each window close refreshes OperatorMetrics::grid_cache_hits /
@@ -123,11 +121,15 @@ class PanedGroupByAggregateOperator final : public Operator {
     uint64_t approx_bytes = 0;
   };
 
-  common::Status Add(const Tuple& tuple, const std::string& key);
+  /// Every window containing `ts` is closed: the largest window start
+  /// <= ts is at or below the closure cursor.
+  bool IsLate(int64_t ts) const {
+    return closed_start_ != std::numeric_limits<int64_t>::min() &&
+           ts < closed_start_ + spec_.slide_us;
+  }
   /// Shared accumulation body of the per-tuple and batch paths.
   common::Status AddToPane(Pane& pane, const Tuple& tuple,
                            const std::string& key);
-  common::Status CloseWindowsBefore(int64_t ts, Collector* out);
   common::Status EmitWindow(int64_t start, Collector* out);
   /// Drop leading panes fully covered by the just-emitted window `start`,
   /// keeping the buffered_bytes gauge in sync.
@@ -135,13 +137,6 @@ class PanedGroupByAggregateOperator final : public Operator {
   /// Earliest window start that could still close, given the earliest
   /// retained pane.
   int64_t EarliestOpenWindowStart() const;
-
-  /// Loud guard for watermark-only mode: a tuple whose EVERY containing
-  /// window already closed under the applied watermark can only re-open an
-  /// already-emitted window, which means the upstream broke the watermark
-  /// contract (see SlidingWindowJoin::MatchFn) — error out instead of
-  /// silently re-emitting the window.
-  common::Status CheckNotBelowWatermark(int64_t ts) const;
 
   WindowSpec spec_;
   int64_t pane_us_;
@@ -156,19 +151,15 @@ class PanedGroupByAggregateOperator final : public Operator {
   std::vector<size_t> slot_rep_;
   HavingFn having_;
   GridCacheProbe grid_cache_probe_;
-  bool watermark_only_closure_ = false;
-  /// Highest watermark applied via OnWatermark (INT64_MIN before any).
-  int64_t applied_watermark_ = std::numeric_limits<int64_t>::min();
   /// Sum of panes_' approx_bytes; mirrored into buffered_bytes.
   uint64_t buffered_bytes_ = 0;
   std::map<int64_t, Pane> panes_;  // pane start -> contents
-  /// Cached end of the earliest open window; tuples below it skip the
-  /// closing scan entirely. INT64_MAX while no pane exists.
-  int64_t next_close_end_;
-  /// Start of the last emitted window (INT64_MIN before the first): a pane
-  /// can outlive windows it already served, so closing must not revisit
-  /// starts at or below this.
-  int64_t last_emitted_start_;
+  /// Start of the last closed window (INT64_MIN before the first) —
+  /// emitted, or passed by a watermark while empty. A pane can outlive
+  /// windows it already served, so closing must not revisit starts at or
+  /// below this, and a tuple whose windows all start at or below it is
+  /// late.
+  int64_t closed_start_;
 };
 
 }  // namespace stream

@@ -66,7 +66,7 @@ common::Result<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
   }
   if (options.watermark_period_us < 0) {
     return common::Status::InvalidArgument(
-        "watermark_period_us must be >= 0 (0 = no generation), got " +
+        "watermark_period_us must be >= 0 (0 = no periodic broadcast), got " +
         std::to_string(options.watermark_period_us));
   }
   // A negative lateness would run each watermark ahead of its source's
@@ -177,12 +177,13 @@ common::Status ShardedExecutor::ProcessMessage(Shard* shard, Message&& msg) {
     }
     shard->last_seq[msg.source] = msg.seq;
   }
-  if (msg.watermark != INT64_MIN) {
-    // Watermark control message: propagate through the shard's graph
-    // (closing windows, expiring join buffers) — no tuples to process.
-    shard->status = shard->exec->PushWatermark(msg.source, msg.watermark);
-  } else {
+  if (!msg.batch.empty()) {
     shard->status = shard->exec->PushBatch(msg.source, msg.batch);
+  }
+  // The source's progress applies right after the tuples it covers:
+  // windows close, join buffers expire.
+  if (shard->status.ok() && msg.watermark != INT64_MIN) {
+    shard->status = shard->exec->PushWatermark(msg.source, msg.watermark);
   }
   return shard->status;
 }
@@ -234,7 +235,6 @@ common::Status ShardedExecutor::Enqueue(Lane* lane, size_t shard,
                                         Message&& msg) {
   const ExecGraph::NodeId source = msg.source;
   const uint64_t tuples = msg.batch.size();
-  const bool is_watermark = msg.watermark != INT64_MIN;
   common::Status status;
   uint64_t depth = 0;
   if (RunsInline()) {
@@ -263,8 +263,8 @@ common::Status ShardedExecutor::Enqueue(Lane* lane, size_t shard,
   }
   SourceIngest& counters = ingest_by_source_[source];
   counters.tuples.fetch_add(tuples, std::memory_order_relaxed);
-  if (!is_watermark) {
-    // Watermark control messages ride the same rings but are not data
+  if (tuples > 0) {
+    // Watermark-only messages ride the same rings but are not data
     // batches; counting them would skew the ingest batch counters.
     counters.batches.fetch_add(1, std::memory_order_relaxed);
   }
@@ -278,11 +278,6 @@ common::Status ShardedExecutor::Enqueue(Lane* lane, size_t shard,
 common::Status ShardedExecutor::BroadcastWatermark(Lane* lane,
                                                    ExecGraph::NodeId source,
                                                    int64_t watermark) {
-  // Monotone per source; re-sends and regressions are no-ops, so callers
-  // need no dedup of their own.
-  if (!lane->watermark_clocks[source].TryCommit(watermark)) {
-    return common::Status::OK();
-  }
   const uint64_t seq = ++lane->next_seq[source];
   // Every shard sees only a partition of the source's tuples, so every
   // shard must hear the source's progress signal (one message per shard,
@@ -300,35 +295,37 @@ common::Status ShardedExecutor::BroadcastWatermark(Lane* lane,
 common::Status ShardedExecutor::PushSlice(Lane* lane,
                                           ExecGraph::NodeId source,
                                           TupleBatch&& batch) {
-  // The O(batch) timestamp scan exists only for watermark generation;
-  // skip it entirely when generation is off.
-  const int64_t batch_max_ts = options_.watermark_period_us > 0
-                                   ? batch.MaxTimestamp()
-                                   : INT64_MIN;
+  // Each slice carries its source's watermark whenever ingesting it
+  // advanced the source clock; the shard applies it right after the
+  // slice's tuples, so a shard closes windows as soon as its data passes
+  // them.
+  SourceWatermarkClock& clock = lane->watermark_clocks[source];
+  const int64_t watermark =
+      clock.Observe(batch.MaxTimestamp(), options_.watermark_lateness_us);
   const uint64_t seq = ++lane->next_seq[source];
   if (shards_.size() == 1) {
-    // Single shard: forward the whole batch without re-partitioning.
-    USP_RETURN_NOT_OK(
-        Enqueue(lane, 0, Message{source, seq, std::move(batch)}));
-  } else {
-    std::vector<TupleBatch> partitions(shards_.size());
-    for (Tuple& t : batch.mutable_tuples()) {
-      partitions[key_fn_(t) % shards_.size()].Append(std::move(t));
-    }
-    batch.Clear();
-    for (size_t i = 0; i < partitions.size(); ++i) {
-      if (partitions[i].empty()) continue;
-      USP_RETURN_NOT_OK(
-          Enqueue(lane, i, Message{source, seq, std::move(partitions[i])}));
-    }
+    // Single shard: forward the whole batch without re-partitioning. The
+    // shard receives every slice and its watermark, so it needs no
+    // broadcast.
+    return Enqueue(lane, 0,
+                   Message{source, seq, std::move(batch), watermark});
   }
-  // Periodic watermark generation, after the data it covers is enqueued
-  // (lane FIFO then guarantees no shard sees the watermark before the
-  // tuples it promises about).
-  if (const auto wm = lane->watermark_clocks[source].Advance(
-          batch_max_ts, options_.watermark_period_us,
-          options_.watermark_lateness_us)) {
-    USP_RETURN_NOT_OK(BroadcastWatermark(lane, source, *wm));
+  std::vector<TupleBatch> partitions(shards_.size());
+  for (Tuple& t : batch.mutable_tuples()) {
+    partitions[key_fn_(t) % shards_.size()].Append(std::move(t));
+  }
+  batch.Clear();
+  for (size_t i = 0; i < partitions.size(); ++i) {
+    if (partitions[i].empty()) continue;
+    USP_RETURN_NOT_OK(Enqueue(
+        lane, i, Message{source, seq, std::move(partitions[i]), watermark}));
+  }
+  // A shard that got none of the source's recent tuples hears its
+  // progress from the periodic broadcast, enqueued after the data it
+  // covers (lane FIFO then guarantees no shard sees the watermark before
+  // the tuples it promises about).
+  if (clock.BroadcastDue(options_.watermark_period_us)) {
+    USP_RETURN_NOT_OK(BroadcastWatermark(lane, source, clock.last_watermark));
   }
   return common::Status::OK();
 }
@@ -522,6 +519,10 @@ common::Status ShardedExecutor::PushWatermark(LaneId lane_id,
   // and close windows under it.
   if (!lane->pending.empty() && lane->pending_source == source) {
     USP_RETURN_NOT_OK(FlushLanePending(lane));
+  }
+  // Monotone per source; re-sends and regressions are no-ops.
+  if (!lane->watermark_clocks[source].CommitBroadcast(watermark)) {
+    return common::Status::OK();
   }
   return BroadcastWatermark(lane, source, watermark);
 }

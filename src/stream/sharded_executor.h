@@ -26,9 +26,8 @@
 // operators downstream of a single source are unaffected, and fan-in
 // joins buffer by time range so their result SET is interleaving-
 // independent (emission order is not — under skew it regresses in
-// timestamp, so a windowed aggregate downstream of a join must close its
-// windows by watermark, not by data arrival; the query planner switches
-// such aggregates to watermark-only closure).
+// timestamp, but never below the join's propagated watermark, which is
+// what closes the windows of an aggregate downstream of it).
 // Workers verify the per-source sequence numbers and fail the shard
 // loudly on a violation instead of silently mis-windowing.
 //
@@ -120,22 +119,25 @@ class ShardedExecutor {
     /// (or kDefaultInitialBatch when 0) seeds the first interval. Results
     /// are batching-invariant, so tuning never changes the result set.
     bool auto_target_batch_size = false;
-    /// Event-time watermark generation period per source, in event-time
-    /// microseconds; 0 disables generation (explicit PushWatermark still
-    /// works) and a negative value fails Create(). When a source's max
-    /// ingested timestamp minus `watermark_lateness_us` has advanced at
-    /// least this far past its last emitted watermark, the lane
-    /// broadcasts a watermark message to EVERY shard (partitioning splits
-    /// a source's tuples across shards, so each shard must hear the
-    /// source's progress) and the per-shard DagExecutor propagates it
-    /// along the graph edges.
+    /// Event-time watermarks. Every ingested slice carries its source's
+    /// watermark — max ingested timestamp minus `watermark_lateness_us` —
+    /// whenever the slice advanced it, and the shard applies it right
+    /// after the slice's tuples: windows close and join buffers expire
+    /// as soon as a shard's own data passes them. With several shards, a
+    /// shard may get none of a source's recent tuples, so once the
+    /// source's watermark has advanced at least `watermark_period_us`
+    /// past its last broadcast, the lane also broadcasts it to EVERY
+    /// shard. 0 disables the broadcast (explicit PushWatermark still
+    /// works); a negative value fails Create(). A single shard receives
+    /// every slice and never needs the broadcast.
     int64_t watermark_period_us = 0;
-    /// Slack subtracted from the max ingested timestamp when generating a
-    /// watermark: the promise becomes "no future tuple below max - L".
-    /// Weakens only the promise (delaying watermark-gated closure and
-    /// expiry); the arrival-driven paths still require per-source
-    /// timestamp order. 0 matches that contract exactly; a negative value
-    /// would promise past the data and fails Create().
+    /// Slack subtracted from the max ingested timestamp: the promise
+    /// becomes "no future tuple below max - L", so a window stays open
+    /// for tuples up to L behind the newest one. Windowed aggregates drop
+    /// (and count) tuples that arrive after all of their windows closed;
+    /// joins still need per-source timestamp order, because they expire
+    /// buffers against the peer's data high-water mark as well. A
+    /// negative value would promise past the data and fails Create().
     int64_t watermark_lateness_us = 0;
     /// Pin threads to distinct cores (Linux only; elsewhere a no-op):
     /// shard worker i -> core i % ncpu, and the producer thread of lane l
@@ -189,9 +191,10 @@ class ShardedExecutor {
   /// source is flushed first, so a watermark can never overtake data it
   /// covers). The explicit entry point for IDLE sources — a sensor outage
   /// stops data, not progress — which is what keeps the peer side of a
-  /// join bounded; periodic generation (Options::watermark_period_us)
-  /// covers live sources automatically. Same single-producer-per-lane
-  /// contract as PushBatch; monotonic per source (regressions are
+  /// join bounded; live sources carry their watermark on every slice
+  /// (see Options::watermark_period_us). Same single-producer-per-lane
+  /// contract as PushBatch; monotonic per source (regressions and values
+  /// at or below the watermark ingested data already carried are
   /// ignored).
   common::Status PushWatermark(LaneId lane, ExecGraph::NodeId source,
                                int64_t watermark);
@@ -247,10 +250,12 @@ class ShardedExecutor {
     /// Per-(lane, source) slice counter; strictly increasing in the
     /// subsequence each shard receives. Workers verify it.
     uint64_t seq = 0;
+    /// Tuples to push at `source`; empty for a broadcast or explicit
+    /// watermark.
     TupleBatch batch;
-    /// When != INT64_MIN this is a watermark control message (batch
-    /// empty): the worker forwards it into the shard's DagExecutor
-    /// instead of processing tuples.
+    /// Source watermark the shard applies after `batch` (INT64_MIN =
+    /// none): data slices carry it whenever they advanced their source's
+    /// clock, and watermark-only messages always do.
     int64_t watermark = INT64_MIN;
   };
 
@@ -292,7 +297,8 @@ class ShardedExecutor {
     ExecGraph::NodeId pending_source = ExecGraph::kInvalidNode;
     /// Next slice sequence number per source node id.
     std::vector<uint64_t> next_seq;
-    /// Periodic watermark generation + monotone-commit state per source.
+    /// Watermark generation, monotone-commit and broadcast-period state
+    /// per source.
     std::vector<SourceWatermarkClock> watermark_clocks;
   };
 
@@ -319,8 +325,9 @@ class ShardedExecutor {
   }
 
   void WorkerLoop(Shard* shard);
-  /// Runs one message through the shard's graph under its lock; returns
-  /// the shard's (latched) status.
+  /// Runs one message through the shard's graph under its lock — the
+  /// batch, then the watermark it carries — and returns the shard's
+  /// (latched) status.
   common::Status ProcessMessage(Shard* shard, Message&& msg);
   /// Partition one (already target-sized) slice and enqueue per shard.
   common::Status PushSlice(Lane* lane, ExecGraph::NodeId source,
@@ -353,8 +360,8 @@ class ShardedExecutor {
   /// Blocking enqueue with block-time/peak-depth accounting; under the
   /// inline rule, processes the message on the calling thread instead.
   common::Status Enqueue(Lane* lane, size_t shard, Message&& msg);
-  /// Broadcast a watermark message for `source` to every shard on this
-  /// lane's rings (monotone per source; no-op when not an advance).
+  /// Send a watermark-only message for `source` to every shard on this
+  /// lane's rings. Callers commit the value on the source clock first.
   common::Status BroadcastWatermark(Lane* lane, ExecGraph::NodeId source,
                                     int64_t watermark);
   /// Re-batching ingest path: merge + split toward `target` using the

@@ -1,8 +1,13 @@
 // Time-based windowing. Q1 uses `[Range 5 seconds]` tumbling windows; the
 // radar averaging operator tumbles over non-overlapping pulse segments;
-// joins use sliding ranges. Window closure is driven by event time: a
-// window [s, e) closes when a tuple with timestamp >= e arrives (per-stream
-// timestamp order is the DSMS contract), or at end-of-stream.
+// joins use sliding ranges. WindowSpec is shared by every windowed
+// operator. The WindowedOperator family here (and GroupByAggregateOperator
+// built on it) closes a window [s, e) when a tuple with timestamp >= e
+// arrives (per-stream timestamp order is the DSMS contract), on a
+// watermark >= e, or at end-of-stream. No compiled plan uses these
+// operators: they are the naive reference that the differential tests and
+// benches compare PanedGroupByAggregateOperator (stream/pane_window.h),
+// which closes windows on watermarks only, against.
 
 #ifndef USP_STREAM_WINDOW_H_
 #define USP_STREAM_WINDOW_H_

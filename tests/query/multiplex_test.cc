@@ -418,7 +418,7 @@ TEST(MultiplexSharedStateTest, MidStreamUnsubscribeStopsFutureWindowsOnly) {
   const auto keep = subs->Subscribe(Subscription::AllGroups());
   const auto drop = subs->Subscribe(Subscription::AllGroups());
   PlannerOptions opts;
-  opts.num_shards = 1;  // deterministic arrival-driven closure
+  opts.num_shards = 1;  // inline: each push closes its windows in order
   auto mq = TemplateQuery(c).CompileMultiplexed(subs, opts);
   ASSERT_TRUE(mq.ok()) << mq.status().message();
   const auto src = mq.value()->source("feed");

@@ -709,52 +709,11 @@ TEST(PlannerTest, AutoLanesGiveEachSourceItsOwnLane) {
   EXPECT_EQ(Canonical(multi.value()), Canonical(single.value()));
 }
 
-TEST(PlannerTest, MultiLaneRefusedBelowJoinWindowAggregateWithoutWatermarks) {
-  // A windowed aggregate downstream of a join needs cross-source
-  // timestamp order, which multi-lane ingest does not provide. WITHOUT
-  // watermarks (period explicitly 0) the old rule stands: explicit
-  // lanes > 1 must fail, auto lanes must degrade to 1 with the reason.
-  auto build = [] {
-    auto left = Query::From("a", 2);
-    auto right = Query::From("b", 2);
-    return left.Join(right, 1000,
-                     [](const Tuple& l, const Tuple& r) {
-                       return std::optional<Tuple>(
-                           stream::ConcatJoinedTuple(l, r));
-                     },
-                     "j")
-        .Window(WindowSpec::Tumbling(100))
-        .Sum("total", 1)
-        .Sink("out");
-  };
-  PlannerOptions explicit_lanes;
-  explicit_lanes.num_shards = 1;
-  explicit_lanes.num_ingest_lanes = 2;
-  explicit_lanes.watermark_period_us = 0;
-  auto refused = build().Compile(explicit_lanes);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_NE(refused.status().message().find("num_ingest_lanes"),
-            std::string::npos)
-      << refused.status().ToString();
-  // The error teaches the fix: enabling watermarks lifts the refusal.
-  EXPECT_NE(refused.status().message().find("watermark"), std::string::npos)
-      << refused.status().ToString();
-
-  PlannerOptions auto_lanes;
-  auto_lanes.num_shards = 2;
-  auto_lanes.watermark_period_us = 0;
-  auto with_key = build().PartitionBy(stream::KeyByIntValue(0))
-                      .Compile(auto_lanes);
-  ASSERT_TRUE(with_key.ok()) << with_key.status().ToString();
-  const PlanSummary& s = with_key.value()->summary();
-  EXPECT_TRUE(s.auto_num_ingest_lanes);
-  EXPECT_EQ(s.num_ingest_lanes, 1u);
-  EXPECT_NE(s.auto_lane_note.find("downstream of a join"),
-            std::string::npos)
-      << s.ToString();
-
-  // A join downstream of another join is order-sensitive the same way
-  // (its per-side expiry clocks need each input in timestamp order).
+TEST(PlannerTest, MultiLaneRefusedForJoinBelowJoin) {
+  // A join downstream of another join needs cross-source timestamp order
+  // (its per-side expiry clocks need each input in timestamp order),
+  // which multi-lane ingest does not provide: explicit lanes > 1 must
+  // fail, auto lanes must degrade to 1 with the reason.
   auto pass_match = [](const Tuple& l, const Tuple& r) {
     return std::optional<Tuple>(stream::ConcatJoinedTuple(l, r));
   };
@@ -767,17 +726,30 @@ TEST(PlannerTest, MultiLaneRefusedBelowJoinWindowAggregateWithoutWatermarks) {
   two_lanes.num_ingest_lanes = 2;
   auto nested = joined_twice.Compile(two_lanes);
   ASSERT_FALSE(nested.ok());
+  EXPECT_NE(nested.status().message().find("num_ingest_lanes"),
+            std::string::npos)
+      << nested.status().ToString();
   EXPECT_NE(nested.status().message().find("join 'j2'"), std::string::npos)
       << nested.status().ToString();
+
+  PlannerOptions auto_lanes;
+  auto_lanes.num_shards = 2;
+  auto with_key = joined_twice.PartitionBy(stream::KeyByIntValue(0))
+                      .Compile(auto_lanes);
+  ASSERT_TRUE(with_key.ok()) << with_key.status().ToString();
+  const PlanSummary& s = with_key.value()->summary();
+  EXPECT_TRUE(s.auto_num_ingest_lanes);
+  EXPECT_EQ(s.num_ingest_lanes, 1u);
+  EXPECT_NE(s.auto_lane_note.find("downstream of a join"),
+            std::string::npos)
+      << s.ToString();
 }
 
 TEST(PlannerTest, WatermarksLiftMultiLaneRefusalBelowJoin) {
-  // With watermarks on (the default), a windowed aggregate downstream of
-  // a join compiles multi-lane: the planner switches the aggregate to
-  // watermark-only window closure (reported in the summary) and the
-  // result set matches the single-lane run — windows close by the join's
-  // propagated watermark, so the skew-regressed join emission order no
-  // longer corrupts them.
+  // A windowed aggregate downstream of a join compiles multi-lane, and
+  // the result set matches the single-lane run: windows close by the
+  // join's propagated watermark, so the skew-regressed join emission
+  // order does not corrupt them.
   auto build = [] {
     auto left = Query::From("a", 2);
     auto right = Query::From("b", 2);
@@ -823,8 +795,6 @@ TEST(PlannerTest, WatermarksLiftMultiLaneRefusalBelowJoin) {
   const PlanSummary& s = compiled_or.value()->summary();
   EXPECT_EQ(s.num_ingest_lanes, 2u);
   EXPECT_GT(s.watermark_period_us, 0);
-  ASSERT_EQ(s.watermark_driven.size(), 1u) << s.ToString();
-  EXPECT_EQ(s.watermark_driven[0], "n_agg");
   auto two = run(2);
   auto one = run(1);
   ASSERT_TRUE(two.ok()) << two.status().ToString();
@@ -833,24 +803,18 @@ TEST(PlannerTest, WatermarksLiftMultiLaneRefusalBelowJoin) {
   EXPECT_EQ(Canonical(two.value()), Canonical(one.value()));
 }
 
-TEST(PlannerTest, WatermarkPeriodAutoDerivedAndOverridable) {
-  // Auto period: a quarter of the smallest window slide / join range.
+TEST(PlannerTest, WatermarkPeriodDerivedFromPlan) {
+  // The broadcast period is a quarter of the smallest window slide / join
+  // range; the lateness is reported as given.
   auto q = KeyedSumQuery(WindowSpec::Sliding(400, 100));
-  auto auto_or = q.Compile(PlannerOptions{});
-  ASSERT_TRUE(auto_or.ok()) << auto_or.status().ToString();
-  EXPECT_TRUE(auto_or.value()->summary().auto_watermark_period);
-  EXPECT_EQ(auto_or.value()->summary().watermark_period_us, 25);
+  PlannerOptions late;
+  late.watermark_lateness_us = 3;
+  auto compiled_or = q.Compile(late);
+  ASSERT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
+  EXPECT_EQ(compiled_or.value()->summary().watermark_period_us, 25);
+  EXPECT_EQ(compiled_or.value()->summary().watermark_lateness_us, 3);
 
-  PlannerOptions fixed;
-  fixed.watermark_period_us = 7;
-  fixed.watermark_lateness_us = 3;
-  auto fixed_or = q.Compile(fixed);
-  ASSERT_TRUE(fixed_or.ok());
-  EXPECT_FALSE(fixed_or.value()->summary().auto_watermark_period);
-  EXPECT_EQ(fixed_or.value()->summary().watermark_period_us, 7);
-  EXPECT_EQ(fixed_or.value()->summary().watermark_lateness_us, 3);
-
-  // A stateless plan has nothing to close or expire: auto resolves to off.
+  // A stateless plan has nothing to close or expire: no broadcast.
   auto stateless = Query::From("src", 1)
                        .Filter("pass", [](const Tuple&) { return true; })
                        .Sink("out");
@@ -859,38 +823,92 @@ TEST(PlannerTest, WatermarkPeriodAutoDerivedAndOverridable) {
   EXPECT_EQ(off_or.value()->summary().watermark_period_us, 0);
 }
 
-TEST(PlannerTest, WatermarksDoNotChangeSingleLaneResults) {
-  // With lateness 0 the watermark closure rule fires exactly where
-  // arrival-driven closure already fired, so enabling generation must not
-  // change any result — bitwise, single-threaded plan.
-  auto run = [](int64_t period) {
+TEST(PlannerTest, WatermarkClosureMatchesArrivalClosedReference) {
+  // With lateness 0 each push's watermark closes exactly the windows the
+  // next tuple's arrival closes in the naive reference operator, so the
+  // compiled plan's rows match it bitwise and in emission order. One
+  // tuple per push: every push carries a watermark. (Sliding windows are
+  // compared at 1e-9 by stream_differential_test.)
+  const WindowSpec window = WindowSpec::Tumbling(100);
+  const TupleBatch stream = MakeKeyedGaussianStream(500);
+  PlannerOptions opts;
+  opts.num_shards = 1;
+  auto compiled_or = KeyedSumQuery(window).Compile(opts);
+  ASSERT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
+  auto compiled = compiled_or.MoveValueUnsafe();
+  const auto src = compiled->source("src");
+  for (const Tuple& t : stream) ASSERT_TRUE(compiled->Push(src, t).ok());
+  ASSERT_TRUE(compiled->Finish().ok());
+
+  uncertain::CltSum clt;
+  stream::GroupByAggregateOperator reference(
+      "agg", window,
+      [](const Tuple& t) { return stream::CanonicalKeyString(t.value(0)); },
+      std::vector<stream::AggregateSpec>{
+          uncertain::MakeSumAggregate("total", 1, &clt)});
+  stream::VectorCollector out;
+  for (const Tuple& t : stream) ASSERT_TRUE(reference.Push(t, &out).ok());
+  ASSERT_TRUE(reference.Close(&out).ok());
+  TupleBatch expected;
+  for (Tuple& t : out.tuples()) expected.Append(std::move(t));
+
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(Rendered(compiled->Result("out")), Rendered(expected));
+}
+
+TEST(PlannerTest, LateTuplesCountWithinLatenessAndAreDroppedBeyondIt) {
+  // Tumbling(1000) COUNT over ts 0..2990, then one tuple at ts 500. With
+  // lateness 2000 the watermark is still 990 when it arrives, so its
+  // window is open and counts it. With lateness 0 the watermark (2990)
+  // has closed both windows that could hold it: it is dropped, counted
+  // in late_dropped, and neither the push nor Finish() fails.
+  const auto query = Query::From("src", 2)
+                         .Window(WindowSpec::Tumbling(1000))
+                         .GroupBy(0)
+                         .Count("n")
+                         .Sink("out");
+  struct Run {
+    std::vector<int64_t> counts;
+    uint64_t late_dropped = 0;
+  };
+  auto run = [&](int64_t lateness) -> common::Result<Run> {
     PlannerOptions opts;
     opts.num_shards = 1;
-    opts.watermark_period_us = period;
-    auto compiled_or =
-        KeyedSumQuery(WindowSpec::Sliding(400, 100)).Compile(opts);
-    EXPECT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
-    auto compiled = compiled_or.MoveValueUnsafe();
+    opts.watermark_lateness_us = lateness;
+    USP_ASSIGN_OR_RETURN(auto compiled, query.Compile(opts));
     const auto src = compiled->source("src");
-    // Small pushes so periodic generation fires many times mid-stream.
-    const TupleBatch stream = MakeKeyedGaussianStream(500);
-    for (const Tuple& t : stream) {
-      EXPECT_TRUE(compiled->Push(src, t).ok());
+    for (int64_t ts = 0; ts < 3000; ts += 10) {
+      USP_RETURN_NOT_OK(
+          compiled->Push(src, Tuple(ts, {Value(int64_t{0}), Value(1.0)})));
     }
-    EXPECT_TRUE(compiled->Finish().ok());
-    return Rendered(compiled->Result("out"));
+    USP_RETURN_NOT_OK(
+        compiled->Push(src, Tuple(500, {Value(int64_t{0}), Value(1.0)})));
+    USP_RETURN_NOT_OK(compiled->Finish());
+    Run r;
+    for (const Tuple& row : compiled->Result("out")) {
+      r.counts.push_back(row.value(1).AsInt());
+    }
+    for (const auto& m : compiled->MetricsSnapshot()) {
+      r.late_dropped += m.metrics.late_dropped;
+    }
+    return r;
   };
-  const auto with_watermarks = run(50);
-  const auto without = run(0);
-  ASSERT_FALSE(without.empty());
-  EXPECT_EQ(with_watermarks, without);
+  auto within = run(2000);
+  ASSERT_TRUE(within.ok()) << within.status().ToString();
+  EXPECT_EQ(within.value().counts, (std::vector<int64_t>{101, 100, 100}));
+  EXPECT_EQ(within.value().late_dropped, 0u);
+
+  auto beyond = run(0);
+  ASSERT_TRUE(beyond.ok()) << beyond.status().ToString();
+  EXPECT_EQ(beyond.value().counts, (std::vector<int64_t>{100, 100, 100}));
+  EXPECT_EQ(beyond.value().late_dropped, 1u);
 }
 
 TEST(PlannerTest, NegativeWatermarkSettingsFailAtCompile) {
   // A negative lateness runs each watermark ahead of its source's data:
   // windows close before their tuples arrive, and those tuples land in
-  // panes evicted without ever being emitted. Compile() refuses it (and
-  // a period below the auto marker) instead of silently losing rows.
+  // panes evicted without ever being emitted. Compile() refuses it
+  // instead of silently losing rows.
   const auto query = Query::From("src", 2)
                          .Window(WindowSpec::Tumbling(1000))
                          .GroupBy(0)
@@ -924,16 +942,6 @@ TEST(PlannerTest, NegativeWatermarkSettingsFailAtCompile) {
   EXPECT_NE(ahead.status().message().find("watermark_lateness_us"),
             std::string::npos)
       << ahead.status().ToString();
-
-  PlannerOptions bad_period;
-  bad_period.num_shards = 1;
-  bad_period.watermark_period_us = PlannerOptions::kAutoWatermarkPeriod - 1;
-  auto period_or = query.Compile(bad_period);
-  ASSERT_FALSE(period_or.ok());
-  EXPECT_EQ(period_or.status().code(), common::StatusCode::kInvalidArgument);
-  EXPECT_NE(period_or.status().message().find("watermark_period_us"),
-            std::string::npos)
-      << period_or.status().ToString();
 }
 
 TEST(PlannerTest, AutoTargetBatchSizeReportedAndOverridable) {

@@ -11,7 +11,11 @@
 //   2. 1 shard vs. 2 and 4 shards (and a 2-lane ingest variant): the
 //      result SET must be bitwise identical — every group runs wholly on
 //      one shard over the same tuple subsequence, only merge order may
-//      differ.
+//      differ;
+//   3. out-of-order input within lateness: the compiled plan fed a
+//      feed with bounded disorder, at a lateness equal to that disorder,
+//      vs. the naive reference fed the same tuples sorted — the same row
+//      set within 1e-9 (accumulation order differs), and no tuple late.
 //
 // On failure the offending seed + configuration is printed for replay:
 //   stream_differential_test --gtest_filter='*Seed*' and the seed shown.
@@ -105,8 +109,11 @@ void ExpectRowsEqual(const std::vector<Row>& a, const std::vector<Row>& b,
   }
 }
 
+/// The compiled plan over the plan's feed; `late_dropped`, when given,
+/// receives the plan's late-tuple count.
 common::Result<TupleBatch> Run(const GeneratedPlan& plan,
-                               const PlannerOptions& opts) {
+                               const PlannerOptions& opts,
+                               uint64_t* late_dropped = nullptr) {
   auto compiled_or = plan.Build().Compile(opts);
   USP_RETURN_NOT_OK(compiled_or.status());
   auto compiled = compiled_or.MoveValueUnsafe();
@@ -115,13 +122,21 @@ common::Result<TupleBatch> Run(const GeneratedPlan& plan,
     USP_RETURN_NOT_OK(compiled->PushBatch(src, batch));
   }
   USP_RETURN_NOT_OK(compiled->Finish());
+  if (late_dropped != nullptr) {
+    *late_dropped = 0;
+    for (const NodeMetrics& m : compiled->MetricsSnapshot()) {
+      *late_dropped += m.metrics.late_dropped;
+    }
+  }
   return compiled->TakeResult(compiled->sink("out"));
 }
 
 /// Reference result: source -> [filter] -> naive GroupByAggregateOperator
 /// -> sink on a DagExecutor, with the key, filter and aggregate columns the
-/// generated query declares.
-common::Result<TupleBatch> RunOracle(const GeneratedPlan& plan) {
+/// generated query declares, over `input` (the plan's feed by default).
+common::Result<TupleBatch> RunOracle(const GeneratedPlan& plan,
+                                     std::vector<TupleBatch> input = {}) {
+  if (input.empty()) input = plan.MakeInput();
   uncertain::CltSum clt;
   std::vector<AggregateSpec> aggregates;
   aggregates.push_back(uncertain::MakeSumAggregate("total", 1, &clt));
@@ -145,7 +160,7 @@ common::Result<TupleBatch> RunOracle(const GeneratedPlan& plan) {
                 std::move(aggregates)));
   const auto sink = graph->AddSink(tail, "out");
   DagExecutor exec(std::move(graph));
-  for (const TupleBatch& batch : plan.MakeInput()) {
+  for (const TupleBatch& batch : input) {
     USP_RETURN_NOT_OK(exec.PushBatch(src, batch));
   }
   USP_RETURN_NOT_OK(exec.Close());
@@ -207,6 +222,60 @@ TEST(DifferentialTest, FiftySeededPlansAgreeAcrossPhysicalPaths) {
              << " — replay with GeneratePlan(" << seed << ")";
     }
   }
+}
+
+void RunDisorderSeed(uint64_t seed) {
+  const GeneratedPlan plan = gen::GenerateDisorderedPlan(seed);
+  SCOPED_TRACE("replay: " + plan.ToString());
+  // Every tuple trails the max timestamp before it by at most the
+  // disorder, so at that lateness each is at or above the watermark when
+  // it arrives and none may be dropped.
+  PlannerOptions opts = BaseOptions();
+  opts.watermark_lateness_us = plan.max_disorder_us;
+
+  // Reference: the naive operator fed the same tuples in timestamp order.
+  TupleBatch sorted;
+  for (TupleBatch& batch : plan.MakeInput()) sorted.Concat(std::move(batch));
+  std::stable_sort(sorted.mutable_tuples().begin(),
+                   sorted.mutable_tuples().end(),
+                   [](const Tuple& a, const Tuple& b) {
+                     return a.timestamp() < b.timestamp();
+                   });
+  std::vector<TupleBatch> sorted_input;
+  sorted_input.push_back(std::move(sorted));
+  auto oracle_or = RunOracle(plan, std::move(sorted_input));
+  ASSERT_TRUE(oracle_or.ok()) << oracle_or.status().ToString();
+  const std::vector<Row> expected = Rows(oracle_or.value());
+  ASSERT_FALSE(expected.empty()) << "degenerate plan produced no output";
+
+  uint64_t late = 0;
+  auto base_or = Run(plan, opts, &late);
+  ASSERT_TRUE(base_or.ok()) << base_or.status().ToString();
+  EXPECT_EQ(late, 0u);
+  const std::vector<Row> base = Rows(base_or.value());
+  ExpectRowsEqual(expected, base, 1e-9);
+
+  // Sharded: same per-key arrival order on every shard count — bitwise.
+  opts.num_shards = 2;
+  auto sharded_or = Run(plan, opts, &late);
+  ASSERT_TRUE(sharded_or.ok()) << sharded_or.status().ToString();
+  EXPECT_EQ(late, 0u);
+  ExpectRowsEqual(base, Rows(sharded_or.value()), 0.0);
+}
+
+TEST(DifferentialTest, DisorderWithinLatenessMatchesSortedReference) {
+  size_t tumbling = 0, sliding = 0;
+  for (uint64_t seed = kFirstSeed; seed < kFirstSeed + 24; ++seed) {
+    RunDisorderSeed(seed);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "disorder differential failed at seed " << seed
+             << " — replay with GenerateDisorderedPlan(" << seed << ")";
+    }
+    const WindowSpec w = GeneratePlan(seed).window;
+    ++(w.slide_us == w.size_us ? tumbling : sliding);
+  }
+  EXPECT_GT(tumbling, 0u);
+  EXPECT_GT(sliding, 0u);
 }
 
 // Free function (not the TEST body) so the call to Run() does not collide

@@ -1,9 +1,10 @@
 // Seeded random Q1-style plan generator for the differential test harness
 // (differential_test.cc). One uint64 seed deterministically fixes a whole
 // experiment — window shape, filter, aggregate columns, batch size, feed
-// contents — so any failing configuration is replayable from the seed the
-// test prints. Kept header-only and test-local: this is an input
-// generator, not library surface.
+// contents, and optionally bounded timestamp disorder — so any failing
+// configuration is replayable from the seed the test prints. Kept
+// header-only and test-local: this is an input generator, not library
+// surface.
 
 #ifndef USP_TESTS_STREAM_SEEDED_PLAN_GENERATOR_H_
 #define USP_TESTS_STREAM_SEEDED_PLAN_GENERATOR_H_
@@ -37,6 +38,10 @@ struct GeneratedPlan {
   size_t num_tuples = 400;
   /// Max event-time step between consecutive tuples.
   int64_t max_ts_step = 50;
+  /// Bounded disorder: each tuple's timestamp is pulled back by up to
+  /// this much from its in-order position, so it trails the max timestamp
+  /// ingested before it by at most this much. 0 = in order.
+  int64_t max_disorder_us = 0;
 
   std::string ToString() const {
     return "seed=" + std::to_string(seed) + " window=" +
@@ -46,7 +51,10 @@ struct GeneratedPlan {
            (with_count ? " count" : "") + " batch=" +
            std::to_string(batch_size) + " keys=" +
            std::to_string(num_keys) + " tuples=" +
-           std::to_string(num_tuples);
+           std::to_string(num_tuples) +
+           (max_disorder_us > 0
+                ? " disorder=" + std::to_string(max_disorder_us)
+                : "");
   }
 
   /// The Q1 shape: From -> [Filter] -> Window -> GroupBy(key) -> SUM
@@ -69,8 +77,9 @@ struct GeneratedPlan {
   }
 
   /// Seed-deterministic feed: timestamps non-decreasing with random
-  /// steps (several per slide, so windows span many batches), keys
-  /// uniform, weights Gaussian with seeded parameters.
+  /// steps (several per slide, so windows span many batches) unless
+  /// max_disorder_us pulls them back, keys uniform, weights Gaussian with
+  /// seeded parameters.
   std::vector<TupleBatch> MakeInput() const {
     common::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
     std::vector<TupleBatch> batches;
@@ -79,7 +88,12 @@ struct GeneratedPlan {
     for (size_t i = 0; i < num_tuples; ++i) {
       ts += static_cast<int64_t>(
           rng.UniformInt(static_cast<uint64_t>(max_ts_step) + 1));
-      Tuple t(ts,
+      int64_t tuple_ts = ts;
+      if (max_disorder_us > 0) {
+        tuple_ts -= static_cast<int64_t>(
+            rng.UniformInt(static_cast<uint64_t>(max_disorder_us) + 1));
+      }
+      Tuple t(tuple_ts,
               {Value(static_cast<int64_t>(rng.UniformInt(num_keys))),
                Value(stats::DistributionPtr(std::make_shared<stats::Gaussian>(
                    rng.Uniform(-10.0, 30.0), 0.25 + rng.Uniform())))});
@@ -116,6 +130,17 @@ inline GeneratedPlan GeneratePlan(uint64_t seed) {
   plan.num_tuples = 200 + rng.UniformInt(400);
   plan.max_ts_step = 1 + static_cast<int64_t>(rng.UniformInt(
                              static_cast<uint64_t>(slide)));
+  return plan;
+}
+
+/// GeneratePlan(seed) with bounded disorder of 1 to 2x the window size
+/// (drawn from a separate stream, so the plan shape matches the in-order
+/// plan of the same seed).
+inline GeneratedPlan GenerateDisorderedPlan(uint64_t seed) {
+  GeneratedPlan plan = GeneratePlan(seed);
+  common::Rng rng(seed ^ 0x5bd1e995ULL);
+  const uint64_t size = static_cast<uint64_t>(plan.window.size_us);
+  plan.max_disorder_us = 1 + static_cast<int64_t>(rng.UniformInt(2 * size));
   return plan;
 }
 

@@ -586,11 +586,10 @@ TEST(ShardedExecutorTest, InlineOperatorErrorReturnedByThePushThatHitIt) {
 
 TEST(ShardedExecutorTest, InlineWatermarkClosureEmitsBeforePushReturns) {
   // The aggregate closes windows only by watermark; the watermark that
-  // closes [0, 100) is generated by the second push, and the row must
-  // reach the downstream map before that push returns.
+  // closes [0, 100) is carried by the second push's slice, and the row
+  // must reach the downstream map before that push returns.
   std::vector<std::thread::id> observed;
   ShardedExecutor::Options opts;
-  opts.watermark_period_us = 25;
   ExecGraph::NodeId source = 0, sink = 0;
   auto exec_or = ShardedExecutor::Create(
       opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext&) {
@@ -600,7 +599,6 @@ TEST(ShardedExecutorTest, InlineWatermarkClosureEmitsBeforePushReturns) {
             [](const Tuple&) { return std::string("all"); },
             std::vector<PaneAggregateSpec>{
                 uncertain::MakePaneCountAggregate("n")});
-        agg->set_watermark_only_closure(true);
         const auto count = g->AddOperator(source, std::move(agg));
         const auto observe = g->AddOperator(
             count, std::make_unique<MapOperator>(

@@ -1,8 +1,8 @@
 // Event-time watermark subsystem tests: edge propagation through the DAG
 // executor, fan-in min at joins, watermark-driven window closure (incl.
-// the watermark-only mode for out-of-order join output), monotonicity,
-// the low_watermark / buffered_bytes metric surfaces, and the sharded
-// executor's watermark broadcast and generation.
+// out-of-order input and the late-tuple policy of the paned operator),
+// monotonicity, the low_watermark / buffered_bytes metric surfaces, and
+// the sharded executor's carried, broadcast and explicit watermarks.
 
 #include <gtest/gtest.h>
 
@@ -227,16 +227,16 @@ TEST(WatermarkTest, WindowedOperatorMetricsExposeWatermarkAndBytes) {
   }
 }
 
-// ---- watermark-only closure (out-of-order join output) -------------------
+// ---- paned closure: out-of-order input and late tuples -------------------
 
 TEST(WatermarkTest, PanedWatermarkOnlyClosureToleratesOutOfOrderInput) {
-  // Same out-of-order shape through the pane-incremental operator in
-  // watermark-only mode; sliding windows [s, s+100) every 50.
+  // The pane-incremental operator closes windows only by watermark, so
+  // out-of-order input lands in its windows; sliding windows [s, s+100)
+  // every 50.
   PanedGroupByAggregateOperator paned(
       "p", WindowSpec::Sliding(100, 50),
       [](const Tuple& t) { return std::to_string(t.value(0).AsInt()); },
       {CountPaneSpec()});
-  paned.set_watermark_only_closure(true);
   VectorCollector out;
   ASSERT_TRUE(paned.Push(KV(160, 1, 1.0), &out).ok());
   ASSERT_TRUE(paned.Push(KV(40, 1, 1.0), &out).ok());   // late
@@ -259,23 +259,40 @@ TEST(WatermarkTest, PanedWatermarkOnlyClosureToleratesOutOfOrderInput) {
   EXPECT_EQ(out.tuples()[4].value(1).AsInt(), 1);
 }
 
-TEST(WatermarkTest, WatermarkOnlyClosureRejectsContractBreakingLateTuples) {
-  // A tuple whose EVERY window already closed under the applied watermark
-  // means the upstream broke the join MatchFn timestamp contract (output
-  // stamped below the pair max); silently re-opening the window would
-  // split/duplicate results, so the operator must fail loudly instead.
+TEST(WatermarkTest, LateTuplesAreDroppedAndCounted) {
+  // A tuple whose EVERY containing window the watermark already closed
+  // could only re-open a window at or below a watermark the operator has
+  // passed on: it is dropped, counted in late_dropped, and the push
+  // returns OK (one late tuple must not fail the plan). A tuple with one
+  // window still open is accepted. Sliding windows [s, s+100) every 50.
   PanedGroupByAggregateOperator paned(
       "p", WindowSpec::Sliding(100, 50),
       [](const Tuple& t) { return std::to_string(t.value(0).AsInt()); },
       {CountPaneSpec()});
-  paned.set_watermark_only_closure(true);
   VectorCollector out;
   ASSERT_TRUE(paned.AdvanceWatermark(200, &out).ok());
   // ts 200: earliest window [150, 250) still open under wm 200 — fine.
   EXPECT_TRUE(paned.Push(KV(200, 1, 1.0), &out).ok());
-  const auto paned_late = paned.Push(KV(40, 1, 1.0), &out);  // all closed
-  ASSERT_FALSE(paned_late.ok());
-  EXPECT_NE(paned_late.ToString().find("watermark"), std::string::npos);
+  // ts 40: [-50, 50) and [0, 100) closed while empty — late.
+  EXPECT_TRUE(paned.Push(KV(40, 1, 1.0), &out).ok());
+  EXPECT_EQ(paned.metrics().late_dropped, 1u);
+  EXPECT_TRUE(out.tuples().empty());
+
+  ASSERT_TRUE(paned.AdvanceWatermark(250, &out).ok());
+  ASSERT_EQ(out.tuples().size(), 1u);  // [150, 250) {ts200}
+  // ts 220: [150, 250) was emitted but [200, 300) is open — accepted.
+  EXPECT_TRUE(paned.Push(KV(220, 1, 1.0), &out).ok());
+  // ts 190: [100, 200) and [150, 250) are closed — late.
+  EXPECT_TRUE(paned.Push(KV(190, 1, 1.0), &out).ok());
+  EXPECT_EQ(paned.metrics().late_dropped, 2u);
+  ASSERT_EQ(out.tuples().size(), 1u);  // emitted windows unchanged
+  EXPECT_EQ(out.tuples()[0].timestamp(), 250);
+  EXPECT_EQ(out.tuples()[0].value(1).AsInt(), 1);
+  ASSERT_TRUE(paned.Close(&out).ok());
+  // [200, 300) {ts200, ts220} and [250, 350) {}: only the first emits.
+  ASSERT_EQ(out.tuples().size(), 2u);
+  EXPECT_EQ(out.tuples()[1].timestamp(), 300);
+  EXPECT_EQ(out.tuples()[1].value(1).AsInt(), 2);
 }
 
 // ---- sharded executor plumbing ------------------------------------------
@@ -323,15 +340,20 @@ TEST(WatermarkTest, ShardedPushWatermarkReachesEveryShard) {
 }
 
 TEST(WatermarkTest, PeriodicGenerationClosesWindowsMidStream) {
-  // Options::watermark_period_us: ingested timestamps alone generate the
-  // progress signal; windows flush while the stream is still running (no
-  // Finish, no explicit PushWatermark).
+  // Ingested timestamps alone generate the progress signal; windows flush
+  // while the stream is still running (no Finish, no explicit
+  // PushWatermark). Key 0 lands on shard 0 and then stops; key 1 keeps
+  // shard 1 busy. Shard 0 never sees another slice, so only the periodic
+  // broadcast (Options::watermark_period_us) can close its window.
   ShardedExecutor::Options opts;
-  opts.num_shards = 1;
+  opts.num_shards = 2;
   opts.watermark_period_us = 50;
   ExecGraph::NodeId source = 0;
+  const auto key_is_shard = [](const Tuple& t) {
+    return static_cast<uint64_t>(t.value(0).AsInt());
+  };
   auto exec_or = ShardedExecutor::Create(
-      opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext&) {
+      opts, key_is_shard, [&](ExecGraph* g, const ShardContext&) {
         source = g->AddSource("src");
         const auto win = g->AddOperator(
             source, std::make_unique<WindowCountOperator>(
@@ -343,11 +365,11 @@ TEST(WatermarkTest, PeriodicGenerationClosesWindowsMidStream) {
   auto exec = exec_or.MoveValueUnsafe();
   for (int64_t i = 0; i < 30; ++i) {
     TupleBatch b;
-    b.Append(KV(i * 10, 0, 1.0));
+    b.Append(KV(i * 10, i < 10 ? 0 : 1, 1.0));
     ASSERT_TRUE(exec->PushBatch(source, std::move(b)).ok());
   }
-  // ts reached 290 => watermarks reached >= 250 => windows [0,100) and
-  // [100,200) flushed without any explicit watermark call.
+  // ts reached 290 => watermarks reached >= 250 => shard 0's [0,100) and
+  // shard 1's [100,200) flushed without any explicit watermark call.
   uint64_t flushed = 0;
   const bool converged = WaitUntil([&] {
     for (const NodeMetrics& m : exec->MetricsSnapshot()) {

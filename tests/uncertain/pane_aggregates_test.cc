@@ -107,6 +107,9 @@ RunResult RunPaned(const std::vector<Tuple>& stream, WindowSpec spec,
       batch.Append(stream[j]);
     }
     EXPECT_TRUE(op.PushBatch(batch, &out).ok());
+    // The watermark the executor carries on each slice: windows close
+    // (and panes evict) mid-stream, not only at Close().
+    EXPECT_TRUE(op.AdvanceWatermark(batch.MaxTimestamp(), &out).ok());
   }
   EXPECT_TRUE(op.Close(&out).ok());
   return {out.tuples()};
