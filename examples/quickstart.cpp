@@ -87,10 +87,10 @@ int main() {
   //      * `watermark_lateness_us`: T is the source's max ingested
   //        timestamp minus this, so a window still accepts tuples up to
   //        that far behind the newest one. A tuple that arrives after
-  //        all of its windows closed is dropped and counted as
-  //        `late_dropped` in MetricsSnapshot(). Joins still need
-  //        per-source timestamp order. 0 (the default) closes each
-  //        window as soon as data passes it.
+  //        all of its windows closed — or a join tuple below its
+  //        side's watermark — is dropped and counted as `late_dropped`
+  //        in MetricsSnapshot(). 0 (the default) closes each window as
+  //        soon as data passes it.
   //      The decisions appear in summary() with every other knob, and
   //      per-operator progress/memory is observable as `low_watermark` /
   //      `buffered_bytes` in MetricsSnapshot().

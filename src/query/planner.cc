@@ -296,9 +296,6 @@ std::string PlanSummary::ToString() const {
     out << ", " << num_ingest_lanes << " ingest lane"
         << (num_ingest_lanes == 1 ? "" : "s")
         << (auto_num_ingest_lanes ? " [auto]" : "");
-    if (!auto_lane_note.empty()) {
-      out << " (" << auto_lane_note << ")";
-    }
     out << ", target batch ";
     if (auto_target_batch_size) {
       out << "auto (initial " << target_batch_size << ")";
@@ -500,50 +497,15 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   // exact emission order.
   summary.auto_num_ingest_lanes =
       options.num_ingest_lanes == PlannerOptions::kAutoLanes;
-  size_t num_lanes = summary.auto_num_ingest_lanes
-                         ? (num_shards > 1 ? num_sources : 1)
-                         : options.num_ingest_lanes;
-  // Multi-lane ingest only guarantees PER-SOURCE timestamp order. A join
-  // tolerates cross-source skew (its matched-pair set is skew-invariant),
-  // but its emission order then regresses in timestamp — never below the
-  // join's propagated watermark (output ts = max of an eligible pair;
-  // each side's future tuples are >= its watermark), so the windowed
-  // aggregates downstream, which close on watermarks, are unaffected. A
-  // SECOND join consuming join output is refused: its per-side expiry
-  // clocks need each input in timestamp order, which skewed join output
-  // never has.
-  if (num_lanes > 1) {
-    std::vector<char> join_upstream(plan.num_nodes(), 0);
-    std::string blocked;  // name of the first join below a join
-    for (LogicalPlan::NodeId id = 0; id < plan.num_nodes(); ++id) {
-      const LogicalPlan::Node& n = plan.node(id);
-      char up_in = 0;
-      for (LogicalPlan::NodeId in : n.inputs) {
-        if (join_upstream[in]) up_in = 1;
-      }
-      if (up_in && blocked.empty() &&
-          n.kind == LogicalPlan::NodeKind::kJoin) {
-        blocked = n.name;
-      }
-      join_upstream[id] =
-          up_in || n.kind == LogicalPlan::NodeKind::kJoin ? 1 : 0;
-    }
-    if (!blocked.empty()) {
-      if (summary.auto_num_ingest_lanes) {
-        num_lanes = 1;
-        summary.auto_lane_note =
-            "single-lane ingest: join '" + blocked +
-            "' sits downstream of a join and needs cross-source "
-            "timestamp order";
-      } else {
-        return common::Status::InvalidArgument(
-            "num_ingest_lanes > 1 is unsafe here: join '" + blocked +
-            "' sits downstream of a join, and multi-lane ingest only "
-            "preserves per-source timestamp order — the skewed join "
-            "output would corrupt it; use num_ingest_lanes = 1");
-      }
-    }
-  }
+  const size_t num_lanes = summary.auto_num_ingest_lanes
+                               ? (num_shards > 1 ? num_sources : 1)
+                               : options.num_ingest_lanes;
+  // Multi-lane ingest only keeps each source's own arrival order, and join
+  // output regresses in timestamp under cross-lane skew. Neither matters:
+  // windows close and join buffers expire only on watermarks, and a
+  // join's output is stamped at the max of a pair whose probing tuple sat
+  // at or above its own side's watermark, so it never falls below the
+  // min watermark the join forwards — any number of lanes is safe.
   summary.num_ingest_lanes = num_lanes;
   summary.shard_key_source = key.source;
 

@@ -100,12 +100,11 @@ struct PlannerOptions {
   /// (CompiledQuery::PushWatermark covers the fully idle case). A window
   /// therefore still accepts tuples up to L behind the newest one; a
   /// tuple that arrives after all of its windows closed is dropped and
-  /// counted in the aggregate's OperatorMetrics::late_dropped. Joins
-  /// still need per-source timestamp order, because they expire buffers
-  /// against the peer's data high-water mark as well as its watermark. 0
-  /// (the default) is exact for in-order sources and closes each window
-  /// as soon as data passes it. A negative value would run the watermark
-  /// ahead of the data and fails Compile().
+  /// counted in the aggregate's OperatorMetrics::late_dropped; a join
+  /// drops and counts a tuple below its own side's watermark the same
+  /// way. 0 (the default) is exact for in-order sources and closes each
+  /// window as soon as data passes it. A negative value would run the
+  /// watermark ahead of the data and fails Compile().
   int64_t watermark_lateness_us = 0;
 
   /// Auto shard counts are capped here: past ~8 shards ingest
@@ -126,9 +125,6 @@ struct PlanSummary {
 
   size_t num_ingest_lanes = 1;
   bool auto_num_ingest_lanes = false;
-  /// Why an auto lane choice was reduced (e.g. a join downstream of a
-  /// join needs cross-source order); empty otherwise.
-  std::string auto_lane_note;
 
   /// Resolved ingest re-batching target (0 = pass-through).
   size_t target_batch_size = 0;

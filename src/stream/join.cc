@@ -19,68 +19,64 @@ Tuple ConcatJoinedTuple(const Tuple& left, const Tuple& right) {
   return joined;
 }
 
+namespace {
+
+bool TsBefore(const Tuple& t, int64_t ts) { return t.timestamp() < ts; }
+bool TsAfter(int64_t ts, const Tuple& t) { return ts < t.timestamp(); }
+
+}  // namespace
+
 void SlidingWindowJoin::Expire() {
-  // A buffered left tuple can only match future RIGHT arrivals, which
-  // come in right-timestamp order: once the right clock passes
-  // l.ts + range the tuple is provably dead, however far its own side has
-  // run ahead. (Expiring by a single global clock would silently drop
-  // matches when one input lags the other, which multi-lane ingest
-  // permits.) The clock is max(data high-water, watermark): a silent
-  // side's data clock freezes, but its watermark keeps advancing the
-  // other buffer's expiry — the idle-source fix.
-  const int64_t left_clock = LeftClock();
-  const int64_t right_clock = RightClock();
-  int64_t left_horizon = INT64_MIN;
-  int64_t right_horizon = INT64_MIN;
-  if (right_clock != INT64_MIN) {
-    left_horizon = right_clock - range_us_;
-  }
-  if (left_clock != INT64_MIN) {
-    right_horizon = left_clock - range_us_;
-  }
-  while (!left_.empty() && left_.front().timestamp() < left_horizon) {
-    const uint64_t bytes = left_.front().ApproxBytes();
-    buffered_bytes_ -= bytes < buffered_bytes_ ? bytes : buffered_bytes_;
-    left_.pop_front();
-  }
-  while (!right_.empty() && right_.front().timestamp() < right_horizon) {
-    const uint64_t bytes = right_.front().ApproxBytes();
-    buffered_bytes_ -= bytes < buffered_bytes_ ? bytes : buffered_bytes_;
-    right_.pop_front();
-  }
+  // A buffered left tuple can only match future RIGHT arrivals, which all
+  // carry ts >= the right watermark: once that passes l.ts + range the
+  // tuple is provably dead, and vice versa. A silent side's watermark
+  // keeps advancing the other buffer's expiry — the idle-source fix.
+  const auto expire = [this](std::deque<Tuple>* side, int64_t peer_wm) {
+    if (peer_wm == INT64_MIN) return;
+    const int64_t horizon = peer_wm - range_us_;
+    while (!side->empty() && side->front().timestamp() < horizon) {
+      const uint64_t bytes = side->front().ApproxBytes();
+      buffered_bytes_ -= bytes < buffered_bytes_ ? bytes : buffered_bytes_;
+      side->pop_front();
+    }
+  };
+  expire(&left_, right_wm_);
+  expire(&right_, left_wm_);
   metrics_.buffered_bytes = buffered_bytes_;
 }
 
 void SlidingWindowJoin::ProbeAndBuffer(const Tuple& tuple, bool from_left,
                                        Collector* out) {
-  if (from_left) {
-    left_max_ts_ = std::max(left_max_ts_, tuple.timestamp());
-  } else {
-    right_max_ts_ = std::max(right_max_ts_, tuple.timestamp());
+  const int64_t ts = tuple.timestamp();
+  // Below its own watermark the peer buffer may already have lost this
+  // tuple's partners: drop it whole rather than emit a partial pair set.
+  if (ts < (from_left ? left_wm_ : right_wm_)) {
+    ++metrics_.late_dropped;
+    return;
   }
-  Expire();
   const std::deque<Tuple>& other = from_left ? right_ : left_;
-  for (const Tuple& o : other) {
-    // Expiration enforces the lower bound; the upper bound needs an
-    // explicit check because the other side may have run ahead of this
-    // tuple's window (cross-input skew). The buffer is in ascending
-    // timestamp order, so everything after the first too-new tuple is
-    // too new as well.
-    if (o.timestamp() > tuple.timestamp() + range_us_) break;
-    const Tuple& l = from_left ? tuple : o;
-    const Tuple& r = from_left ? o : tuple;
+  for (auto it = std::lower_bound(other.begin(), other.end(),
+                                  ts - range_us_, TsBefore);
+       it != other.end() && it->timestamp() <= ts + range_us_; ++it) {
+    const Tuple& l = from_left ? tuple : *it;
+    const Tuple& r = from_left ? *it : tuple;
     std::optional<Tuple> joined = match_(l, r);
     if (joined.has_value()) {
       ++metrics_.tuples_out;
       out->Emit(std::move(*joined));
     }
   }
+  // In-order input appends; an out-of-order tuple goes after every
+  // buffered tuple with the same timestamp, keeping arrival order.
   std::deque<Tuple>& side = from_left ? left_ : right_;
-  side.push_back(tuple);
+  const auto pos = side.empty() || side.back().timestamp() <= ts
+                       ? side.end()
+                       : std::upper_bound(side.begin(), side.end(), ts,
+                                          TsAfter);
   // Charge the STORED copy (exact-sized), not the caller's tuple (which
   // may carry excess vector capacity): Expire() refunds by measuring the
   // stored copy, so charging the same object keeps the gauge drift-free.
-  buffered_bytes_ += side.back().ApproxBytes();
+  buffered_bytes_ += side.insert(pos, tuple)->ApproxBytes();
   metrics_.buffered_bytes = buffered_bytes_;
 }
 
@@ -92,12 +88,9 @@ common::Status SlidingWindowJoin::AdvanceWatermark(bool from_left,
   } else {
     right_wm_ = std::max(right_wm_, watermark);
   }
-  // The join's own progress is the min of its input clocks (fan-in rule);
-  // recorded so the low-watermark surface covers joins too.
-  const int64_t left_clock = LeftClock();
-  const int64_t right_clock = RightClock();
-  metrics_.low_watermark =
-      left_clock < right_clock ? left_clock : right_clock;
+  // The join's own progress is the min of its input watermarks (fan-in
+  // rule); recorded so the low-watermark surface covers joins too.
+  metrics_.low_watermark = std::min(left_wm_, right_wm_);
   Expire();
   metrics_.processing_seconds += sw.ElapsedSeconds();
   return common::Status::OK();

@@ -22,23 +22,29 @@
 namespace usp {
 namespace stream {
 
-/// \brief Symmetric sliding-window join over two timestamp-ordered inputs.
+/// \brief Symmetric sliding-window join over two event-time inputs.
 ///
 /// A pair (l, r) is eligible when |l.ts - r.ts| <= range_us; the match
-/// function returns the joined tuple, or nullopt for no match. Each input
-/// must be pushed in ITS OWN timestamp order; the two inputs may be
-/// arbitrarily skewed against each other (multi-lane ingest delivers
-/// exactly that), because each buffer expires against the OTHER side's
-/// clock: a left tuple is dropped only once the right stream has advanced
-/// past l.ts + range and provably cannot match it anymore. The matched
-/// pair SET is therefore independent of cross-input interleaving; only
-/// emission order depends on it.
+/// function returns the joined tuple, or nullopt for no match. Each
+/// buffer is kept in timestamp order (equal timestamps in arrival order)
+/// and a probe visits exactly the peer tuples in [ts - range, ts + range],
+/// so the match function never sees an out-of-range pair.
 ///
-/// Buffer growth is range + cross-input skew. When data flows on both
-/// sides the executor's backpressure bounds the skew; a SILENT input
-/// (sensor outage) never advances its data clock, so its watermarks
-/// (AdvanceWatermark) are what keep the other buffer bounded.
-/// Call Close() once after the last push.
+/// Watermarks (AdvanceWatermark) are the only thing that expires state: a
+/// buffered left tuple l is dropped once the RIGHT watermark passes
+/// l.ts + range, because no future right tuple can reach it, and vice
+/// versa. Inputs may therefore arrive out of timestamp order, on each
+/// side and across the two sides, as long as each side stays at or above
+/// its own watermark. A tuple that arrives below its own side's watermark
+/// is dropped and counted in OperatorMetrics::late_dropped: its peers may
+/// already be expired, so matching it would give a partial pair set. The
+/// matched pair SET is thus independent of arrival order; only emission
+/// order depends on it.
+///
+/// Buffer growth is range + watermark lag. Without watermarks nothing is
+/// ever expired; the executor puts one on every ingested slice, and an
+/// idle source's explicit watermark keeps the peer buffer bounded while
+/// it is silent. Call Close() once after the last push.
 class SlidingWindowJoin {
  public:
   /// Builds the joined tuple for an eligible pair, or nullopt. Contract:
@@ -63,11 +69,9 @@ class SlidingWindowJoin {
   common::Status PushRightBatch(const TupleBatch& batch, Collector* out);
   /// Event-time progress on one input (`from_left` names the side the
   /// promise is about): no future tuple on that side will carry
-  /// ts < watermark. This is what bounds the OTHER side's buffer while
-  /// this side is silent — a buffered right tuple r is provably dead once
-  /// the left watermark passes r.ts + range even if no left tuple ever
-  /// arrives again (the idle-source fix; data arrival advances the same
-  /// clocks, watermarks just keep them moving through silence). Joins emit
+  /// ts < watermark. It expires the OTHER side's buffer — a buffered right
+  /// tuple r is provably dead once the left watermark passes r.ts + range
+  /// — and makes later tuples below it on this side late. Joins emit
   /// eagerly, so watermarks never produce output here; the executor
   /// forwards min(left, right) downstream itself.
   common::Status AdvanceWatermark(bool from_left, int64_t watermark);
@@ -85,27 +89,18 @@ class SlidingWindowJoin {
   common::Status PushImpl(const Tuple& tuple, bool from_left, Collector* out);
   common::Status PushBatchImpl(const TupleBatch& batch, bool from_left,
                                Collector* out);
-  /// Unmetered core: expire, probe the other side, buffer the tuple.
+  /// Unmetered core: drop a late tuple, else probe the other side and
+  /// buffer the tuple.
   void ProbeAndBuffer(const Tuple& tuple, bool from_left, Collector* out);
+  /// Drops the buffered tuples the peer watermarks have made unmatchable.
   void Expire();
-  /// Per-side future-timestamp lower bound: max of the side's data
-  /// high-water mark (per-side arrival order) and its watermark.
-  int64_t LeftClock() const {
-    return left_wm_ > left_max_ts_ ? left_wm_ : left_max_ts_;
-  }
-  int64_t RightClock() const {
-    return right_wm_ > right_max_ts_ ? right_wm_ : right_max_ts_;
-  }
 
   std::string name_;
   int64_t range_us_;
   MatchFn match_;
+  /// Per-side buffers, ascending by timestamp.
   std::deque<Tuple> left_;
   std::deque<Tuple> right_;
-  /// Per-side high-water timestamps; each side expires against the other
-  /// side's clock (see class comment).
-  int64_t left_max_ts_ = INT64_MIN;
-  int64_t right_max_ts_ = INT64_MIN;
   /// Per-side watermarks (promises about future input, independent of
   /// data arrival); INT64_MIN until the side's first watermark.
   int64_t left_wm_ = INT64_MIN;

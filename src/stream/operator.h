@@ -84,9 +84,10 @@ struct OperatorMetrics {
   /// counter: it tracks current occupancy, so silent buffer growth (e.g.
   /// a join peer outrunning an idle source) is observable.
   uint64_t buffered_bytes = 0;
-  /// Tuples dropped on arrival because the watermark had already closed
-  /// every window containing them (they trailed the newest tuple by more
-  /// than the plan's lateness).
+  /// Tuples dropped on arrival because the watermark had already passed
+  /// them — every window containing them had closed, or (joins) they fell
+  /// below their own side's watermark — i.e. they trailed the newest
+  /// tuple by more than the plan's lateness.
   uint64_t late_dropped = 0;
 
   // Cross-group CF grid cache counters (aggregate operators over CF

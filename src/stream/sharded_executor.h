@@ -27,7 +27,8 @@
 // joins buffer by time range so their result SET is interleaving-
 // independent (emission order is not — under skew it regresses in
 // timestamp, but never below the join's propagated watermark, which is
-// what closes the windows of an aggregate downstream of it).
+// what closes the windows of an aggregate downstream of it and expires
+// the buffers of a join downstream of it).
 // Workers verify the per-source sequence numbers and fail the shard
 // loudly on a violation instead of silently mis-windowing.
 //
@@ -134,10 +135,9 @@ class ShardedExecutor {
     /// Slack subtracted from the max ingested timestamp: the promise
     /// becomes "no future tuple below max - L", so a window stays open
     /// for tuples up to L behind the newest one. Windowed aggregates drop
-    /// (and count) tuples that arrive after all of their windows closed;
-    /// joins still need per-source timestamp order, because they expire
-    /// buffers against the peer's data high-water mark as well. A
-    /// negative value would promise past the data and fails Create().
+    /// (and count) tuples that arrive after all of their windows closed,
+    /// and joins tuples below their own side's watermark. A negative
+    /// value would promise past the data and fails Create().
     int64_t watermark_lateness_us = 0;
     /// Pin threads to distinct cores (Linux only; elsewhere a no-op):
     /// shard worker i -> core i % ncpu, and the producer thread of lane l

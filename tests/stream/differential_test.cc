@@ -15,7 +15,11 @@
 //   3. out-of-order input within lateness: the compiled plan fed a
 //      feed with bounded disorder, at a lateness equal to that disorder,
 //      vs. the naive reference fed the same tuples sorted — the same row
-//      set within 1e-9 (accumulation order differs), and no tuple late.
+//      set within 1e-9 (accumulation order differs), and no tuple late;
+//   4. seeded keyed joins (one join, or a join stacked on a join) over
+//      out-of-order feeds in random batch splits, at 1 lane, 2 lanes, and
+//      2 shards with PartitionBy: each result multiset equals a
+//      brute-force nested-loop join of the pushed tuples, none late.
 //
 // On failure the offending seed + configuration is printed for replay:
 //   stream_differential_test --gtest_filter='*Seed*' and the seed shown.
@@ -24,6 +28,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -34,6 +39,7 @@
 #include "stream/basic_operators.h"
 #include "stream/exec_graph.h"
 #include "stream/group_by.h"
+#include "stream/sharded_executor.h"
 #include "uncertain/aggregates.h"
 #include "uncertain/sum_strategies.h"
 
@@ -42,6 +48,7 @@ namespace stream {
 namespace {
 
 using query::PlannerOptions;
+using gen::GeneratedJoinPlan;
 using gen::GeneratedPlan;
 using gen::GeneratePlan;
 
@@ -309,6 +316,147 @@ TEST(DifferentialTest, ScalarDispatchMatchesActiveTierBitwise) {
       FAIL() << "scalar-dispatch differential failed at seed " << seed;
     }
   }
+}
+
+// ---- seeded joins ----------------------------------------------------------
+
+/// A joined row: its timestamp, then every (integer) value.
+using JoinRow = std::vector<int64_t>;
+
+std::vector<JoinRow> SortedJoinRows(const TupleBatch& batch) {
+  std::vector<JoinRow> rows;
+  rows.reserve(batch.size());
+  for (const Tuple& t : batch) {
+    JoinRow row{t.timestamp()};
+    for (size_t i = 0; i < t.num_values(); ++i) {
+      row.push_back(t.value(i).AsInt());
+    }
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// The reference: every key-equal pair (or triple, through the second
+/// join) of the pushed tuples within the range, by nested loops, stamped
+/// at its max timestamp as ConcatJoinedTuple stamps it.
+std::vector<JoinRow> NestedLoopJoin(const GeneratedJoinPlan& plan) {
+  std::vector<std::vector<JoinRow>> inputs(plan.num_sources());
+  for (const GeneratedJoinPlan::Push& push : plan.MakePushes()) {
+    for (const Tuple& t : push.batch) {
+      inputs[push.source].push_back(
+          {t.timestamp(), t.value(0).AsInt(), t.value(1).AsInt()});
+    }
+  }
+  const auto join = [&plan](const std::vector<JoinRow>& left,
+                            const std::vector<JoinRow>& right) {
+    std::vector<JoinRow> out;
+    for (const JoinRow& l : left) {
+      for (const JoinRow& r : right) {
+        if (l[1] != r[1] || std::abs(l[0] - r[0]) > plan.range_us) continue;
+        JoinRow row{std::max(l[0], r[0])};
+        row.insert(row.end(), l.begin() + 1, l.end());
+        row.insert(row.end(), r.begin() + 1, r.end());
+        out.push_back(std::move(row));
+      }
+    }
+    return out;
+  };
+  std::vector<JoinRow> rows = join(inputs[0], inputs[1]);
+  if (plan.second_join) rows = join(rows, inputs[2]);
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// The compiled join plan over the plan's pushes.
+common::Result<std::vector<JoinRow>> RunJoin(const GeneratedJoinPlan& plan,
+                                             const PlannerOptions& opts,
+                                             bool partition,
+                                             uint64_t* late_dropped) {
+  query::Query q = plan.Build();
+  if (partition) q = q.PartitionBy(KeyByIntValue(0));
+  auto compiled_or = q.Compile(opts);
+  USP_RETURN_NOT_OK(compiled_or.status());
+  auto compiled = compiled_or.MoveValueUnsafe();
+  std::vector<ExecGraph::NodeId> sources;
+  for (size_t s = 0; s < plan.num_sources(); ++s) {
+    sources.push_back(compiled->source(GeneratedJoinPlan::SourceName(s)));
+  }
+  for (GeneratedJoinPlan::Push& push : plan.MakePushes()) {
+    USP_RETURN_NOT_OK(
+        compiled->PushBatch(sources[push.source], std::move(push.batch)));
+  }
+  USP_RETURN_NOT_OK(compiled->Finish());
+  *late_dropped = 0;
+  for (const NodeMetrics& m : compiled->MetricsSnapshot()) {
+    *late_dropped += m.metrics.late_dropped;
+  }
+  return SortedJoinRows(compiled->Result("out"));
+}
+
+/// True when every physical configuration matches the nested-loop
+/// reference; reports each mismatch.
+bool JoinSeedMatches(uint64_t seed) {
+  const GeneratedJoinPlan plan = gen::GenerateJoinPlan(seed);
+  const std::vector<JoinRow> expected = NestedLoopJoin(plan);
+  if (expected.empty()) {
+    ADD_FAILURE() << "degenerate join plan, no pairs: " << plan.ToString();
+    return false;
+  }
+  struct Config {
+    const char* label;
+    size_t shards;
+    size_t lanes;
+    bool partition;
+  };
+  const Config configs[] = {
+      {"1 lane", 1, 1, false},
+      {"2 lanes", 1, 2, false},
+      {"2 shards, PartitionBy", 2, PlannerOptions::kAutoLanes, true},
+  };
+  bool ok = true;
+  for (const Config& config : configs) {
+    PlannerOptions opts;
+    opts.num_shards = config.shards;
+    opts.num_ingest_lanes = config.lanes;
+    // Every tuple trails its source's newest one by at most the disorder.
+    opts.watermark_lateness_us = plan.max_disorder_us;
+    uint64_t late = 0;
+    auto rows_or = RunJoin(plan, opts, config.partition, &late);
+    if (!rows_or.ok()) {
+      ADD_FAILURE() << config.label << ": " << rows_or.status().ToString()
+                    << " — replay: " << plan.ToString();
+      ok = false;
+    } else if (late != 0 || rows_or.value() != expected) {
+      ADD_FAILURE() << config.label << ": " << rows_or.value().size()
+                    << " rows vs " << expected.size()
+                    << " nested-loop pairs, " << late
+                    << " late — replay: " << plan.ToString();
+      ok = false;
+    }
+  }
+  return ok;
+}
+
+TEST(DifferentialTest, SeededJoinPlansMatchNestedLoopPairs) {
+  constexpr uint64_t kNumJoinSeeds = 40;
+  std::vector<uint64_t> failing;
+  size_t stacked = 0, disordered = 0;
+  for (uint64_t seed = kFirstSeed; seed < kFirstSeed + kNumJoinSeeds;
+       ++seed) {
+    if (!JoinSeedMatches(seed)) failing.push_back(seed);
+    const GeneratedJoinPlan plan = gen::GenerateJoinPlan(seed);
+    if (plan.second_join) ++stacked;
+    if (plan.max_disorder_us > 0) ++disordered;
+  }
+  std::string seeds;
+  for (const uint64_t seed : failing) seeds += " " + std::to_string(seed);
+  EXPECT_TRUE(failing.empty())
+      << "join differential failed at seeds" << seeds
+      << " — replay with GenerateJoinPlan(seed)";
+  EXPECT_GT(stacked, 0u);
+  EXPECT_LT(stacked, kNumJoinSeeds);
+  EXPECT_GT(disordered, 0u);
 }
 
 }  // namespace

@@ -1,19 +1,21 @@
-// Join soak tests: the silent-source regression the watermark subsystem
-// fixes. A sliding-window join expires each side against the OTHER side's
-// clock, so a silent input used to grow the peer buffer without bound
-// until it spoke again. With watermarks flowing for the silent side the
-// peer buffer must stay bounded by range + lateness worth of tuples, and
-// none of it may change the matched-pair set for globally-ordered feeds
-// (the Q2 shape).
+// Join soak tests: watermarks are the only thing that expires join state.
+// A silent input used to grow the peer buffer without bound until it
+// spoke again; with watermarks flowing for the silent side the peer
+// buffer must stay bounded by range + lateness worth of tuples, and none
+// of it may change the matched-pair set. Input may arrive out of order
+// within the lateness on both sides; a tuple below its own side's
+// watermark is dropped and counted.
 
 #include "stream/join.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "query/planner.h"
 #include "query/query.h"
 #include "stream/batch.h"
@@ -157,6 +159,104 @@ TEST(JoinSoakTest, CompiledQueryIdleSourceStaysBounded) {
   // magnitude apart even with byte-estimate slack.
   EXPECT_GT(unbounded_peak, bounded_peak * 10)
       << "bounded=" << bounded_peak << " unbounded=" << unbounded_peak;
+}
+
+/// A joined row without its fresh tuple id: timestamp and values.
+std::string RenderPair(const Tuple& t) {
+  std::string out = std::to_string(t.timestamp());
+  for (size_t i = 0; i < t.num_values(); ++i) {
+    out += "|" + t.value(i).ToString();
+  }
+  return out;
+}
+
+TEST(JoinSoakTest, LateTupleBelowOwnWatermarkIsDroppedAndCounted) {
+  SlidingWindowJoin join("j", kRange, KeyMatch());
+  VectorCollector out;
+  ASSERT_TRUE(join.PushLeft(KV(1000, 1, 1.0), &out).ok());
+  ASSERT_TRUE(join.PushRight(KV(1200, 1, 2.0), &out).ok());
+  ASSERT_EQ(out.tuples().size(), 1u);
+  const std::string first_pair = RenderPair(out.tuples()[0]);
+
+  // The left side promises nothing below 2000; a left tuple at 1500
+  // (in range of the buffered right tuple) is late.
+  ASSERT_TRUE(join.AdvanceWatermark(/*from_left=*/true, 2000).ok());
+  ASSERT_TRUE(join.PushLeft(KV(1500, 1, 3.0), &out).ok());
+  EXPECT_EQ(join.metrics().late_dropped, 1u);
+  ASSERT_EQ(out.tuples().size(), 1u);
+  EXPECT_EQ(RenderPair(out.tuples()[0]), first_pair);
+  EXPECT_EQ(join.left_buffer_size(), 1u);
+
+  // The dropped tuple is not buffered either: a later right tuple in
+  // range of both meets only the on-time left tuple.
+  ASSERT_TRUE(join.PushRight(KV(1400, 1, 4.0), &out).ok());
+  ASSERT_EQ(out.tuples().size(), 2u);
+  EXPECT_EQ(out.tuples()[1].value(1).AsDouble(), 1.0);
+  EXPECT_EQ(join.metrics().late_dropped, 1u);
+}
+
+TEST(JoinSoakTest, DisorderWithinLatenessMatchesSortedFeed) {
+  // Both sides arrive out of timestamp order, each tuple trailing its
+  // side's newest one by at most kDisorder; at that lateness nothing is
+  // late and the pair set equals the run over the same feed sorted.
+  constexpr int64_t kDisorder = 1500;
+  struct Pushed {
+    bool left;
+    Tuple tuple;
+  };
+  std::vector<Pushed> feed;
+  common::Rng rng(17);
+  int64_t left_ts = 0, right_ts = 0;
+  for (int64_t i = 0; i < 400; ++i) {
+    const bool left = rng.Bernoulli(0.5);
+    int64_t& ts = left ? left_ts : right_ts;
+    ts += static_cast<int64_t>(rng.UniformInt(2 * kSpacing + 1));
+    const int64_t pulled =
+        ts - static_cast<int64_t>(rng.UniformInt(kDisorder + 1));
+    feed.push_back({left, KV(pulled, static_cast<int64_t>(i % 3),
+                             static_cast<double>(i))});
+  }
+  std::vector<Pushed> sorted = feed;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const Pushed& a, const Pushed& b) {
+                     return a.tuple.timestamp() < b.tuple.timestamp();
+                   });
+
+  auto run = [](const std::vector<Pushed>& pushes, int64_t lateness,
+                uint64_t* late) {
+    auto q = query::Query::From("l", 2)
+                 .Join(query::Query::From("r", 2), kRange, KeyMatch(), "j")
+                 .Sink("out");
+    query::PlannerOptions opts;
+    opts.num_shards = 1;
+    opts.watermark_lateness_us = lateness;
+    auto compiled_or = q.Compile(opts);
+    EXPECT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
+    auto compiled = compiled_or.MoveValueUnsafe();
+    const auto l = compiled->source("l");
+    const auto r = compiled->source("r");
+    for (const Pushed& p : pushes) {
+      EXPECT_TRUE(compiled->Push(p.left ? l : r, p.tuple).ok());
+    }
+    EXPECT_TRUE(compiled->Finish().ok());
+    *late = 0;
+    for (const NodeMetrics& m : compiled->MetricsSnapshot()) {
+      *late += m.metrics.late_dropped;
+    }
+    std::vector<std::string> pairs;
+    for (const Tuple& t : compiled->Result("out")) {
+      pairs.push_back(RenderPair(t));
+    }
+    std::sort(pairs.begin(), pairs.end());
+    return pairs;
+  };
+  uint64_t late_disordered = 0, late_sorted = 0;
+  const auto disordered = run(feed, kDisorder, &late_disordered);
+  const auto in_order = run(sorted, 0, &late_sorted);
+  EXPECT_EQ(late_disordered, 0u);
+  EXPECT_EQ(late_sorted, 0u);
+  ASSERT_GT(in_order.size(), 100u);
+  EXPECT_EQ(disordered, in_order);
 }
 
 }  // namespace

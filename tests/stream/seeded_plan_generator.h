@@ -1,8 +1,9 @@
-// Seeded random Q1-style plan generator for the differential test harness
-// (differential_test.cc). One uint64 seed deterministically fixes a whole
-// experiment — window shape, filter, aggregate columns, batch size, feed
-// contents, and optionally bounded timestamp disorder — so any failing
-// configuration is replayable from the seed the test prints. Kept
+// Seeded random plan generators for the differential test harness
+// (differential_test.cc): Q1-style windowed aggregates (GeneratePlan) and
+// keyed sliding-window joins (GenerateJoinPlan). One uint64 seed
+// deterministically fixes a whole experiment — plan shape, batch splits,
+// feed contents, and optionally bounded timestamp disorder — so any
+// failing configuration is replayable from the seed the test prints. Kept
 // header-only and test-local: this is an input generator, not library
 // surface.
 
@@ -10,6 +11,7 @@
 #define USP_TESTS_STREAM_SEEDED_PLAN_GENERATOR_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "query/query.h"
 #include "stats/gaussian.h"
 #include "stream/batch.h"
+#include "stream/join.h"
 #include "stream/window.h"
 
 namespace usp {
@@ -141,6 +144,132 @@ inline GeneratedPlan GenerateDisorderedPlan(uint64_t seed) {
   common::Rng rng(seed ^ 0x5bd1e995ULL);
   const uint64_t size = static_cast<uint64_t>(plan.window.size_us);
   plan.max_disorder_us = 1 + static_cast<int64_t>(rng.UniformInt(2 * size));
+  return plan;
+}
+
+/// Equality on attribute 0 (the key), joined with ConcatJoinedTuple — so a
+/// joined row keeps the left key at attribute 0 and can feed a second join.
+inline std::optional<Tuple> KeyEqualMatch(const Tuple& l, const Tuple& r) {
+  if (l.value(0).AsInt() != r.value(0).AsInt()) return std::nullopt;
+  return ConcatJoinedTuple(l, r);
+}
+
+/// A keyed sliding-window join, a JOIN b, or (a JOIN b) JOIN c when
+/// `second_join` is set. Every source tuple is (key:int, tag:int) with a
+/// tag unique across sources, so a joined row names its input tuples.
+struct GeneratedJoinPlan {
+  uint64_t seed = 0;
+  int64_t range_us = 100;
+  bool second_join = false;
+  size_t num_keys = 4;
+  /// Tuples per source.
+  size_t num_tuples = 200;
+  /// Max event-time step between a source's consecutive tuples.
+  int64_t max_ts_step = 50;
+  /// Each tuple is pulled back by up to this much from its in-order
+  /// position, so it trails its source's newest tuple by at most this.
+  int64_t max_disorder_us = 0;
+  /// Push batches hold 1..max_batch tuples of one source.
+  size_t max_batch = 16;
+
+  size_t num_sources() const { return second_join ? 3 : 2; }
+  static std::string SourceName(size_t source) {
+    return std::string(1, static_cast<char>('a' + source));
+  }
+
+  std::string ToString() const {
+    return "seed=" + std::to_string(seed) + " range=" +
+           std::to_string(range_us) + (second_join ? " joins=2" : " joins=1") +
+           " keys=" + std::to_string(num_keys) + " tuples=" +
+           std::to_string(num_tuples) + " step=" +
+           std::to_string(max_ts_step) + " disorder=" +
+           std::to_string(max_disorder_us) + " max_batch=" +
+           std::to_string(max_batch);
+  }
+
+  query::Query Build() const {
+    query::Query q = query::Query::From("a", 2).Join(
+        query::Query::From("b", 2), range_us, KeyEqualMatch, "j1");
+    if (second_join) {
+      q = q.Join(query::Query::From("c", 2), range_us, KeyEqualMatch, "j2");
+    }
+    return q.Sink("out");
+  }
+
+  /// One push: a batch of one source's tuples.
+  struct Push {
+    size_t source = 0;
+    TupleBatch batch;
+  };
+
+  /// Seed-deterministic feed: each source's tuples in bounded disorder,
+  /// split into random-sized batches, and the batches of different
+  /// sources interleaved at random (each source's own order kept).
+  std::vector<Push> MakePushes() const {
+    common::Rng rng(seed * 0xbf58476d1ce4e5b9ULL + 7);
+    std::vector<std::vector<Push>> per_source(num_sources());
+    for (size_t s = 0; s < num_sources(); ++s) {
+      int64_t ts = 0;
+      Push push;
+      push.source = s;
+      size_t batch_size = 1 + rng.UniformInt(max_batch);
+      for (size_t i = 0; i < num_tuples; ++i) {
+        ts += static_cast<int64_t>(
+            rng.UniformInt(static_cast<uint64_t>(max_ts_step) + 1));
+        const int64_t tuple_ts =
+            ts - static_cast<int64_t>(rng.UniformInt(
+                     static_cast<uint64_t>(max_disorder_us) + 1));
+        Tuple t(tuple_ts,
+                {Value(static_cast<int64_t>(rng.UniformInt(num_keys))),
+                 Value(static_cast<int64_t>(s * num_tuples + i))});
+        t.InitBaseLineage();
+        push.batch.Append(std::move(t));
+        if (push.batch.size() == batch_size) {
+          per_source[s].push_back(std::move(push));
+          push = Push();
+          push.source = s;
+          batch_size = 1 + rng.UniformInt(max_batch);
+        }
+      }
+      if (!push.batch.empty()) per_source[s].push_back(std::move(push));
+    }
+    std::vector<Push> pushes;
+    std::vector<size_t> next(num_sources(), 0);
+    for (;;) {
+      std::vector<size_t> open;
+      for (size_t s = 0; s < num_sources(); ++s) {
+        if (next[s] < per_source[s].size()) open.push_back(s);
+      }
+      if (open.empty()) break;
+      const size_t s = open[rng.UniformInt(open.size())];
+      pushes.push_back(std::move(per_source[s][next[s]++]));
+    }
+    return pushes;
+  }
+};
+
+/// Derives one join experiment from a seed, on its own random stream (the
+/// windowed-aggregate generators above draw exactly what they did before).
+/// About half the seeds stack a second join on the first.
+inline GeneratedJoinPlan GenerateJoinPlan(uint64_t seed) {
+  common::Rng rng(seed ^ 0x2545f4914f6cdd1dULL);
+  GeneratedJoinPlan plan;
+  plan.seed = seed;
+  plan.range_us = 20 + static_cast<int64_t>(rng.UniformInt(200));
+  plan.second_join = rng.Bernoulli(0.5);
+  // Steps of range/4..range and at least two keys keep a tuple's
+  // matches per join to a handful, so the stacked join stays small.
+  plan.num_keys = 2 + rng.UniformInt(5);
+  plan.num_tuples = 60 + rng.UniformInt(120);
+  plan.max_ts_step =
+      plan.range_us / 4 + 1 +
+      static_cast<int64_t>(
+          rng.UniformInt(static_cast<uint64_t>(plan.range_us * 3 / 4)));
+  plan.max_disorder_us = rng.Bernoulli(0.25)
+                             ? 0
+                             : static_cast<int64_t>(rng.UniformInt(
+                                   static_cast<uint64_t>(3 * plan.range_us)));
+  plan.max_batch = 1 + rng.UniformInt(32);
   return plan;
 }
 

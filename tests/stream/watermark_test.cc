@@ -199,8 +199,14 @@ TEST(WatermarkTest, PeerWatermarkExpiresJoinBufferOfSilentSource) {
     }
   }
   EXPECT_LT(buffered_after, buffered_before);
-  // Join low watermark = min of the two input clocks.
-  EXPECT_EQ(low_wm, 4900);  // right data clock 4900, left wm 5000
+  // Join low watermark = min of the two input watermarks; right's data
+  // alone announces no progress.
+  EXPECT_EQ(low_wm, INT64_MIN);
+  ASSERT_TRUE(exec.PushWatermark(b, 4900).ok());
+  for (const NodeMetrics& m : exec.MetricsSnapshot()) {
+    if (m.node == join_id) low_wm = m.metrics.low_watermark;
+  }
+  EXPECT_EQ(low_wm, 4900);  // right wm 4900, left wm 5000
 }
 
 TEST(WatermarkTest, WindowedOperatorMetricsExposeWatermarkAndBytes) {
