@@ -9,6 +9,14 @@ namespace rfid {
 double SensingModel::DetectionProbability(const Point2& reader,
                                           double heading_rad,
                                           const Point2& tag) const {
+  return DetectionProbability(reader, std::cos(heading_rad),
+                              std::sin(heading_rad), tag);
+}
+
+double SensingModel::DetectionProbability(const Point2& reader,
+                                          double cos_heading,
+                                          double sin_heading,
+                                          const Point2& tag) const {
   const double d = Distance(reader, tag);
   if (d > hard_range) return 0.0;
   const double range_term =
@@ -16,8 +24,7 @@ double SensingModel::DetectionProbability(const Point2& reader,
   double angle_term = 1.0;
   if (d > 1e-9) {
     const double cos_theta =
-        ((tag.x - reader.x) * std::cos(heading_rad) +
-         (tag.y - reader.y) * std::sin(heading_rad)) /
+        ((tag.x - reader.x) * cos_heading + (tag.y - reader.y) * sin_heading) /
         d;
     angle_term = 1.0 / (1.0 + std::exp(-fov_steepness * (cos_theta - fov_cos)));
   }
@@ -145,18 +152,20 @@ Reading WarehouseSimulator::Step(std::vector<uint32_t>* moved) {
   reading.time_s = now_s_;
   reading.reader_pos = reader_pos_;
   reading.reader_heading_rad = reader_heading_;
+  const double cos_heading = std::cos(reader_heading_);
+  const double sin_heading = std::sin(reader_heading_);
   // Candidate tags: within hard range of the reader.
   for (uint32_t id :
        NearbyObjects(reader_pos_, config_.sensing.hard_range)) {
     const double p = config_.sensing.DetectionProbability(
-        reader_pos_, reader_heading_, objects_[id]);
+        reader_pos_, cos_heading, sin_heading, objects_[id]);
     if (p > 0.0 && rng_.Bernoulli(p)) {
       reading.observed_objects.push_back(id);
     }
   }
   for (uint32_t sid = 0; sid < shelves_.size(); ++sid) {
     const double p = config_.sensing.DetectionProbability(
-        reader_pos_, reader_heading_, shelves_[sid]);
+        reader_pos_, cos_heading, sin_heading, shelves_[sid]);
     if (p > 0.0 && rng_.Bernoulli(p)) {
       reading.observed_shelves.push_back(sid);
     }

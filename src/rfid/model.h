@@ -49,6 +49,10 @@ struct SensingModel {
   /// `tag`).
   double DetectionProbability(const Point2& reader, double heading_rad,
                               const Point2& tag) const;
+  /// The same probability, with the heading given by its cosine and sine:
+  /// a caller scoring many tags against one reading computes them once.
+  double DetectionProbability(const Point2& reader, double cos_heading,
+                              double sin_heading, const Point2& tag) const;
 };
 
 /// Static warehouse geometry + dynamics parameters.

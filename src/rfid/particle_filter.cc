@@ -115,11 +115,12 @@ void FactoredParticleFilter::MotionUpdate(ObjectBelief* b, double now_s) {
 void FactoredParticleFilter::MeasurementUpdate(ObjectBelief* b,
                                                const Reading& reading,
                                                bool detected) {
+  const double cos_heading = std::cos(reading.reader_heading_rad);
+  const double sin_heading = std::sin(reading.reader_heading_rad);
   double total = 0.0;
   for (size_t i = 0; i < b->size(); ++i) {
     const double p = sensing_.DetectionProbability(
-        reading.reader_pos, reading.reader_heading_rad,
-        {b->xs[i], b->ys[i]});
+        reading.reader_pos, cos_heading, sin_heading, {b->xs[i], b->ys[i]});
     const double lik = detected ? p : (1.0 - p);
     b->ws[i] *= std::max(lik, kWeightFloor);
     total += b->ws[i];
@@ -357,6 +358,8 @@ void JointParticleFilter::ProcessReading(const Reading& reading) {
     detected[id] = true;
     ever_detected_[id] = true;
   }
+  const double cos_heading = std::cos(reading.reader_heading_rad);
+  const double sin_heading = std::sin(reading.reader_heading_rad);
   double total = 0.0;
   for (size_t k = 0; k < particles_.size(); ++k) {
     JointParticle& p = particles_[k];
@@ -373,7 +376,7 @@ void JointParticleFilter::ProcessReading(const Reading& reading) {
         }
       }
       const double prob = sensing_.DetectionProbability(
-          reading.reader_pos, reading.reader_heading_rad, p.positions[id]);
+          reading.reader_pos, cos_heading, sin_heading, p.positions[id]);
       const double lik = detected[id] ? prob : (1.0 - prob);
       log_lik += std::log(std::max(lik, kWeightFloor));
     }

@@ -12,9 +12,10 @@ Tuple ConcatJoinedTuple(const Tuple& left, const Tuple& right) {
   for (const Value& v : right.values()) values.push_back(v);
   Tuple joined(std::max(left.timestamp(), right.timestamp()),
                std::move(values));
-  std::vector<TupleId> lineage = left.lineage();
-  lineage.insert(lineage.end(), right.lineage().begin(),
-                 right.lineage().end());
+  const LineageView left_lineage = left.lineage();
+  const LineageView right_lineage = right.lineage();
+  std::vector<TupleId> lineage(left_lineage.begin(), left_lineage.end());
+  lineage.insert(lineage.end(), right_lineage.begin(), right_lineage.end());
   joined.SetLineage(std::move(lineage));
   return joined;
 }

@@ -15,20 +15,26 @@ void Tuple::SetLineage(std::vector<TupleId> ids) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   lineage_ = std::move(ids);
+  base_lineage_ = false;
 }
 
 void Tuple::MergeLineageFrom(const Tuple& other) {
+  const LineageView mine = lineage();
+  const LineageView theirs = other.lineage();
   std::vector<TupleId> merged;
-  merged.reserve(lineage_.size() + other.lineage_.size());
-  std::set_union(lineage_.begin(), lineage_.end(), other.lineage_.begin(),
-                 other.lineage_.end(), std::back_inserter(merged));
+  merged.reserve(mine.size() + theirs.size());
+  std::set_union(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
+                 std::back_inserter(merged));
   lineage_ = std::move(merged);
+  base_lineage_ = false;
 }
 
 bool Tuple::SharesLineageWith(const Tuple& other) const {
-  auto it1 = lineage_.begin();
-  auto it2 = other.lineage_.begin();
-  while (it1 != lineage_.end() && it2 != other.lineage_.end()) {
+  const LineageView mine = lineage();
+  const LineageView theirs = other.lineage();
+  auto it1 = mine.begin();
+  auto it2 = theirs.begin();
+  while (it1 != mine.end() && it2 != theirs.end()) {
     if (*it1 == *it2) return true;
     if (*it1 < *it2) {
       ++it1;
@@ -41,7 +47,8 @@ bool Tuple::SharesLineageWith(const Tuple& other) const {
 
 size_t Tuple::ApproxBytes() const {
   // Flat charge per buffered distribution handle: the control block plus a
-  // typical small-parameter pdf object (Gaussian/GMM component scale).
+  // typical small-parameter pdf object (Gaussian/GMM component scale). A
+  // base tuple's inline lineage is inside sizeof(Tuple).
   constexpr size_t kDistributionHandleBytes = 128;
   size_t bytes = sizeof(Tuple) + values_.capacity() * sizeof(Value) +
                  lineage_.capacity() * sizeof(TupleId);

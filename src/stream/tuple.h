@@ -6,6 +6,12 @@
 // many). An operator that keeps a TupleArchive can also resolve a lineage
 // set back to its inputs for exact result-distribution computation; no
 // compiled plan does so today.
+//
+// Representation: a base tuple's lineage is {id} and is kept as a flag, not
+// in heap storage, so building, copying and moving a base tuple allocate
+// nothing for lineage. Only derived lineage (SetLineage, MergeLineageFrom)
+// lives in a vector. Readers see either form through a LineageView, which
+// points into the tuple and is valid only while that tuple lives unchanged.
 
 #ifndef USP_STREAM_TUPLE_H_
 #define USP_STREAM_TUPLE_H_
@@ -25,6 +31,39 @@ using TupleId = uint64_t;
 
 /// Allocate the next TupleId.
 TupleId NextTupleId();
+
+/// \brief Read-only view of a tuple's sorted lineage ids (pointer + size).
+///
+/// Borrowed from the tuple it came from: it dangles once that tuple is
+/// destroyed, moved from, or has its lineage replaced.
+class LineageView {
+ public:
+  using value_type = TupleId;
+  using iterator = const TupleId*;
+  using const_iterator = const TupleId*;
+
+  LineageView(const TupleId* data, size_t size) : data_(data), size_(size) {}
+
+  const TupleId* begin() const { return data_; }
+  const TupleId* end() const { return data_ + size_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  TupleId operator[](size_t i) const { return data_[i]; }
+
+  friend bool operator==(LineageView a, LineageView b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  friend bool operator==(LineageView a, const std::vector<TupleId>& b) {
+    return a == LineageView(b.data(), b.size());
+  }
+  friend bool operator==(const std::vector<TupleId>& a, LineageView b) {
+    return b == a;
+  }
+
+ private:
+  const TupleId* data_;
+  size_t size_;
+};
 
 /// \brief One stream element: timestamp, attribute values, id, lineage.
 ///
@@ -50,9 +89,15 @@ class Tuple {
 
   /// Lineage: sorted set of base tuple ids this tuple derives from. A base
   /// tuple's lineage is just its own id.
-  const std::vector<TupleId>& lineage() const { return lineage_; }
-  /// Mark this tuple as a base tuple (lineage = {id}).
-  void InitBaseLineage() { lineage_ = {id_}; }
+  LineageView lineage() const {
+    return base_lineage_ ? LineageView(&id_, 1)
+                         : LineageView(lineage_.data(), lineage_.size());
+  }
+  /// Mark this tuple as a base tuple (lineage = {id}); allocates nothing.
+  void InitBaseLineage() {
+    std::vector<TupleId>().swap(lineage_);
+    base_lineage_ = true;
+  }
   void SetLineage(std::vector<TupleId> ids);
   /// Union of this tuple's lineage with another's.
   void MergeLineageFrom(const Tuple& other);
@@ -72,7 +117,9 @@ class Tuple {
   TupleId id_;
   int64_t timestamp_;
   std::vector<Value> values_;
+  // Derived lineage; empty and unread while base_lineage_ is set.
   std::vector<TupleId> lineage_;
+  bool base_lineage_ = false;
 };
 
 }  // namespace stream

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 namespace usp {
 namespace rfid {
@@ -41,6 +44,80 @@ TEST(SensingModelTest, ProbabilityIsInUnitInterval) {
       EXPECT_LE(p, 1.0);
     }
   }
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// The sensing formula as it read before the precomputed-heading overload,
+// with cos and sin taken per call: the oracle both forms must match.
+double ReferenceDetectionProbability(const SensingModel& s, const Point2& r,
+                                     double heading, const Point2& tag) {
+  const double d = Distance(r, tag);
+  if (d > s.hard_range) return 0.0;
+  const double range_term =
+      1.0 / (1.0 + std::exp(s.range_steepness * (d - s.range_midpoint)));
+  double angle_term = 1.0;
+  if (d > 1e-9) {
+    const double cos_theta = ((tag.x - r.x) * std::cos(heading) +
+                              (tag.y - r.y) * std::sin(heading)) /
+                             d;
+    angle_term =
+        1.0 / (1.0 + std::exp(-s.fov_steepness * (cos_theta - s.fov_cos)));
+  }
+  return s.max_read_prob * range_term * angle_term;
+}
+
+TEST(SensingModelTest, PrecomputedHeadingIsBitwiseEqual) {
+  const SensingModel s;
+  const std::vector<Point2> readers = {{0.0, 0.0}, {3.0, 4.0}, {-17.5, 42.25}};
+  const std::vector<Point2> offsets = {
+      {0.0, 0.0},            // d = 0
+      {1e-10, 0.0},          // d <= 1e-9: the angle term is skipped
+      {0.0, -1e-9},          // d == 1e-9 exactly
+      {s.hard_range, 0.0},   // d == hard_range exactly
+      {-15.0, 20.0},         // d == hard_range exactly (3-4-5 triangle)
+      {s.hard_range + 1e-6, 0.0},  // just beyond hard_range
+      {40.0, -30.0},         // far beyond
+  };
+  size_t positive = 0;
+  size_t checked = 0;
+  for (const Point2& reader : readers) {
+    std::vector<Point2> tags;
+    for (const Point2& off : offsets) tags.push_back(reader + off);
+    for (double dx = -27.0; dx <= 27.0; dx += 2.25) {
+      for (double dy = -27.0; dy <= 27.0; dy += 3.5) {
+        tags.push_back(reader + Point2{dx, dy});
+      }
+    }
+    for (double heading = -7.0; heading <= 7.0; heading += 0.37) {
+      const double c = std::cos(heading);
+      const double sn = std::sin(heading);
+      for (const Point2& tag : tags) {
+        const double by_angle = s.DetectionProbability(reader, heading, tag);
+        const double by_cos_sin = s.DetectionProbability(reader, c, sn, tag);
+        const double reference =
+            ReferenceDetectionProbability(s, reader, heading, tag);
+        ASSERT_EQ(Bits(by_angle), Bits(reference))
+            << "reader (" << reader.x << ", " << reader.y << ") heading "
+            << heading << " tag (" << tag.x << ", " << tag.y << ")";
+        ASSERT_EQ(Bits(by_cos_sin), Bits(reference))
+            << "reader (" << reader.x << ", " << reader.y << ") heading "
+            << heading << " tag (" << tag.x << ", " << tag.y << ")";
+        if (reference > 0.0) ++positive;
+        ++checked;
+      }
+    }
+  }
+  // The grid reaches both sides of hard_range.
+  EXPECT_GT(positive, 0u);
+  EXPECT_LT(positive, checked);
+  EXPECT_EQ(Distance({3.0, 4.0}, Point2{3.0, 4.0} + Point2{-15.0, 20.0}),
+            s.hard_range);
+  EXPECT_GT(s.DetectionProbability({3.0, 4.0}, 0.5, {-12.0, 24.0}), 0.0);
 }
 
 WarehouseConfig SmallConfig() {

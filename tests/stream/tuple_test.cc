@@ -2,6 +2,47 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <utility>
+
+// Counting replacements of the global allocation functions, so a test can
+// assert how many heap allocations one operation makes. Every form is
+// replaced and backed by malloc/free, so new and delete always pair up
+// (also under sanitizers, which intercept malloc/free). GCC inlines the
+// replacement delete and warns that free() meets operator new; that pairing
+// is exactly the one defined here.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+namespace {
+std::atomic<size_t> g_allocations{0};
+
+void* CountedAlloc(size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+void* operator new(size_t size) {
+  if (void* p = CountedAlloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](size_t size) { return ::operator new(size); }
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
 namespace usp {
 namespace stream {
 namespace {
@@ -54,6 +95,84 @@ TEST(TupleTest, SharesLineageDetectsOverlap) {
   EXPECT_TRUE(a.SharesLineageWith(b));
   EXPECT_FALSE(a.SharesLineageWith(c));
   EXPECT_FALSE(b.SharesLineageWith(c));
+}
+
+TEST(TupleTest, BaseLineageSurvivesCopyMoveAndAppend) {
+  Tuple t(0, {Value(1.0)});
+  t.InitBaseLineage();
+  const TupleId id = t.id();
+  const std::vector<TupleId> expected{id};
+
+  const Tuple copy(t);
+  EXPECT_EQ(copy.id(), id);
+  EXPECT_EQ(copy.lineage(), expected);
+
+  Tuple assigned(0, {});
+  assigned = copy;
+  EXPECT_EQ(assigned.lineage(), expected);
+
+  Tuple moved(std::move(t));
+  EXPECT_EQ(moved.lineage(), expected);
+  Tuple move_assigned(0, {});
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.lineage(), expected);
+
+  move_assigned.AppendValue(Value(2.0));
+  EXPECT_EQ(move_assigned.num_values(), 2u);
+  EXPECT_EQ(move_assigned.lineage(), expected);
+}
+
+TEST(TupleTest, SetLineageAndInitBaseLineageReplaceEachOther) {
+  Tuple t(0, {});
+  t.InitBaseLineage();
+  t.SetLineage({9, 4});
+  EXPECT_EQ(t.lineage(), (std::vector<TupleId>{4, 9}));
+  t.InitBaseLineage();
+  EXPECT_EQ(t.lineage(), (std::vector<TupleId>{t.id()}));
+  // A base tuple charges no heap lineage, however it got there.
+  EXPECT_EQ(t.ApproxBytes(), sizeof(Tuple));
+}
+
+TEST(TupleTest, MergeOfTwoBaseTuplesHasBothIdsSorted) {
+  Tuple older(0, {});
+  Tuple newer(0, {});
+  older.InitBaseLineage();
+  newer.InitBaseLineage();
+  ASSERT_LT(older.id(), newer.id());
+  newer.MergeLineageFrom(older);
+  EXPECT_EQ(newer.lineage(),
+            (std::vector<TupleId>{older.id(), newer.id()}));
+  EXPECT_EQ(older.lineage(), (std::vector<TupleId>{older.id()}));
+}
+
+TEST(TupleTest, BaseTupleSharesLineageWithCopiesAndDerivedTuples) {
+  Tuple base(0, {});
+  base.InitBaseLineage();
+  const Tuple copy(base);
+  EXPECT_TRUE(copy.SharesLineageWith(base));
+  EXPECT_TRUE(base.SharesLineageWith(copy));
+  EXPECT_EQ(copy.lineage(), base.lineage());
+
+  Tuple derived(0, {});
+  derived.SetLineage({base.id() + 1000, base.id()});
+  EXPECT_TRUE(base.SharesLineageWith(derived));
+  EXPECT_TRUE(derived.SharesLineageWith(base));
+
+  Tuple other(0, {});
+  other.InitBaseLineage();
+  EXPECT_FALSE(base.SharesLineageWith(other));
+  EXPECT_FALSE(other.SharesLineageWith(derived));
+}
+
+TEST(TupleTest, CopyingBaseTupleAllocatesOnlyTheValues) {
+  Tuple t(7, {Value(int64_t{1}), Value(2.0), Value(3.0)});
+  t.InitBaseLineage();
+  const size_t before = g_allocations.load(std::memory_order_relaxed);
+  const Tuple copy(t);
+  const size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 1u);  // the values vector, not the lineage
+  EXPECT_EQ(copy.num_values(), 3u);
+  EXPECT_EQ(copy.lineage(), (std::vector<TupleId>{t.id()}));
 }
 
 TEST(TupleTest, SharesLineageEmptyIsFalse) {
