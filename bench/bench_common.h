@@ -13,9 +13,11 @@
 #ifndef USP_BENCH_BENCH_COMMON_H_
 #define USP_BENCH_BENCH_COMMON_H_
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "stats/simd/dispatch.h"
@@ -93,6 +95,30 @@ inline const char* ApplySimdFlag(const Args& args) {
     setenv("USP_SIMD", "scalar", 1);
   }
   return stats::simd::ActiveIsaName();
+}
+
+/// The build type CMake configured the bench with (bench/ targets get it
+/// as a compile definition).
+#ifndef USP_BUILD_TYPE
+#define USP_BUILD_TYPE "unknown"
+#endif
+
+/// Writes `  "machine": {...},` — hardware threads, active SIMD tier,
+/// build type and compiler — so a committed snapshot says what produced
+/// it.
+inline void PrintMachineJson(FILE* f) {
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  fprintf(f,
+          "  \"machine\": {\"cores\": %u, \"isa\": \"%s\", "
+          "\"build_type\": \"%s\", \"compiler\": \"%s\"},\n",
+          std::thread::hardware_concurrency(), stats::simd::ActiveIsaName(),
+          USP_BUILD_TYPE, compiler);
 }
 
 inline Args ParseArgs(int argc, char** argv) {

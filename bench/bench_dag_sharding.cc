@@ -22,9 +22,11 @@
 //    section wires the graph directly — the graph-level exception the
 //    ROADMAP grants benches of the executor itself.
 //
-// NOTE: the dev container is single-core; multi-shard and multi-lane
-// rows are expected ~flat there (<10% overhead is the acceptance bar),
-// the speedups need >= 4 physical cores.
+// Each point runs five times (once under --smoke); the JSON records the
+// median, min and max throughput per point plus a machine block (cores,
+// ISA, build type, compiler), because a single ~0.1 s run spreads ~2x
+// on a shared host. Scaling past 1 shard or lane needs as many free
+// cores as shards plus producers.
 //
 // Run:  ./build/bench/bench_dag_sharding [--smoke] [--ingest-threads 1,2,4]
 
@@ -63,6 +65,7 @@ constexpr size_t kNumKeys = 64;
 constexpr int64_t kWindowUs = 1000;
 
 bool g_smoke = false;
+size_t g_reps = 5;
 size_t g_q1_tuples = 64 * 1024;
 size_t g_ingest_tuples_per_chain = 64 * 1024;
 std::vector<size_t> g_shard_axis = {1, 2, 4, 8};
@@ -113,7 +116,6 @@ double RunQ1Sharding(size_t num_shards, const std::vector<TupleBatch>& input) {
           .PartitionBy(usp::stream::KeyByIntValue(0));
   usp::query::PlannerOptions opts;
   opts.num_shards = num_shards;
-  opts.target_batch_size = 0;  // measure raw ingest, not re-batching
   auto exec_or = q1.Compile(opts);
   if (!exec_or.ok()) {
     fprintf(stderr, "compile failed: %s\n",
@@ -219,55 +221,89 @@ double RunIngest(size_t num_shards, size_t num_lanes,
          sw.ElapsedSeconds();
 }
 
+/// Throughput of one point over g_reps runs: median, min, max. Any failed
+/// run (0 tuples/sec) fails the point.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+template <typename RunFn>
+Spread Measure(RunFn run) {
+  std::vector<double> tps;
+  for (size_t r = 0; r < g_reps; ++r) tps.push_back(run());
+  std::sort(tps.begin(), tps.end());
+  if (tps.front() <= 0.0) return Spread();
+  const size_t n = tps.size();
+  const double median =
+      n % 2 == 1 ? tps[n / 2] : 0.5 * (tps[n / 2 - 1] + tps[n / 2]);
+  return Spread{median, tps.front(), tps.back()};
+}
+
+void PrintSpreadJson(FILE* f, const Spread& s) {
+  fprintf(f,
+          "\"tuples_per_sec\": %.1f, \"tuples_per_sec_min\": %.1f, "
+          "\"tuples_per_sec_max\": %.1f",
+          s.median, s.min, s.max);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const usp::bench::Args args = usp::bench::ParseArgs(argc, argv);
   g_smoke = args.smoke;
-  g_lane_axis = args.AxisFlag("--ingest-threads", g_lane_axis);
   if (g_smoke) {
     g_q1_tuples = 8 * 1024;
     g_ingest_tuples_per_chain = 8 * 1024;
     g_shard_axis = {1, 2};
     g_ingest_shard_axis = {1, 2};
-    if (g_lane_axis.size() > 2) g_lane_axis = {1, 2};
+    g_lane_axis = {1, 2};
+    g_reps = 1;
   }
+  // An explicit lane axis wins over the smoke default.
+  g_lane_axis = args.AxisFlag("--ingest-threads", g_lane_axis);
 
   struct ShardingRow {
     size_t shards;
-    double tps;
+    Spread tps;
   };
   struct IngestRow {
     size_t shards;
     size_t lanes;
-    double tps;
+    Spread tps;
   };
   std::vector<ShardingRow> sharding_rows;
   std::vector<IngestRow> ingest_rows;
   bool failed = false;
 
-  printf("=== 1. Q1 keyed group-by: shards axis (%zu tuples) ===\n",
-         g_q1_tuples);
-  printf("%-8s %14s\n", "shards", "tuples/sec");
+  printf("=== 1. Q1 keyed group-by: shards axis (%zu tuples, %zu reps) ===\n",
+         g_q1_tuples, g_reps);
+  printf("%-8s %14s %14s %14s\n", "shards", "median t/s", "min", "max");
   const auto q1_input = MakeQ1Input();
   for (size_t shards : g_shard_axis) {
-    const double tps = RunQ1Sharding(shards, q1_input);
-    if (tps <= 0.0) failed = true;
+    const Spread tps =
+        Measure([&] { return RunQ1Sharding(shards, q1_input); });
+    if (tps.median <= 0.0) failed = true;
     sharding_rows.push_back({shards, tps});
-    printf("%-8zu %14.0f\n", shards, tps);
+    printf("%-8zu %14.0f %14.0f %14.0f\n", shards, tps.median, tps.min,
+           tps.max);
   }
 
   printf("\n=== 2. multi-producer ingest: %zu chains x %zu tuples ===\n",
          kChains, g_ingest_tuples_per_chain);
-  printf("%-8s %-15s %14s\n", "shards", "ingest-threads", "tuples/sec");
+  printf("%-8s %-15s %14s %14s %14s\n", "shards", "ingest-threads",
+         "median t/s", "min", "max");
   std::vector<std::vector<TupleBatch>> feeds;
   for (size_t c = 0; c < kChains; ++c) feeds.push_back(MakeChainFeed(c));
   for (size_t shards : g_ingest_shard_axis) {
     for (size_t lanes : g_lane_axis) {
-      const double tps = RunIngest(shards, lanes, feeds);
-      if (tps <= 0.0) failed = true;
+      const Spread tps =
+          Measure([&] { return RunIngest(shards, lanes, feeds); });
+      if (tps.median <= 0.0) failed = true;
       ingest_rows.push_back({shards, lanes, tps});
-      printf("%-8zu %-15zu %14.0f\n", shards, lanes, tps);
+      printf("%-8zu %-15zu %14.0f %14.0f %14.0f\n", shards, lanes,
+             tps.median, tps.min, tps.max);
     }
   }
 
@@ -275,20 +311,20 @@ int main(int argc, char** argv) {
   if (f) {
     fprintf(f, "{\n  \"bench\": \"dag_sharding\",\n");
     fprintf(f, "  \"smoke\": %s,\n", g_smoke ? "true" : "false");
+    usp::bench::PrintMachineJson(f);
+    fprintf(f, "  \"reps\": %zu,\n", g_reps);
     fprintf(f, "  \"sharding\": [\n");
     for (size_t i = 0; i < sharding_rows.size(); ++i) {
-      fprintf(f, "    {\"shards\": %zu, \"tuples_per_sec\": %.1f}%s\n",
-              sharding_rows[i].shards, sharding_rows[i].tps,
-              i + 1 < sharding_rows.size() ? "," : "");
+      fprintf(f, "    {\"shards\": %zu, ", sharding_rows[i].shards);
+      PrintSpreadJson(f, sharding_rows[i].tps);
+      fprintf(f, "}%s\n", i + 1 < sharding_rows.size() ? "," : "");
     }
     fprintf(f, "  ],\n  \"ingest\": [\n");
     for (size_t i = 0; i < ingest_rows.size(); ++i) {
-      fprintf(f,
-              "    {\"shards\": %zu, \"ingest_threads\": %zu, "
-              "\"tuples_per_sec\": %.1f}%s\n",
-              ingest_rows[i].shards, ingest_rows[i].lanes,
-              ingest_rows[i].tps,
-              i + 1 < ingest_rows.size() ? "," : "");
+      fprintf(f, "    {\"shards\": %zu, \"ingest_threads\": %zu, ",
+              ingest_rows[i].shards, ingest_rows[i].lanes);
+      PrintSpreadJson(f, ingest_rows[i].tps);
+      fprintf(f, "}%s\n", i + 1 < ingest_rows.size() ? "," : "");
     }
     fprintf(f, "  ]\n}\n");
     fclose(f);

@@ -96,13 +96,12 @@ int main() {
 
   // num_shards is pinned to 4 so the demo behaves identically on any
   // machine; leaving it at the default (kAutoShards) lets the planner
-  // size the executor from the machine's cores instead. target_batch_size
-  // stays at its default, kAutoBatchSize: the executor's feedback tuner
-  // re-derives the ingest batch target from the observed per-tuple
-  // operator cost while the query runs (see the line printed after the
-  // run). Override either only when you know better than the planner —
-  // e.g. pinning shards for reproducible benchmarks, or pinning the batch
-  // target for a hard per-batch latency bound.
+  // size the executor from the machine's cores instead. Override it only
+  // when you know better than the planner — e.g. for reproducible
+  // benchmarks. Ingest forwards each scan's batch as it is: one push
+  // reaches each shard as one message, so the scan size is the unit of
+  // work a shard sees (the line printed after the run shows how long the
+  // producer waited on full shard queues).
   usp::query::PlannerOptions popts;
   popts.num_shards = 4;
   auto exec_or = q1.Compile(popts);
@@ -153,8 +152,7 @@ int main() {
   }
   printf("\n%zu violation alerts from %llu location tuples\n", alerts.size(),
          static_cast<unsigned long long>(group_in));
-  printf("ingest: auto batch target settled at %zu tuples, producer "
-         "blocked %.1f ms on backpressure\n",
-         exec->current_target_batch_size(), blocked * 1e3);
+  printf("ingest: producer blocked %.1f ms on backpressure\n",
+         blocked * 1e3);
   return 0;
 }

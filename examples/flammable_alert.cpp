@@ -149,6 +149,9 @@ int main() {
       temp_feed.push_back(std::move(temps_batch));
     }
   }
+  uint64_t rfid_pushed = 0, temps_pushed = 0;
+  for (const auto& batch : rfid_feed) rfid_pushed += batch.size();
+  for (const auto& batch : temp_feed) temps_pushed += batch.size();
   auto push_feed = [&exec](usp::stream::ExecGraph::NodeId source,
                            std::vector<usp::stream::TupleBatch>* feed) {
     for (usp::stream::TupleBatch& batch : *feed) {
@@ -192,22 +195,32 @@ int main() {
         temps_batch.Append(std::move(temp));
       }
     }
+    temps_pushed += temps_batch.size();
     if (auto st = exec->PushBatch(temp_src, std::move(temps_batch));
         !st.ok()) {
       fprintf(stderr, "plan failed: %s\n", st.ToString().c_str());
       return 1;
     }
   }
-  // The ingest rings drain asynchronously; give the worker a moment to
-  // absorb the backlog before sampling the gauge (bounded wait, not a
-  // correctness dependency — Finish() would flush regardless).
-  uint64_t grown = 0;
-  for (int spin = 0; spin < 2000; ++spin) {
-    const uint64_t now = q2_buffered();
-    if (now > 0 && now == grown) break;
-    grown = now;
+  // The worker drains the ingest rings asynchronously, and ingest holds
+  // nothing back: sample the gauge once the join has taken in every tuple
+  // pushed so far (bounded wait, not a correctness dependency — Finish()
+  // would flush regardless).
+  const auto join_caught_up = [&] {
+    uint64_t filter_in = 0, filter_out = 0, join_in = 0;
+    for (const auto& m : exec->MetricsSnapshot()) {
+      if (m.name == "flammable") {
+        filter_in = m.metrics.tuples_in;
+        filter_out = m.metrics.tuples_out;
+      }
+      if (m.name == "q2") join_in = m.metrics.tuples_in;
+    }
+    return filter_in == rfid_pushed && join_in == filter_out + temps_pushed;
+  };
+  for (int spin = 0; spin < 10000 && !join_caught_up(); ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  const uint64_t grown = q2_buffered();
   // The outage monitor announces RFID progress without data; the join may
   // now expire every buffered temperature older than the watermark minus
   // the join range.

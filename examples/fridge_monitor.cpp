@@ -20,10 +20,14 @@
 //
 // Build & run:  ./build/examples/fridge_monitor
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "query/planner.h"
 #include "query/query.h"
@@ -68,35 +72,46 @@ int main() {
 
   // --- 2. subscriptions: scope + personal threshold ---------------------
   // Each OnMatch callback fires once per (window, group) row that passes
-  // that subscriber's condition — the alert channel.
+  // that subscriber's condition — the alert channel. Callbacks run on the
+  // shard workers as windows close, several shards at once, so the demo
+  // collects the alert lines and prints them in (window, fridge,
+  // subscriber) order: the output does not depend on thread timing.
   auto set = std::make_shared<SubscriptionSet>();
   std::map<usp::query::SubscriptionSet::Id, std::string> who;
-  const auto alert = [&who](const char* name) {
-    return [name](const Tuple& row) {
+  std::mutex alerts_mu;
+  std::vector<std::tuple<int64_t, std::string, int, std::string>> alerts;
+  const auto alert = [&](const char* name, int rank) {
+    return [&alerts_mu, &alerts, name, rank](const Tuple& row) {
       const auto& avg = *row.value(1).AsDistribution();
       // Group keys come out canonicalised as strings ("3" for fridge 3).
-      printf("  ALERT %-10s fridge %s window@%lldus: avg %.1fF sd %.2f\n",
-             name, row.value(0).AsString().c_str(),
-             static_cast<long long>(row.timestamp()), avg.Mean(), avg.Stddev());
+      char line[128];
+      snprintf(line, sizeof(line),
+               "  ALERT %-10s fridge %s window@%lldus: avg %.1fF sd %.2f",
+               name, row.value(0).AsString().c_str(),
+               static_cast<long long>(row.timestamp()), avg.Mean(),
+               avg.Stddev());
+      std::lock_guard<std::mutex> lock(alerts_mu);
+      alerts.emplace_back(row.timestamp(), row.value(0).AsString(), rank,
+                          line);
     };
   };
 
   // Alice owns fridge 3 and wants to know when it is PROBABLY above 40F.
   const auto alice = set->Subscribe(Subscription::KeyEquals(Value(int64_t{3}))
                                         .Where(0, 40.0, 0.9)
-                                        .OnMatch(alert("alice")));
+                                        .OnMatch(alert("alice", 0)));
   who[alice] = "alice";
   // Bob also watches fridge 3 but is paranoid: 38F at 60% confidence.
   const auto bob = set->Subscribe(Subscription::KeyEquals(Value(int64_t{3}))
                                       .Where(0, 38.0, 0.6)
-                                      .OnMatch(alert("bob")));
+                                      .OnMatch(alert("bob", 1)));
   who[bob] = "bob";
   // The technician patrols fridges 0..9 for hard failures (50F, 95%).
   set->Subscribe(Subscription::KeyInRange(0, 9)
                      .Where(0, 50.0, 0.95)
-                     .OnMatch(alert("technician")));
+                     .OnMatch(alert("technician", 2)));
   // The auditor records every closed window of every fridge, no filter.
-  set->Subscribe(Subscription::AllGroups().OnMatch(alert("auditor")));
+  set->Subscribe(Subscription::AllGroups().OnMatch(alert("auditor", 3)));
   printf("registered %zu subscriptions\n", set->size());
 
   // --- 3. compile ONCE, observe the sharing decisions -------------------
@@ -120,18 +135,22 @@ int main() {
   // --- 5. alice unsubscribes; shared state is refcounted ----------------
   // Bob still watches fridge 3, so the exact-key bucket stays live; only
   // when the LAST watcher of a key leaves is its index state released.
-  TupleBatch w2;
-  w2.Append(Reading(5'500'000, 3, 44.0, 1.0));  // closes window 1
-  (void)mq->PushBatch(mq->source("temps"), std::move(w2));
+  // Alice leaves before the reading that closes window 1 arrives, so she
+  // hears about neither window.
   mq->subscriptions().Unsubscribe(alice);
   printf("\nalice unsubscribed (%zu remain); window 2 (5-10s): still warm\n",
          mq->subscriptions().size());
+  TupleBatch w2;
+  w2.Append(Reading(5'500'000, 3, 44.0, 1.0));  // closes window 1
+  (void)mq->PushBatch(mq->source("temps"), std::move(w2));
 
   TupleBatch w3;
   w3.Append(Reading(6'500'000, 3, 45.0, 1.0));
   w3.Append(Reading(7'000'000, 7, 36.0, 0.5));
   (void)mq->PushBatch(mq->source("temps"), std::move(w3));
   (void)mq->Finish();  // closes window 2: bob + technician + auditor only
+  std::sort(alerts.begin(), alerts.end());
+  for (const auto& a : alerts) printf("%s\n", std::get<3>(a).c_str());
 
   // --- 6. the sink view -------------------------------------------------
   // Every dispatched row also lands in the sink, tagged with the matching

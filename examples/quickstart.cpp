@@ -60,20 +60,19 @@ int main() {
   //      and materialises the physical runtime. The planner auto-tunes
   //      the physical knobs by default: the shard count comes from the
   //      machine's cores (falling back to one shard when no partition
-  //      key is derivable), each source gets its own ingest lane on
-  //      sharded plans, and the ingest batch target is re-derived from
-  //      observed operator cost while the query runs. Every decision is
-  //      visible in `summary()` (printed below for the first plan).
+  //      key is derivable) and each source gets its own ingest lane on
+  //      sharded plans. Ingest forwards your batches as they are: the
+  //      size you push is the unit each shard processes, so push in
+  //      chunks for throughput or tuple by tuple for the lowest latency.
+  //      Every decision is visible in `summary()` (printed below for the
+  //      first plan).
   //
   //      When to override in PlannerOptions: pin `num_shards` when you
   //      need machine-independent results/benchmarks (num_shards = 1
   //      with one ingest lane runs the plan inline on your thread: each
   //      PushBatch emits its results before returning, in exact emission
-  //      order) or when the query shares the host with other work; pin
-  //      `target_batch_size` when you need a hard per-batch latency bound
-  //      instead of the tuner's throughput-oriented choice (0 disables
-  //      re-batching entirely; inline plans never re-batch). Explicit
-  //      values always win over auto-tuning.
+  //      order) or when the query shares the host with other work.
+  //      Explicit values always win over auto-tuning.
   //
   //      Watermark knob (event-time progress): every ingested batch
   //      carries its source's promise "no future tuple below T"; the

@@ -296,14 +296,6 @@ std::string PlanSummary::ToString() const {
     out << ", " << num_ingest_lanes << " ingest lane"
         << (num_ingest_lanes == 1 ? "" : "s")
         << (auto_num_ingest_lanes ? " [auto]" : "");
-    out << ", target batch ";
-    if (auto_target_batch_size) {
-      out << "auto (initial " << target_batch_size << ")";
-    } else if (target_batch_size == 0) {
-      out << "pass-through";
-    } else {
-      out << target_batch_size;
-    }
   }
   if (watermark_period_us > 0) {
     out << ", watermarks every " << watermark_period_us << " us";
@@ -368,10 +360,6 @@ common::Status CompiledQuery::PushBatch(stream::ExecGraph::NodeId source,
 size_t CompiledQuery::ingest_lane(stream::ExecGraph::NodeId source) const {
   const auto it = lane_of_source_.find(source);
   return it == lane_of_source_.end() ? 0 : it->second;
-}
-
-size_t CompiledQuery::current_target_batch_size() const {
-  return executor_->current_target_batch_size();
 }
 
 common::Status CompiledQuery::PushBatch(stream::ExecGraph::NodeId source,
@@ -510,21 +498,9 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   summary.shard_key_source = key.source;
 
   // One shard behind one lane runs inline (ShardedExecutor's inline
-  // rule). Re-batching and pinning amortise and place a ring hop such a
-  // plan does not have, so it keeps pass-through ingest and no pinning.
+  // rule). Pinning places a ring hop such a plan does not have, so it
+  // is not pinned.
   const bool runs_inline = num_shards == 1 && num_lanes == 1;
-
-  // --- resolve the re-batching target ------------------------------------
-  summary.auto_target_batch_size =
-      !runs_inline &&
-      options.target_batch_size == PlannerOptions::kAutoBatchSize;
-  size_t target_batch_size = 0;
-  if (!runs_inline) {
-    target_batch_size = summary.auto_target_batch_size
-                            ? ShardedExecutor::kDefaultInitialBatch
-                            : options.target_batch_size;
-  }
-  summary.target_batch_size = target_batch_size;
 
   // --- resolve thread pinning --------------------------------------------
   // Pin shard workers and ingest lanes to distinct cores when the machine
@@ -535,8 +511,6 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   ShardedExecutor::Options sopts;
   sopts.num_shards = num_shards;
   sopts.num_ingest_lanes = num_lanes;
-  sopts.target_batch_size = target_batch_size;
-  sopts.auto_target_batch_size = summary.auto_target_batch_size;
   sopts.watermark_period_us = summary.watermark_period_us;
   sopts.watermark_lateness_us = options.watermark_lateness_us;
   sopts.pin_threads = summary.pin_threads;

@@ -24,14 +24,13 @@
 //     shard count itself was auto, in which case the planner falls back
 //     to one shard and says why in the summary;
 //   * physical auto-tuning: shard count from
-//     std::thread::hardware_concurrency(), one ingest lane per source on
-//     sharded plans so multi-sensor feeds push from their own threads,
-//     and the ingest re-batching target from observed per-tuple operator
-//     cost (the executor's feedback tuner) — each overridable in
-//     PlannerOptions. Shard workers and ingest lanes are pinned to cores
-//     when the machine has >= 4 hardware threads. Plans that run inline
-//     keep pass-through ingest and no pinning: re-batching and pinning
-//     amortise and place a ring hop those plans do not have;
+//     std::thread::hardware_concurrency() and one ingest lane per source
+//     on sharded plans so multi-sensor feeds push from their own threads
+//     — each overridable in PlannerOptions. Shard workers and ingest
+//     lanes are pinned to cores when the machine has >= 4 hardware
+//     threads; plans that run inline are not pinned, as pinning places a
+//     ring hop those plans do not have. Ingest forwards the caller's
+//     batches on every plan: the push size is the unit each shard sees;
 //   * logical rewrites: filters are pushed below maps whenever the
 //     filter's declared read set lies inside the map's preserved prefix
 //     (an opaque filter — no declared reads — stays where it is);
@@ -66,7 +65,6 @@ struct PlannerOptions {
   /// plan, reports it in PlanSummary, and any explicit value still wins.
   static constexpr size_t kAutoShards = 0;
   static constexpr size_t kAutoLanes = 0;
-  static constexpr size_t kAutoBatchSize = static_cast<size_t>(-1);
 
   /// Worker shards. kAutoShards (the default) derives the count from
   /// std::thread::hardware_concurrency() (capped at kMaxAutoShards) when
@@ -83,13 +81,6 @@ struct PlannerOptions {
   /// lane otherwise. Sources are assigned round-robin in declaration
   /// order when there are fewer lanes than sources.
   size_t num_ingest_lanes = kAutoLanes;
-  /// Ingest merges undersized and splits oversized caller batches toward
-  /// this many tuples; 0 forwards caller-sized batches unchanged. Plans
-  /// that run inline (one shard, one lane) always pass through.
-  /// kAutoBatchSize (the default) turns on the executor's feedback tuner:
-  /// the target is re-derived from observed per-tuple operator cost so
-  /// one batch carries roughly a fixed cost budget of downstream work.
-  size_t target_batch_size = kAutoBatchSize;
 
   /// Event-time lateness: a source's watermark is its max ingested
   /// timestamp minus this ("no future tuple below max - L"). Watermarks
@@ -126,12 +117,10 @@ struct PlanSummary {
   size_t num_ingest_lanes = 1;
   bool auto_num_ingest_lanes = false;
 
-  /// Resolved ingest re-batching target (0 = pass-through).
+  /// Always 0: ingest forwards the caller's batches and has no re-batching
+  /// target. Kept only because the perfbench workloads still read it for
+  /// their `stream.batch_target` metric; goes with that metric.
   size_t target_batch_size = 0;
-  /// True when the executor's feedback tuner owns the target (never on
-  /// plans that run inline); the reported value is then the initial seed,
-  /// see CompiledQuery::current_target_batch_size() for the live value.
-  bool auto_target_batch_size = false;
 
   enum class ShardKeySource {
     kNone,              ///< single shard, no partitioning
@@ -218,10 +207,10 @@ class CompiledQuery {
   common::Status PushWatermark(stream::ExecGraph::NodeId source,
                                int64_t watermark);
 
-  /// Live ingest re-batching target (moves under the feedback tuner when
-  /// PlannerOptions::kAutoBatchSize is in effect; 0 on pass-through
-  /// plans).
-  size_t current_target_batch_size() const;
+  /// Always 0: ingest forwards the caller's batches and has no re-batching
+  /// target. Kept only because the perfbench workloads still read it for
+  /// their `stream.batch_target` metric; goes with that metric.
+  size_t current_target_batch_size() const { return 0; }
 
   /// End-of-stream: flush windows/joins (and join + drain the shard
   /// workers, if any). Idempotent; returns the first error any part of

@@ -121,11 +121,6 @@ common::Result<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
     lane->watermark_clocks.assign(num_nodes, SourceWatermarkClock());
     exec->lanes_.push_back(std::move(lane));
   }
-  size_t initial_target = options.target_batch_size;
-  if (options.auto_target_batch_size && initial_target == 0) {
-    initial_target = kDefaultInitialBatch;
-  }
-  exec->current_target_.store(initial_target, std::memory_order_relaxed);
   // Pre-size the merged sink store so sink_output() before Finish() reads
   // an empty batch instead of indexing out of bounds.
   exec->merged_sinks_.assign(num_nodes, TupleBatch());
@@ -292,44 +287,6 @@ common::Status ShardedExecutor::BroadcastWatermark(Lane* lane,
   return common::Status::OK();
 }
 
-common::Status ShardedExecutor::PushSlice(Lane* lane,
-                                          ExecGraph::NodeId source,
-                                          TupleBatch&& batch) {
-  // Each slice carries its source's watermark whenever ingesting it
-  // advanced the source clock; the shard applies it right after the
-  // slice's tuples, so a shard closes windows as soon as its data passes
-  // them.
-  SourceWatermarkClock& clock = lane->watermark_clocks[source];
-  const int64_t watermark =
-      clock.Observe(batch.MaxTimestamp(), options_.watermark_lateness_us);
-  const uint64_t seq = ++lane->next_seq[source];
-  if (shards_.size() == 1) {
-    // Single shard: forward the whole batch without re-partitioning. The
-    // shard receives every slice and its watermark, so it needs no
-    // broadcast.
-    return Enqueue(lane, 0,
-                   Message{source, seq, std::move(batch), watermark});
-  }
-  std::vector<TupleBatch> partitions(shards_.size());
-  for (Tuple& t : batch.mutable_tuples()) {
-    partitions[key_fn_(t) % shards_.size()].Append(std::move(t));
-  }
-  batch.Clear();
-  for (size_t i = 0; i < partitions.size(); ++i) {
-    if (partitions[i].empty()) continue;
-    USP_RETURN_NOT_OK(Enqueue(
-        lane, i, Message{source, seq, std::move(partitions[i]), watermark}));
-  }
-  // A shard that got none of the source's recent tuples hears its
-  // progress from the periodic broadcast, enqueued after the data it
-  // covers (lane FIFO then guarantees no shard sees the watermark before
-  // the tuples it promises about).
-  if (clock.BroadcastDue(options_.watermark_period_us)) {
-    USP_RETURN_NOT_OK(BroadcastWatermark(lane, source, clock.last_watermark));
-  }
-  return common::Status::OK();
-}
-
 common::Status ShardedExecutor::PushBatch(LaneId lane,
                                           ExecGraph::NodeId source,
                                           const TupleBatch& batch) {
@@ -400,108 +357,39 @@ common::Status ShardedExecutor::PushBatch(LaneId lane_id,
   USP_RETURN_NOT_OK(AdmitPush(lane_id, source, &lane, &ticket));
   if (batch.empty()) return common::Status::OK();
   USP_RETURN_NOT_OK(BindSourceToLane(lane_id, source));
-  const uint64_t total =
-      ingested_tuples_.fetch_add(batch.size(), std::memory_order_relaxed) +
-      batch.size();
-  const size_t target = current_target_.load(std::memory_order_relaxed);
-  common::Status st;
-  if (target > 0) {
-    st = PushRebatched(lane, source, std::move(batch), target);
-  } else {
-    st = PushSlice(lane, source, std::move(batch));
+  // The push goes out at once, one slice per shard it reaches. Each slice
+  // carries its source's watermark whenever ingesting the push advanced
+  // the source clock; the shard applies it right after the slice's
+  // tuples, so a shard closes windows as soon as its data passes them.
+  SourceWatermarkClock& clock = lane->watermark_clocks[source];
+  const int64_t watermark =
+      clock.Observe(batch.MaxTimestamp(), options_.watermark_lateness_us);
+  const uint64_t seq = ++lane->next_seq[source];
+  if (shards_.size() == 1) {
+    // Single shard: forward the whole batch without re-partitioning. The
+    // shard receives every slice and its watermark, so it needs no
+    // broadcast.
+    return Enqueue(lane, 0,
+                   Message{source, seq, std::move(batch), watermark});
   }
-  if (st.ok() && options_.auto_target_batch_size &&
-      total >= next_tune_at_.load(std::memory_order_relaxed)) {
-    MaybeRetune(total);
-  }
-  return st;
-}
-
-common::Status ShardedExecutor::PushRebatched(Lane* lane,
-                                              ExecGraph::NodeId source,
-                                              TupleBatch&& batch,
-                                              size_t target) {
-  if (batch.size() >= target) {
-    // Bulk path: deliver any buffered remainder first (arrival order),
-    // then split into target-sized slices — one move per tuple. The
-    // undersized tail is forwarded directly rather than buffered: a bulk
-    // producer is not a trickle feed.
-    USP_RETURN_NOT_OK(FlushLanePending(lane));
-    std::vector<Tuple>& tuples = batch.mutable_tuples();
-    for (size_t off = 0; off < tuples.size(); off += target) {
-      const size_t end = std::min(off + target, tuples.size());
-      TupleBatch slice;
-      slice.Reserve(end - off);
-      for (size_t i = off; i < end; ++i) {
-        slice.Append(std::move(tuples[i]));
-      }
-      USP_RETURN_NOT_OK(PushSlice(lane, source, std::move(slice)));
-    }
-    batch.Clear();
-    return common::Status::OK();
-  }
-  // Trickle path: merge undersized consecutive same-source pushes in the
-  // lane-local buffer until a target-sized slice fills. The buffer is
-  // flushed when the lane's source changes (so cross-source arrival
-  // order within the lane survives) and at Finish().
-  if (!lane->pending.empty() && lane->pending_source != source) {
-    USP_RETURN_NOT_OK(FlushLanePending(lane));
-  }
-  lane->pending_source = source;
-  std::vector<Tuple>& buf = lane->pending.mutable_tuples();
-  buf.reserve(buf.size() + batch.size());
+  std::vector<TupleBatch> partitions(shards_.size());
   for (Tuple& t : batch.mutable_tuples()) {
-    buf.push_back(std::move(t));
+    partitions[key_fn_(t) % shards_.size()].Append(std::move(t));
   }
   batch.Clear();
-  size_t off = 0;
-  while (buf.size() - off >= target) {
-    TupleBatch slice;
-    slice.Reserve(target);
-    for (size_t i = off; i < off + target; ++i) {
-      slice.Append(std::move(buf[i]));
-    }
-    off += target;
-    USP_RETURN_NOT_OK(PushSlice(lane, source, std::move(slice)));
+  for (size_t i = 0; i < partitions.size(); ++i) {
+    if (partitions[i].empty()) continue;
+    USP_RETURN_NOT_OK(Enqueue(
+        lane, i, Message{source, seq, std::move(partitions[i]), watermark}));
   }
-  if (off > 0) {
-    buf.erase(buf.begin(), buf.begin() + static_cast<ptrdiff_t>(off));
+  // A shard that got none of the source's recent tuples hears its
+  // progress from the periodic broadcast, enqueued after the data it
+  // covers (lane FIFO then guarantees no shard sees the watermark before
+  // the tuples it promises about).
+  if (clock.BroadcastDue(options_.watermark_period_us)) {
+    USP_RETURN_NOT_OK(BroadcastWatermark(lane, source, clock.last_watermark));
   }
   return common::Status::OK();
-}
-
-common::Status ShardedExecutor::FlushLanePending(Lane* lane) {
-  if (lane->pending.empty()) return common::Status::OK();
-  TupleBatch out = std::move(lane->pending);
-  lane->pending = TupleBatch();
-  return PushSlice(lane, lane->pending_source, std::move(out));
-}
-
-void ShardedExecutor::MaybeRetune(uint64_t total_ingested) {
-  // One lane wins the CAS and retunes; the rest skip — the tuner is a
-  // heuristic, racing updates would only waste snapshots.
-  uint64_t expected = next_tune_at_.load(std::memory_order_relaxed);
-  if (total_ingested < expected ||
-      !next_tune_at_.compare_exchange_strong(
-          expected, total_ingested + kTuneIntervalTuples,
-          std::memory_order_relaxed)) {
-    return;
-  }
-  double processing_seconds = 0.0;
-  for (const NodeMetrics& m : MetricsSnapshot()) {
-    processing_seconds += m.metrics.processing_seconds;
-  }
-  if (processing_seconds <= 0.0) return;  // nothing processed yet
-  const double per_tuple =
-      processing_seconds / static_cast<double>(total_ingested);
-  // Size one batch to roughly kTargetBatchCostSeconds of downstream
-  // work: cheap plans get big batches (amortise the per-message queue
-  // hop), expensive plans get small ones (bounded shard latency).
-  double ideal = kTargetBatchCostSeconds / per_tuple;
-  ideal = std::min(ideal, static_cast<double>(kMaxAutoBatch));
-  ideal = std::max(ideal, static_cast<double>(kMinAutoBatch));
-  current_target_.store(static_cast<size_t>(ideal),
-                        std::memory_order_relaxed);
 }
 
 common::Status ShardedExecutor::PushWatermark(LaneId lane_id,
@@ -514,12 +402,6 @@ common::Status ShardedExecutor::PushWatermark(LaneId lane_id,
   PushTicket ticket;
   USP_RETURN_NOT_OK(AdmitPush(lane_id, source, &lane, &ticket));
   USP_RETURN_NOT_OK(BindSourceToLane(lane_id, source));
-  // A pending merge buffer for this source holds data the watermark may
-  // cover; deliver it first or the watermark would overtake its own data
-  // and close windows under it.
-  if (!lane->pending.empty() && lane->pending_source == source) {
-    USP_RETURN_NOT_OK(FlushLanePending(lane));
-  }
   // Monotone per source; re-sends and regressions are no-ops.
   if (!lane->watermark_clocks[source].CommitBroadcast(watermark)) {
     return common::Status::OK();
@@ -557,27 +439,20 @@ common::Status ShardedExecutor::Finish() {
   std::lock_guard<std::mutex> finish_lock(finish_mu_);
   if (finished_) return final_status_;
   // (1) Close the lanes FIRST: a racing push fails loudly with
-  // FailedPrecondition from here on instead of racing the flush below or
-  // parking tuples in a buffer nobody will ever deliver.
+  // FailedPrecondition from here on instead of enqueueing into rings
+  // about to close.
   for (auto& lane : lanes_) {
     lane->closed.store(true);
   }
   // (1b) Wait out pushes already inside PushBatch. The workers are still
   // consuming (rings close below), so a producer blocked on a full ring
   // drains and exits; once active hits zero no acknowledged push can be
-  // stranded, and the pending-buffer flush below cannot race a producer.
+  // stranded.
   for (auto& lane : lanes_) {
     Backoff backoff;
     while (lane->active.load() != 0) backoff.Pause();
   }
-  // (2) Flush the lane-local merge buffers while the rings are still
-  // open, so buffered trickle tuples are delivered, not dropped.
-  common::Status flush_status;
-  for (auto& lane : lanes_) {
-    const common::Status st = FlushLanePending(lane.get());
-    if (flush_status.ok() && !st.ok()) flush_status = st;
-  }
-  // (3) Only now close the rings; workers drain everything accepted.
+  // (2) Only now close the rings; workers drain everything accepted.
   for (auto& lane : lanes_) {
     for (auto& ring : lane->rings) ring->Close();
   }
@@ -587,7 +462,6 @@ common::Status ShardedExecutor::Finish() {
   // Workers are gone; flush every graph and collect the first error. The
   // shard lock is still taken: MetricsSnapshot() is documented as safe to
   // call while running, and Close() mutates operator metrics.
-  final_status_ = flush_status;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     if (final_status_.ok() && !shard->status.ok()) {

@@ -32,13 +32,19 @@
 // Workers verify the per-source sequence numbers and fail the shard
 // loudly on a violation instead of silently mis-windowing.
 //
-// Each shard hash-partitions nothing itself — partitioning happens on the
-// lane's producer thread — and all tuples of one key are processed by one
-// shard: keyed plans (group-by, keyed joins) need no cross-shard
-// coordination, and the result SET is independent of both the shard count
-// and the lane count (merged output is timestamp-sorted unless the plan
-// runs inline; equal-timestamp tie order follows shard assignment and
-// worker interleaving).
+// Ingest forwards the caller's batches: each push is partitioned by shard
+// key on the lane's producer thread and enqueued as ONE message per shard
+// that got tuples — nothing is held back in the lane, so a push's tuples
+// (and the watermark they carry) reach the shards as soon as a worker
+// pops them. The caller's push size is the message size: push in chunks
+// to amortise the ring hop, or tuple by tuple for the lowest latency.
+//
+// Shards partition nothing themselves, and all tuples of one key are
+// processed by one shard: keyed plans (group-by, keyed joins) need no
+// cross-shard coordination, and the result SET is independent of both
+// the shard count and the lane count (merged output is timestamp-sorted
+// unless the plan runs inline; equal-timestamp tie order follows shard
+// assignment and worker interleaving).
 //
 // Thread safety: PushBatch(lane, ...) is single-producer PER LANE — two
 // threads may push concurrently only on different lanes. The lane-less
@@ -50,9 +56,9 @@
 // (tuples/batches enqueued, producer block time, peak queue depth), so
 // backpressure is observable instead of inferred.
 //
-// The executor keeps no per-shard tuple state of its own: anything that
-// must outlive a batch (window panes, join buffers) belongs to an
-// operator, which bounds it in OnWatermark.
+// The executor keeps no tuple state of its own, per lane or per shard:
+// anything that must outlive a batch (window panes, join buffers)
+// belongs to an operator, which bounds it in OnWatermark.
 
 #ifndef USP_STREAM_SHARDED_EXECUTOR_H_
 #define USP_STREAM_SHARDED_EXECUTOR_H_
@@ -97,29 +103,10 @@ class ShardedExecutor {
     /// each source to its own lane to ingest multi-sensor feeds
     /// concurrently.
     size_t num_ingest_lanes = 1;
-    /// Bounded ring depth, in batches, per (lane, shard) pair (rounded up
+    /// Bounded ring depth per (lane, shard) pair, in messages: one per
+    /// push per shard it reaches, plus watermark broadcasts (rounded up
     /// to a power of two; producers block beyond = backpressure).
     size_t queue_capacity = 64;
-    /// When > 0, ingest re-batches caller pushes toward this many tuples
-    /// before partitioning: oversized batches are split into target-sized
-    /// slices (bounding per-message queue occupancy and shard latency for
-    /// bulk pushes), and undersized consecutive batches for the same
-    /// source are merged in a lane-local buffer until a target-sized
-    /// slice fills (amortising per-batch queue/dispatch overhead for
-    /// trickle feeds). The buffer is flushed when the lane's source
-    /// changes (preserving cross-source arrival order within the lane)
-    /// and at Finish(), so merging trades bounded latency — at most one
-    /// flush — for throughput. 0 forwards caller-sized batches unchanged
-    /// (unless auto_target_batch_size is set).
-    size_t target_batch_size = 0;
-    /// Feedback tuner: derive the re-batching target from observed
-    /// per-tuple operator cost (per-shard OperatorMetrics) instead of a
-    /// fixed count. Every ~32k ingested tuples the target is re-chosen so
-    /// one batch carries roughly kTargetBatchCostSeconds of downstream
-    /// work, clamped to [kMinAutoBatch, kMaxAutoBatch]. target_batch_size
-    /// (or kDefaultInitialBatch when 0) seeds the first interval. Results
-    /// are batching-invariant, so tuning never changes the result set.
-    bool auto_target_batch_size = false;
     /// Event-time watermarks. Every ingested slice carries its source's
     /// watermark — max ingested timestamp minus `watermark_lateness_us` —
     /// whenever the slice advanced it, and the shard applies it right
@@ -152,12 +139,6 @@ class ShardedExecutor {
     bool pin_threads = false;
   };
 
-  static constexpr size_t kDefaultInitialBatch = 256;
-  static constexpr size_t kMinAutoBatch = 16;
-  static constexpr size_t kMaxAutoBatch = 8192;
-  static constexpr double kTargetBatchCostSeconds = 1e-3;
-  static constexpr uint64_t kTuneIntervalTuples = 32 * 1024;
-
   /// Maps a tuple to a shard-key hash; the shard is `hash % num_shards`.
   /// Must be pure: same tuple -> same key on every call and thread.
   using KeyFn = std::function<uint64_t(const Tuple&)>;
@@ -177,9 +158,12 @@ class ShardedExecutor {
   ShardedExecutor(const ShardedExecutor&) = delete;
   ShardedExecutor& operator=(const ShardedExecutor&) = delete;
 
-  /// Partition a batch by shard key on the calling thread and enqueue the
-  /// per-shard sub-batches on `lane`'s rings. Single producer per lane;
-  /// the source becomes bound to `lane` on first push and may not move.
+  /// Partition a batch by shard key on the calling thread and enqueue each
+  /// non-empty per-shard sub-batch on `lane`'s rings as one message (under
+  /// the inline rule, process it before returning). Nothing is buffered:
+  /// when the call returns OK every tuple is in a ring or processed.
+  /// Single producer per lane; the source becomes bound to `lane` on first
+  /// push and may not move.
   common::Status PushBatch(LaneId lane, ExecGraph::NodeId source,
                            TupleBatch&& batch);
   common::Status PushBatch(LaneId lane, ExecGraph::NodeId source,
@@ -187,15 +171,15 @@ class ShardedExecutor {
 
   /// Event-time progress for one source: promises every future tuple
   /// pushed for `source` has timestamp >= watermark. Broadcast to every
-  /// shard in ingest order (a pending lane-local merge buffer for this
-  /// source is flushed first, so a watermark can never overtake data it
-  /// covers). The explicit entry point for IDLE sources — a sensor outage
-  /// stops data, not progress — which is what keeps the peer side of a
-  /// join bounded; live sources carry their watermark on every slice
-  /// (see Options::watermark_period_us). Same single-producer-per-lane
-  /// contract as PushBatch; monotonic per source (regressions and values
-  /// at or below the watermark ingested data already carried are
-  /// ignored).
+  /// shard on the source's lane; the lane holds no data back, so lane
+  /// FIFO alone orders the watermark after every tuple pushed before it
+  /// and it can never overtake data it covers. The explicit entry point
+  /// for IDLE sources — a sensor outage stops data, not progress — which
+  /// is what keeps the peer side of a join bounded; live sources carry
+  /// their watermark on every slice (see Options::watermark_period_us).
+  /// Same single-producer-per-lane contract as PushBatch; monotonic per
+  /// source (regressions and values at or below the watermark ingested
+  /// data already carried are ignored).
   common::Status PushWatermark(LaneId lane, ExecGraph::NodeId source,
                                int64_t watermark);
   /// Lane-0 convenience overload.
@@ -211,12 +195,11 @@ class ShardedExecutor {
 
   /// Shutdown, in backpressure-safe order: (1) close every ingest lane so
   /// a racing push fails loudly with FailedPrecondition instead of
-  /// parking tuples in a buffer nobody will flush, then wait for pushes
-  /// already in flight to leave (the workers are still consuming, so a
-  /// blocked producer drains, never wedges), (2) flush the lane-local
-  /// merge buffers into the still-open rings, (3) close the rings, join
-  /// the workers (they drain everything accepted), flush every shard's
-  /// graph, and merge the per-shard sink outputs. Idempotent; returns the
+  /// enqueueing into rings about to close, then wait for pushes already
+  /// in flight to leave (the workers are still consuming, so a blocked
+  /// producer drains, never wedges), (2) close the rings, join the
+  /// workers (they drain everything accepted), flush every shard's graph,
+  /// and merge the per-shard sink outputs. Idempotent; returns the
   /// first error any shard hit. A push acknowledged with OK is always
   /// delivered; a push racing Finish() gets a loud error, never a
   /// deadlock or a silent drop.
@@ -239,10 +222,6 @@ class ShardedExecutor {
 
   size_t num_shards() const { return shards_.size(); }
   size_t num_lanes() const { return lanes_.size(); }
-  /// Current re-batching target (fixed unless auto_target_batch_size).
-  size_t current_target_batch_size() const {
-    return current_target_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Message {
@@ -293,8 +272,6 @@ class ShardedExecutor {
     /// flag and pins itself to the lane's core.
     std::atomic<bool> producer_pinned{false};
     // ---- producer-thread-local state (no locks; single producer) ----
-    TupleBatch pending;
-    ExecGraph::NodeId pending_source = ExecGraph::kInvalidNode;
     /// Next slice sequence number per source node id.
     std::vector<uint64_t> next_seq;
     /// Watermark generation, monotone-commit and broadcast-period state
@@ -329,9 +306,6 @@ class ShardedExecutor {
   /// batch, then the watermark it carries — and returns the shard's
   /// (latched) status.
   common::Status ProcessMessage(Shard* shard, Message&& msg);
-  /// Partition one (already target-sized) slice and enqueue per shard.
-  common::Status PushSlice(Lane* lane, ExecGraph::NodeId source,
-                           TupleBatch&& batch);
   /// RAII in-flight marker (Lane::active); engaged by AdmitPush, released
   /// when the push leaves PushBatch/PushWatermark.
   struct PushTicket {
@@ -364,13 +338,6 @@ class ShardedExecutor {
   /// lane's rings. Callers commit the value on the source clock first.
   common::Status BroadcastWatermark(Lane* lane, ExecGraph::NodeId source,
                                     int64_t watermark);
-  /// Re-batching ingest path: merge + split toward `target` using the
-  /// lane-local buffer. Flushes the pending buffer on source change.
-  common::Status PushRebatched(Lane* lane, ExecGraph::NodeId source,
-                               TupleBatch&& batch, size_t target);
-  common::Status FlushLanePending(Lane* lane);
-  /// Feedback step for auto_target_batch_size.
-  void MaybeRetune(uint64_t total_ingested);
 
   Options options_;
   KeyFn key_fn_;
@@ -378,10 +345,6 @@ class ShardedExecutor {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<SourceIngest[]> ingest_by_source_;
   size_t num_nodes_ = 0;
-  /// Re-batching target; mutated by the tuner when auto.
-  std::atomic<size_t> current_target_{0};
-  std::atomic<uint64_t> ingested_tuples_{0};
-  std::atomic<uint64_t> next_tune_at_{kTuneIntervalTuples};
   /// Startup latch: each worker bumps this after (optionally) pinning
   /// itself and first-touch-allocating its ring slots; Create() waits for
   /// num_shards before returning, so no producer can push into an

@@ -30,6 +30,8 @@
 #include "uncertain/join_predicates.h"
 #include "uncertain/sum_strategies.h"
 
+#include "../stream/test_wait.h"
+
 namespace usp {
 namespace query {
 namespace {
@@ -980,41 +982,43 @@ TEST(PlannerTest, NegativeWatermarkSettingsFailAtCompile) {
       << ahead.status().ToString();
 }
 
-TEST(PlannerTest, AutoTargetBatchSizeReportedAndOverridable) {
-  PlannerOptions auto_opts;
-  auto_opts.num_shards = 2;
-  auto compiled_or = KeyedSumQuery(WindowSpec::Tumbling(100))
-                         .Compile(auto_opts);
-  ASSERT_TRUE(compiled_or.ok());
-  const PlanSummary& s = compiled_or.value()->summary();
-  EXPECT_TRUE(s.auto_target_batch_size);
-  EXPECT_EQ(s.target_batch_size,
-            stream::ShardedExecutor::kDefaultInitialBatch);
-  EXPECT_EQ(compiled_or.value()->current_target_batch_size(),
-            stream::ShardedExecutor::kDefaultInitialBatch);
-
-  PlannerOptions fixed;
-  fixed.num_shards = 2;
-  fixed.target_batch_size = 0;  // explicit pass-through wins over auto
-  auto fixed_or = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile(fixed);
-  ASSERT_TRUE(fixed_or.ok());
-  EXPECT_FALSE(fixed_or.value()->summary().auto_target_batch_size);
-  EXPECT_EQ(fixed_or.value()->summary().target_batch_size, 0u);
-  EXPECT_EQ(fixed_or.value()->current_target_batch_size(), 0u);
-
-  // A 1-shard, 1-lane plan runs inline with pass-through ingest: no tuner
-  // owns its target, so the auto default must not be reported as auto.
-  PlannerOptions single;
-  single.num_shards = 1;
-  auto single_or = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile(single);
-  ASSERT_TRUE(single_or.ok());
-  EXPECT_EQ(single_or.value()->summary().num_ingest_lanes, 1u);
-  EXPECT_FALSE(single_or.value()->summary().auto_target_batch_size);
-  EXPECT_EQ(single_or.value()->summary().target_batch_size, 0u);
-  EXPECT_EQ(single_or.value()->current_target_batch_size(), 0u);
-  EXPECT_NE(single_or.value()->summary().ToString().find("inline"),
-            std::string::npos)
-      << single_or.value()->summary().ToString();
+TEST(PlannerTest, ShardedPushReachesTheAggregateBeforeTheNextPush) {
+  // Ingest forwards each push: a 2-shard plan's 12-tuple push, whose max
+  // timestamp passes the first window's end, must reach the aggregate and
+  // close that window with no further push and no Finish() to flush it.
+  PlannerOptions opts;
+  opts.num_shards = 2;
+  auto compiled_or = Query::From("src", 2)
+                         .Window(WindowSpec::Tumbling(100))
+                         .GroupBy(0)
+                         .Count("n")
+                         .Sink("out")
+                         .Compile(opts);
+  ASSERT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
+  auto compiled = compiled_or.MoveValueUnsafe();
+  ASSERT_EQ(compiled->num_shards(), 2u);
+  TupleBatch push;
+  for (int64_t i = 0; i < 12; ++i) {
+    Tuple t(i * 10, {Value(i % 4), Value(1.0)});
+    t.InitBaseLineage();
+    push.Append(std::move(t));
+  }
+  ASSERT_TRUE(compiled->PushBatch(compiled->source("src"), std::move(push))
+                  .ok());
+  // Timestamps 0..110: all 12 tuples in, and window [0, 100) — keys 0..3 —
+  // out as 4 rows once the push's watermark (110) reaches both shards.
+  uint64_t tuples_in = 0, tuples_out = 0;
+  const bool arrived = stream::testutil::WaitUntil([&] {
+    for (const auto& m : compiled->MetricsSnapshot()) {
+      if (m.name != "n_agg") continue;
+      tuples_in = m.metrics.tuples_in;
+      tuples_out = m.metrics.tuples_out;
+    }
+    return tuples_in == 12 && tuples_out == 4;
+  });
+  EXPECT_TRUE(arrived) << "aggregate saw " << tuples_in << " in, "
+                       << tuples_out << " out";
+  ASSERT_TRUE(compiled->Finish().ok());
 }
 
 // ---- filter pushdown ----------------------------------------------------
@@ -1118,8 +1122,16 @@ TEST(PlannerTest, SummaryToStringReportsAutoDecisions) {
   ASSERT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
   const std::string s = compiled_or.value()->summary().ToString();
   EXPECT_NE(s.find("[auto]"), std::string::npos) << s;
-  EXPECT_NE(s.find("target batch auto"), std::string::npos) << s;
   EXPECT_NE(s.find("pushed below map"), std::string::npos) << s;
+
+  // One shard gets one auto lane and runs inline on the caller's thread.
+  PlannerOptions single;
+  single.num_shards = 1;
+  auto single_or = KeyedSumQuery(WindowSpec::Tumbling(100)).Compile(single);
+  ASSERT_TRUE(single_or.ok()) << single_or.status().ToString();
+  EXPECT_EQ(single_or.value()->summary().num_ingest_lanes, 1u);
+  const std::string one = single_or.value()->summary().ToString();
+  EXPECT_NE(one.find("inline"), std::string::npos) << one;
 }
 
 TEST(PlannerTest, UnknownSourceAndSinkNamesAreInvalid) {

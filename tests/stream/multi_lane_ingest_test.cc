@@ -3,8 +3,7 @@
 // single-lane run), per-source arrival order at the shards, the
 // source-to-lane binding contract, the Finish() shutdown ordering
 // regression (lanes close before rings: racing pushes fail loudly, never
-// deadlock or drop silently), ingest backpressure counters, and the
-// auto batch-size feedback tuner.
+// deadlock or drop silently), and ingest backpressure counters.
 
 #include <gtest/gtest.h>
 
@@ -251,15 +250,12 @@ TEST(MultiLaneIngestTest, SourceCannotMoveBetweenLanes) {
   EXPECT_TRUE(exec->Finish().ok());
 }
 
-TEST(MultiLaneIngestTest, FinishFlushesPendingAndFailsRacingPushLoudly) {
-  // Regression for the shutdown ordering: lanes close BEFORE the shard
-  // rings, so (a) tuples buffered by the re-batching merge are still
-  // delivered by the Finish() flush, and (b) a push after Finish() gets a
-  // loud FailedPrecondition instead of deadlocking or being buffered into
-  // oblivion.
+TEST(MultiLaneIngestTest, PushAfterFinishFailsLoudly) {
+  // Shutdown ordering: lanes close BEFORE the shard rings, so every
+  // acknowledged push is delivered and a push after Finish() gets a loud
+  // FailedPrecondition instead of deadlocking or being dropped silently.
   ShardedExecutor::Options opts;
   opts.num_shards = 2;
-  opts.target_batch_size = 1000;  // nothing fills a slice naturally
   ExecGraph::NodeId source = 0, sink = 0;
   auto exec_or = ShardedExecutor::Create(
       opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext&) {
@@ -276,9 +272,7 @@ TEST(MultiLaneIngestTest, FinishFlushesPendingAndFailsRacingPushLoudly) {
   for (int i = 0; i < 25; ++i) batch.Append(KV(i, i % 5, 1.0));
   ASSERT_TRUE(exec->PushBatch(source, std::move(batch)).ok());
   ASSERT_TRUE(exec->Finish().ok());
-  // (a) the 25 buffered tuples were flushed, not dropped.
   EXPECT_EQ(exec->sink_output(sink).size(), 25u);
-  // (b) post-Finish pushes fail loudly.
   TupleBatch late;
   late.Append(KV(100, 1, 1.0));
   const auto st = exec->PushBatch(source, late);
@@ -405,74 +399,6 @@ TEST(MultiLaneIngestTest, IngestCountersExposeBackpressure) {
     EXPECT_GT(m.metrics.producer_block_seconds, 0.0);
   }
   EXPECT_TRUE(found) << "no ingest entry for source 'feed'";
-}
-
-TEST(MultiLaneIngestTest, AutoBatchSizeTunerMovesTheTarget) {
-  // A trivially cheap plan: the feedback tuner must grow the target well
-  // past the initial seed once enough tuples have flowed (cheap per-tuple
-  // cost => large batches amortise the queue hop).
-  ShardedExecutor::Options opts;
-  opts.num_shards = 2;
-  opts.auto_target_batch_size = true;
-  ExecGraph::NodeId source = 0, sink = 0;
-  auto exec_or = ShardedExecutor::Create(
-      opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext&) {
-        source = g->AddSource("src");
-        const auto pass = g->AddOperator(
-            source, std::make_unique<FilterOperator>(
-                        "pass", [](const Tuple&) { return true; }));
-        sink = g->AddSink(pass, "out");
-        return common::Status::OK();
-      });
-  ASSERT_TRUE(exec_or.ok());
-  auto exec = exec_or.MoveValueUnsafe();
-  EXPECT_EQ(exec->current_target_batch_size(),
-            ShardedExecutor::kDefaultInitialBatch);
-  constexpr size_t kTotal = 3 * ShardedExecutor::kTuneIntervalTuples;
-  TupleBatch batch;
-  size_t pushed = 0;
-  for (size_t i = 0; i < kTotal; ++i) {
-    batch.Append(KV(static_cast<int64_t>(i), static_cast<int64_t>(i % 11),
-                    1.0));
-    if (batch.size() == 4096) {
-      ASSERT_TRUE(exec->PushBatch(source, std::move(batch)).ok());
-      batch = TupleBatch();
-      ++pushed;
-    }
-  }
-  if (!batch.empty()) {
-    ASSERT_TRUE(exec->PushBatch(source, std::move(batch)).ok());
-  }
-  const size_t tuned = exec->current_target_batch_size();
-  ASSERT_TRUE(exec->Finish().ok());
-  EXPECT_EQ(exec->sink_output(sink).size(), kTotal);
-  EXPECT_NE(tuned, ShardedExecutor::kDefaultInitialBatch)
-      << "tuner never moved the target";
-  EXPECT_GE(tuned, ShardedExecutor::kMinAutoBatch);
-  EXPECT_LE(tuned, ShardedExecutor::kMaxAutoBatch);
-}
-
-TEST(MultiLaneIngestTest, ExplicitTargetBatchSizeStaysFixed) {
-  ShardedExecutor::Options opts;
-  opts.num_shards = 2;
-  opts.target_batch_size = 32;  // explicit, tuner off
-  ExecGraph::NodeId source = 0;
-  auto exec_or = ShardedExecutor::Create(
-      opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext&) {
-        source = g->AddSource("src");
-        const auto pass = g->AddOperator(
-            source, std::make_unique<FilterOperator>(
-                        "pass", [](const Tuple&) { return true; }));
-        g->AddSink(pass, "out");
-        return common::Status::OK();
-      });
-  ASSERT_TRUE(exec_or.ok());
-  auto exec = exec_or.MoveValueUnsafe();
-  for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(exec->Push(source, KV(i, i % 3, 1.0)).ok());
-  }
-  EXPECT_EQ(exec->current_target_batch_size(), 32u);
-  EXPECT_TRUE(exec->Finish().ok());
 }
 
 }  // namespace

@@ -307,182 +307,6 @@ TEST(ShardedExecutorTest, ShardContextWorkspaceFeedsPaneAggregates) {
   EXPECT_EQ(canonical(one), canonical(four));
 }
 
-TEST(ShardedExecutorTest, TargetBatchSizeSplitsOversizedBatches) {
-  ShardedExecutor::Options opts;
-  opts.num_shards = 2;
-  opts.target_batch_size = 64;
-  ExecGraph::NodeId source = 0, sink = 0;
-  auto exec_or = ShardedExecutor::Create(
-      opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext&) {
-        source = g->AddSource("src");
-        const auto pass = g->AddOperator(
-            source, std::make_unique<FilterOperator>(
-                        "pass", [](const Tuple&) { return true; }));
-        sink = g->AddSink(pass, "sink");
-        return common::Status::OK();
-      });
-  ASSERT_TRUE(exec_or.ok());
-  auto exec = exec_or.MoveValueUnsafe();
-  // One 1000-tuple push must arrive as target-sized slices (and lose no
-  // tuples, keep timestamp order in the merged sink).
-  ASSERT_TRUE(exec->PushBatch(source, MakeKeyedStream(1000)).ok());
-  ASSERT_TRUE(exec->Finish().ok());
-  EXPECT_EQ(exec->sink_output(sink).size(), 1000u);
-  const auto metrics = exec->MetricsSnapshot();
-  ASSERT_EQ(metrics.size(), 2u);  // "pass" + the source's ingest entry
-  EXPECT_EQ(metrics[0].metrics.tuples_in, 1000u);
-  // ceil(1000 / 64) = 16 slices, each split across 2 shards => between 16
-  // and 32 batches observed by the shard-private operators.
-  EXPECT_GE(metrics[0].metrics.batches_in, 16u);
-  EXPECT_LE(metrics[0].metrics.batches_in, 32u);
-  const auto& tuples = exec->sink_output(sink).tuples();
-  for (size_t i = 1; i < tuples.size(); ++i) {
-    EXPECT_LE(tuples[i - 1].timestamp(), tuples[i].timestamp());
-  }
-}
-
-TEST(ShardedExecutorTest, TargetBatchSizeKeyedResultsUnchanged) {
-  ShardedExecutor::Options opts;
-  opts.num_shards = 4;
-  opts.target_batch_size = 32;
-  ExecGraph::NodeId source = 0, sink = 0;
-  auto exec_or = ShardedExecutor::Create(
-      opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext&) {
-        return BuildKeyedSumPlan(g, &source, &sink);
-      });
-  ASSERT_TRUE(exec_or.ok());
-  auto exec = exec_or.MoveValueUnsafe();
-  ASSERT_TRUE(exec->PushBatch(source, MakeKeyedStream(2000)).ok());
-  ASSERT_TRUE(exec->Finish().ok());
-  auto unsplit = RunKeyedPlan(1, 2000);
-  ASSERT_TRUE(unsplit.ok());
-  EXPECT_EQ(Canonical(exec->TakeSinkOutput(sink)), Canonical(unsplit.value()));
-}
-
-TEST(ShardedExecutorTest, TargetBatchSizeMergesUndersizedBatches) {
-  ShardedExecutor::Options opts;
-  opts.num_shards = 1;
-  opts.target_batch_size = 64;
-  ExecGraph::NodeId source = 0, sink = 0;
-  auto exec_or = ShardedExecutor::Create(
-      opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext&) {
-        source = g->AddSource("src");
-        const auto pass = g->AddOperator(
-            source, std::make_unique<FilterOperator>(
-                        "pass", [](const Tuple&) { return true; }));
-        sink = g->AddSink(pass, "sink");
-        return common::Status::OK();
-      });
-  ASSERT_TRUE(exec_or.ok());
-  auto exec = exec_or.MoveValueUnsafe();
-  // 150 pushes of 3 tuples: merged ingest must deliver ceil(450/64) = 8
-  // batches (7 full slices + the Finish flush), not 150.
-  const TupleBatch all = MakeKeyedStream(450);
-  for (size_t off = 0; off < all.size(); off += 3) {
-    TupleBatch tiny;
-    for (size_t i = off; i < off + 3; ++i) tiny.Append(all[i]);
-    ASSERT_TRUE(exec->PushBatch(source, std::move(tiny)).ok());
-  }
-  ASSERT_TRUE(exec->Finish().ok());
-  EXPECT_EQ(exec->sink_output(sink).size(), 450u);
-  const auto metrics = exec->MetricsSnapshot();
-  ASSERT_EQ(metrics.size(), 2u);  // "pass" + the source's ingest entry
-  EXPECT_EQ(metrics[0].metrics.tuples_in, 450u);
-  EXPECT_EQ(metrics[0].metrics.batches_in, 8u);
-  // Arrival order survives the re-batching.
-  const auto& tuples = exec->sink_output(sink).tuples();
-  for (size_t i = 1; i < tuples.size(); ++i) {
-    EXPECT_LE(tuples[i - 1].timestamp(), tuples[i].timestamp());
-  }
-}
-
-TEST(ShardedExecutorTest, TargetBatchSizeMergeSplitRoundTrip) {
-  // Alternating oversized and tiny pushes through the re-batching ingest:
-  // results must be identical to the unbatched run, and the observed batch
-  // count must reflect target-sized slices, proving both halves (split of
-  // big pushes, merge of small ones) compose.
-  auto run = [](size_t target) -> common::Result<TupleBatch> {
-    ShardedExecutor::Options opts;
-    opts.num_shards = 4;
-    opts.target_batch_size = target;
-    ExecGraph::NodeId source = 0, sink = 0;
-    auto exec_or = ShardedExecutor::Create(
-        opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext&) {
-          return BuildKeyedSumPlan(g, &source, &sink);
-        });
-    USP_RETURN_NOT_OK(exec_or.status());
-    auto exec = exec_or.MoveValueUnsafe();
-    const TupleBatch all = MakeKeyedStream(2000);
-    size_t off = 0;
-    bool big = true;
-    while (off < all.size()) {
-      const size_t n = std::min(big ? size_t{300} : size_t{5},
-                                all.size() - off);
-      TupleBatch push;
-      for (size_t i = off; i < off + n; ++i) push.Append(all[i]);
-      off += n;
-      big = !big;
-      USP_RETURN_NOT_OK(exec->PushBatch(source, std::move(push)));
-    }
-    USP_RETURN_NOT_OK(exec->Finish());
-    return exec->TakeSinkOutput(sink);
-  };
-  auto rebatched = run(64);
-  auto passthrough = run(0);
-  ASSERT_TRUE(rebatched.ok()) << rebatched.status().ToString();
-  ASSERT_TRUE(passthrough.ok()) << passthrough.status().ToString();
-  ASSERT_FALSE(rebatched.value().empty());
-  EXPECT_EQ(Canonical(rebatched.value()), Canonical(passthrough.value()));
-}
-
-TEST(ShardedExecutorTest, MergeBufferFlushesOnSourceChange) {
-  // Two sources into one shard: a small batch buffered for source A must
-  // be delivered before a following batch for source B so the per-worker
-  // arrival order across sources is preserved.
-  ShardedExecutor::Options opts;
-  opts.num_shards = 1;
-  opts.target_batch_size = 1000;  // nothing fills a slice naturally
-  ExecGraph::NodeId src_a = 0, src_b = 0, sink = 0;
-  auto exec_or = ShardedExecutor::Create(
-      opts, KeyByIntValue(0), [&](ExecGraph* g, const ShardContext&) {
-        src_a = g->AddSource("a");
-        src_b = g->AddSource("b");
-        const auto tag_a = g->AddOperator(
-            src_a, std::make_unique<MapOperator>(
-                       "tag_a", [](const Tuple& t) -> common::Result<Tuple> {
-                         Tuple out = t;
-                         out.AppendValue(Value(std::string("a")));
-                         return out;
-                       }));
-        const auto tag_b = g->AddOperator(
-            src_b, std::make_unique<MapOperator>(
-                       "tag_b", [](const Tuple& t) -> common::Result<Tuple> {
-                         Tuple out = t;
-                         out.AppendValue(Value(std::string("b")));
-                         return out;
-                       }));
-        // Merge both tagged streams into one sink via a pass-through
-        // filter fan-in is not available for unary ops, so use two sinks.
-        sink = g->AddSink(tag_a, "out_a");
-        g->AddSink(tag_b, "out_b");
-        return common::Status::OK();
-      });
-  ASSERT_TRUE(exec_or.ok());
-  auto exec = exec_or.MoveValueUnsafe();
-  ASSERT_TRUE(exec->PushBatch(src_a, MakeKeyedStream(10)).ok());
-  // Different source: the 10 buffered "a" tuples must flush now, ahead of
-  // the "b" batch.
-  ASSERT_TRUE(exec->PushBatch(src_b, MakeKeyedStream(10)).ok());
-  ASSERT_TRUE(exec->Finish().ok());
-  EXPECT_EQ(exec->sink_output(sink).size(), 10u);
-  const auto metrics = exec->MetricsSnapshot();
-  // tag_a saw its batch (flushed on source change), tag_b at Finish.
-  for (const auto& m : metrics) {
-    EXPECT_EQ(m.metrics.tuples_in, 10u) << m.name;
-    EXPECT_EQ(m.metrics.batches_in, 1u) << m.name;
-  }
-}
-
 TEST(ShardedExecutorTest, CreateRejectsBadOptions) {
   ShardedExecutor::Options opts;
   opts.num_shards = 0;
