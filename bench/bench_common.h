@@ -13,6 +13,7 @@
 #ifndef USP_BENCH_BENCH_COMMON_H_
 #define USP_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -119,6 +120,33 @@ inline void PrintMachineJson(FILE* f) {
           "\"build_type\": \"%s\", \"compiler\": \"%s\"},\n",
           std::thread::hardware_concurrency(), stats::simd::ActiveIsaName(),
           USP_BUILD_TYPE, compiler);
+}
+
+/// Throughput of one point over `reps` runs: median, min, max. Any failed
+/// run (0 tuples/sec) fails the point.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+template <typename RunFn>
+Spread Measure(size_t reps, RunFn run) {
+  std::vector<double> tps;
+  for (size_t r = 0; r < reps; ++r) tps.push_back(run());
+  std::sort(tps.begin(), tps.end());
+  if (tps.empty() || tps.front() <= 0.0) return Spread();
+  const size_t n = tps.size();
+  const double median =
+      n % 2 == 1 ? tps[n / 2] : 0.5 * (tps[n / 2 - 1] + tps[n / 2]);
+  return Spread{median, tps.front(), tps.back()};
+}
+
+inline void PrintSpreadJson(FILE* f, const Spread& s) {
+  fprintf(f,
+          "\"tuples_per_sec\": %.1f, \"tuples_per_sec_min\": %.1f, "
+          "\"tuples_per_sec_max\": %.1f",
+          s.median, s.min, s.max);
 }
 
 inline Args ParseArgs(int argc, char** argv) {

@@ -52,6 +52,9 @@
 
 namespace {
 
+using usp::bench::Measure;
+using usp::bench::PrintSpreadJson;
+using usp::bench::Spread;
 using usp::common::Stopwatch;
 using usp::stats::DistributionPtr;
 using usp::stream::ExecGraph;
@@ -221,33 +224,6 @@ double RunIngest(size_t num_shards, size_t num_lanes,
          sw.ElapsedSeconds();
 }
 
-/// Throughput of one point over g_reps runs: median, min, max. Any failed
-/// run (0 tuples/sec) fails the point.
-struct Spread {
-  double median = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-template <typename RunFn>
-Spread Measure(RunFn run) {
-  std::vector<double> tps;
-  for (size_t r = 0; r < g_reps; ++r) tps.push_back(run());
-  std::sort(tps.begin(), tps.end());
-  if (tps.front() <= 0.0) return Spread();
-  const size_t n = tps.size();
-  const double median =
-      n % 2 == 1 ? tps[n / 2] : 0.5 * (tps[n / 2 - 1] + tps[n / 2]);
-  return Spread{median, tps.front(), tps.back()};
-}
-
-void PrintSpreadJson(FILE* f, const Spread& s) {
-  fprintf(f,
-          "\"tuples_per_sec\": %.1f, \"tuples_per_sec_min\": %.1f, "
-          "\"tuples_per_sec_max\": %.1f",
-          s.median, s.min, s.max);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -283,7 +259,7 @@ int main(int argc, char** argv) {
   const auto q1_input = MakeQ1Input();
   for (size_t shards : g_shard_axis) {
     const Spread tps =
-        Measure([&] { return RunQ1Sharding(shards, q1_input); });
+        Measure(g_reps, [&] { return RunQ1Sharding(shards, q1_input); });
     if (tps.median <= 0.0) failed = true;
     sharding_rows.push_back({shards, tps});
     printf("%-8zu %14.0f %14.0f %14.0f\n", shards, tps.median, tps.min,
@@ -299,7 +275,7 @@ int main(int argc, char** argv) {
   for (size_t shards : g_ingest_shard_axis) {
     for (size_t lanes : g_lane_axis) {
       const Spread tps =
-          Measure([&] { return RunIngest(shards, lanes, feeds); });
+          Measure(g_reps, [&] { return RunIngest(shards, lanes, feeds); });
       if (tps.median <= 0.0) failed = true;
       ingest_rows.push_back({shards, lanes, tps});
       printf("%-8zu %-15zu %14.0f %14.0f %14.0f\n", shards, lanes,

@@ -1,8 +1,10 @@
 // Windowed-plan throughput: tuples/sec for Q1-style tumbling and sliding
 // group-by-aggregate plans at batch sizes 1 / 64 / 1024, comparing the
 // naive per-window recompute path against the pane-incremental path.
-// Emits BENCH_window_throughput.json so the perf trajectory is tracked
-// across PRs. `--smoke` shrinks the stream for sanitizer CI runs.
+// Emits BENCH_window_throughput.json (with the machine it ran on) so the
+// perf trajectory is tracked across PRs. Each point runs 11 times and
+// the JSON records median/min/max. `--smoke` shrinks the stream and runs
+// each point once, for sanitizer CI runs.
 //
 // The paned side is the plan as an application gets it: declared with the
 // query builder and compiled by the planner (one inline shard). The naive
@@ -41,6 +43,7 @@ using usp::stream::Value;
 using usp::stream::WindowSpec;
 
 size_t g_num_tuples = 20000;
+size_t g_reps = 11;
 bool g_smoke = false;
 
 std::vector<Tuple> MakeStream(uint64_t seed) {
@@ -69,7 +72,7 @@ struct Measurement {
   std::string plan;       // "tumbling" / "sliding"
   std::string path;       // "naive" / "paned"
   size_t batch_size;
-  double tuples_per_sec;
+  usp::bench::Spread tps;
 };
 
 std::vector<TupleBatch> Slice(const std::vector<Tuple>& stream,
@@ -142,7 +145,10 @@ int main(int argc, char** argv) {
   const char* isa = usp::bench::ApplySimdFlag(args);  // before any CF work
   const char* json_out = args.JsonOutPath("BENCH_window_throughput.json");
   printf("SIMD dispatch: %s\n", isa);
-  if (g_smoke) g_num_tuples = 1500;
+  if (g_smoke) {
+    g_num_tuples = 1500;
+    g_reps = 1;
+  }
   const auto stream = MakeStream(7);
   // Q1 shape: [Range 100 us] tumbling, and a 4-overlap sliding variant.
   const WindowSpec tumbling = WindowSpec::Tumbling(100);
@@ -151,20 +157,26 @@ int main(int argc, char** argv) {
   std::vector<Measurement> results;
   printf("=== Windowed group-by throughput (CLT SUM, %zu tuples) ===\n",
          g_num_tuples);
-  printf("%-10s %-7s %-11s %14s\n", "plan", "path", "batch_size",
-         "tuples/sec");
+  printf("%-10s %-7s %-11s %14s %14s %14s\n", "plan", "path",
+         "batch_size", "median t/s", "min", "max");
   for (const auto& [plan_name, spec] :
        {std::pair<const char*, WindowSpec>{"tumbling", tumbling},
         std::pair<const char*, WindowSpec>{"sliding", sliding}}) {
     for (size_t batch_size : {size_t{1}, size_t{64}, size_t{1024}}) {
-      const double naive_tps = RunNaive(spec, stream, batch_size);
-      const double paned_tps = RunPaned(spec, stream, batch_size);
-      results.push_back({plan_name, "naive", batch_size, naive_tps});
-      results.push_back({plan_name, "paned", batch_size, paned_tps});
-      printf("%-10s %-7s %-11zu %14.0f\n", plan_name, "naive", batch_size,
-             naive_tps);
-      printf("%-10s %-7s %-11zu %14.0f\n", plan_name, "paned", batch_size,
-             paned_tps);
+      results.push_back(
+          {plan_name, "naive", batch_size,
+           usp::bench::Measure(
+               g_reps, [&] { return RunNaive(spec, stream, batch_size); })});
+      results.push_back(
+          {plan_name, "paned", batch_size,
+           usp::bench::Measure(
+               g_reps, [&] { return RunPaned(spec, stream, batch_size); })});
+      for (size_t i = results.size() - 2; i < results.size(); ++i) {
+        const Measurement& m = results[i];
+        printf("%-10s %-7s %-11zu %14.0f %14.0f %14.0f\n", m.plan.c_str(),
+               m.path.c_str(), m.batch_size, m.tps.median, m.tps.min,
+               m.tps.max);
+      }
     }
   }
 
@@ -173,15 +185,16 @@ int main(int argc, char** argv) {
     fprintf(f, "{\n  \"bench\": \"window_throughput\",\n");
     fprintf(f, "  \"smoke\": %s,\n  \"num_tuples\": %zu,\n",
             g_smoke ? "true" : "false", g_num_tuples);
-    fprintf(f, "  \"isa\": \"%s\",\n", isa);
+    usp::bench::PrintMachineJson(f);
+    fprintf(f, "  \"reps\": %zu,\n", g_reps);
     fprintf(f, "  \"results\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
       fprintf(f,
-              "    {\"plan\": \"%s\", \"path\": \"%s\", \"batch_size\": %zu, "
-              "\"tuples_per_sec\": %.1f}%s\n",
+              "    {\"plan\": \"%s\", \"path\": \"%s\", \"batch_size\": %zu, ",
               results[i].plan.c_str(), results[i].path.c_str(),
-              results[i].batch_size, results[i].tuples_per_sec,
-              i + 1 < results.size() ? "," : "");
+              results[i].batch_size);
+      usp::bench::PrintSpreadJson(f, results[i].tps);
+      fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
     }
     fprintf(f, "  ]\n}\n");
     fclose(f);

@@ -25,16 +25,17 @@ using stream::TupleBatch;
 using stream::Value;
 
 using stream::CanonicalKeyString;
+using stream::GroupKey;
 
 stream::PanedGroupByAggregateOperator::KeyFn OperatorKeyFn(
     const LogicalPlan::Node& node) {
   if (node.group_key_fn) return node.group_key_fn;
   if (node.group_key_attr.has_value()) {
     const size_t attr = *node.group_key_attr;
-    return [attr](const Tuple& t) { return CanonicalKeyString(t.value(attr)); };
+    return [attr](const Tuple& t) { return GroupKey::Of(t.value(attr)); };
   }
   // Ungrouped aggregate: the whole window is one group.
-  return [](const Tuple&) { return std::string("all"); };
+  return [all = GroupKey(std::string("all"))](const Tuple&) { return all; };
 }
 
 struct ShardKeyDecision {

@@ -37,6 +37,12 @@ struct AggregateSpec {
 /// function once per tuple instead of k times at emit.
 class GroupByAggregateOperator final : public WindowedOperator {
  public:
+  /// Group key of a tuple as its canonical string (CanonicalKeyString for
+  /// an attribute value): tuples with equal strings form one group, and the
+  /// string is the key column of their output rows. This operator groups
+  /// in a string map and is the reference the differential tests hold the
+  /// paned operator to, which keys groups by typed GroupKeys of the same
+  /// identity.
   using KeyFn = std::function<std::string(const Tuple&)>;
   using HavingFn = std::function<bool(const Tuple&)>;
 

@@ -78,8 +78,9 @@ int64_t PanedGroupByAggregateOperator::EarliestOpenWindowStart() const {
   return s;
 }
 
-common::Status PanedGroupByAggregateOperator::AddToPane(
-    Pane& pane, const Tuple& tuple, const std::string& key) {
+common::Status PanedGroupByAggregateOperator::AddToPane(Pane& pane,
+                                                        const Tuple& tuple,
+                                                        GroupKey key) {
   // Tuple-rate estimate of the pane-partial + lineage state this tuple
   // adds; mirrored into the buffered_bytes gauge so pane-buffer growth is
   // observable.
@@ -87,15 +88,18 @@ common::Status PanedGroupByAggregateOperator::AddToPane(
   pane.approx_bytes += approx;
   buffered_bytes_ += approx;
   mutable_metrics().buffered_bytes = buffered_bytes_;
-  auto [it, inserted] = pane.groups.try_emplace(key);
-  GroupState& gs = it->second;
-  if (inserted) {
-    pane.order.push_back(&it->first);
-    gs.partials.reserve(slot_rep_.size());
+  const uint64_t hash = key.Hash();
+  const uint32_t pos = pane.index.FindOrAdd(
+      key, hash,
+      [&pane](uint32_t p) -> const GroupKey& { return pane.groups[p].key; });
+  if (pos == pane.groups.size()) {
+    GroupState& fresh = pane.groups.emplace_back(std::move(key), hash);
+    fresh.partials.reserve(slot_rep_.size());
     for (const size_t rep : slot_rep_) {
-      gs.partials.push_back(aggregates_[rep].make_partial());
+      fresh.partials.push_back(aggregates_[rep].make_partial());
     }
   }
+  GroupState& gs = pane.groups[pos];
   // One accumulation per SLOT: columns sharing a partial_signature (e.g.
   // SUM and AVG of one attribute) pay the per-tuple work once.
   for (size_t s = 0; s < slot_rep_.size(); ++s) {
@@ -110,33 +114,44 @@ common::Status PanedGroupByAggregateOperator::AddToPane(
 common::Status PanedGroupByAggregateOperator::EmitWindow(int64_t start,
                                                          Collector* out) {
   const int64_t end = start + spec_.size_us;
-  // Collect the window's groups in first-seen arrival order: panes are
-  // time-ordered and each pane records its own first-seen order, so the
-  // first pane mentioning a key determines its position.
-  std::vector<const std::string*> order;
-  std::map<std::string, std::vector<GroupState*>> groups;
+  // One pass over the window's panes merges their groups in first-seen
+  // arrival order: panes are time-ordered and each keeps its own
+  // first-seen order, so the first pane holding a key fixes its position.
+  merge_index_.Clear();
   const auto pane_end = panes_.lower_bound(end);
   for (auto it = panes_.lower_bound(start); it != pane_end; ++it) {
-    for (const std::string* key : it->second.order) {
-      auto [git, inserted] = groups.try_emplace(*key);
-      if (inserted) order.push_back(&git->first);
-      git->second.push_back(&it->second.groups.at(*key));
+    for (GroupState& gs : it->second.groups) {
+      const size_t fresh = merge_index_.size();
+      const uint32_t pos = merge_index_.FindOrAdd(
+          gs.key, gs.hash, [this](uint32_t p) -> const GroupKey& {
+            return merged_[p].front()->key;
+          });
+      if (pos == fresh) {
+        if (merged_.size() == fresh) merged_.emplace_back();
+        merged_[fresh].clear();
+      }
+      merged_[pos].push_back(&gs);
     }
   }
-  std::vector<PanePartial*> partials;
-  for (const std::string* key : order) {
-    const std::vector<GroupState*>& states = groups[*key];
-    Tuple result(end, {Value(*key)});
+  for (size_t g = 0; g < merge_index_.size(); ++g) {
+    const std::vector<GroupState*>& states = merged_[g];
+    std::vector<Value> values;
+    values.reserve(1 + aggregates_.size());
+    values.emplace_back(states.front()->key.ToString());
     for (size_t a = 0; a < aggregates_.size(); ++a) {
-      partials.clear();
+      partials_.clear();
       for (GroupState* gs : states) {
-        partials.push_back(gs->partials[slot_of_[a]].get());
+        partials_.push_back(gs->partials[slot_of_[a]].get());
       }
-      auto v = aggregates_[a].finalize(partials);
+      auto v = aggregates_[a].finalize(partials_);
       if (!v.ok()) return v.status();
-      result.AppendValue(v.MoveValueUnsafe());
+      values.push_back(v.MoveValueUnsafe());
     }
+    Tuple result(end, std::move(values));
+    size_t lineage_size = 0;
+    for (const GroupState* gs : states) lineage_size += gs->lineage.size();
     std::vector<TupleId> lineage;
+    lineage.reserve(lineage_size);
     for (const GroupState* gs : states) {
       lineage.insert(lineage.end(), gs->lineage.begin(), gs->lineage.end());
     }

@@ -8,6 +8,14 @@
 // CF-approx SUM, cached per-pane CF grids for CF-inversion SUM, and
 // accumulated log-CDF grids for MAX/MIN order statistics.
 //
+// Group state is keyed by typed GroupKeys (group_key.h): an int64 for
+// integer keys, the canonical string otherwise, with the identity of
+// CanonicalKeyString. Each pane keeps its groups in one vector in
+// first-seen order, indexed by a flat hash table on the key. Closing a
+// window walks its panes once, merging their groups through one scratch
+// index the operator reuses across closes, and renders each emitted row's
+// key string once.
+//
 // This is the one windowed aggregate the query planner compiles. Windows
 // close on event-time progress only: a watermark at or past the window end
 // (the executor applies each ingested slice's source watermark right after
@@ -16,12 +24,11 @@
 // open; a tuple whose every window the watermark already closed is late —
 // dropped and counted in OperatorMetrics::late_dropped, never an error
 // (so the operator never emits a row at or below a watermark it has
-// passed on). With
-// in-order input and watermark = max ingested ts, results match the
-// reference GroupByAggregateOperator exactly: outputs are
-// [group_key, agg_1..agg_m] with timestamp = window end, group order is
-// first-seen arrival order within the window, lineage is the group's input
-// lineage union, and HAVING filters emitted rows.
+// passed on). With in-order input and watermark = max ingested ts, results
+// match the reference GroupByAggregateOperator exactly: outputs are
+// [canonical group key string, agg_1..agg_m] with timestamp = window end,
+// group order is first-seen arrival order within the window, lineage is
+// the group's input lineage union, and HAVING filters emitted rows.
 
 #ifndef USP_STREAM_PANE_WINDOW_H_
 #define USP_STREAM_PANE_WINDOW_H_
@@ -35,6 +42,7 @@
 #include <vector>
 
 #include "stream/group_by.h"
+#include "stream/group_key.h"
 #include "stream/window.h"
 
 namespace usp {
@@ -81,7 +89,9 @@ size_t CountDistinctPartialSlots(const std::vector<PaneAggregateSpec>& specs);
 /// cost once.
 class PanedGroupByAggregateOperator final : public Operator {
  public:
-  using KeyFn = GroupByAggregateOperator::KeyFn;
+  /// Group key of a tuple. A callable returning the canonical key string
+  /// (GroupByAggregateOperator::KeyFn) converts to this.
+  using KeyFn = std::function<GroupKey(const Tuple&)>;
   using HavingFn = GroupByAggregateOperator::HavingFn;
 
   PanedGroupByAggregateOperator(std::string name, WindowSpec spec,
@@ -110,12 +120,15 @@ class PanedGroupByAggregateOperator final : public Operator {
 
  private:
   struct GroupState {
+    GroupState(GroupKey k, uint64_t h) : key(std::move(k)), hash(h) {}
+    GroupKey key;
+    uint64_t hash;  // key.Hash()
     std::vector<std::unique_ptr<PanePartial>> partials;  // one per SLOT
     std::vector<TupleId> lineage;
   };
   struct Pane {
-    std::map<std::string, GroupState> groups;
-    std::vector<const std::string*> order;  // first-seen group order
+    std::vector<GroupState> groups;  // first-seen order
+    GroupKeyIndex index;             // key -> position in groups
     /// Approx bytes charged to this pane (tuple-rate estimate of partial
     /// state + lineage), subtracted from the gauge when the pane evicts.
     uint64_t approx_bytes = 0;
@@ -128,8 +141,7 @@ class PanedGroupByAggregateOperator final : public Operator {
            ts < closed_start_ + spec_.slide_us;
   }
   /// Shared accumulation body of the per-tuple and batch paths.
-  common::Status AddToPane(Pane& pane, const Tuple& tuple,
-                           const std::string& key);
+  common::Status AddToPane(Pane& pane, const Tuple& tuple, GroupKey key);
   common::Status EmitWindow(int64_t start, Collector* out);
   /// Drop leading panes fully covered by the just-emitted window `start`,
   /// keeping the buffered_bytes gauge in sync.
@@ -160,6 +172,13 @@ class PanedGroupByAggregateOperator final : public Operator {
   /// below this, and a tuple whose windows all start at or below it is
   /// late.
   int64_t closed_start_;
+  /// Scratch of EmitWindow, cleared per close: the window's groups in
+  /// first-seen order (merged_[i] lists group i's state in each pane that
+  /// holds it, in pane order; only the first merge_index_.size()
+  /// entries are live), the index over them, and one column's partials.
+  GroupKeyIndex merge_index_;
+  std::vector<std::vector<GroupState*>> merged_;
+  std::vector<PanePartial*> partials_;
 };
 
 }  // namespace stream

@@ -2,18 +2,34 @@
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
 
 namespace usp {
 namespace stream {
 
 TupleId NextTupleId() {
-  static std::atomic<TupleId> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
+  // Each thread takes ids in blocks from the shared counter, so threads
+  // building tuples at once (producers and shard workers) touch its cache
+  // line once per block, not once per tuple.
+  constexpr TupleId kBlock = 4096;
+  static std::atomic<TupleId> next_block{1};
+  thread_local TupleId next = 0;
+  thread_local TupleId block_end = 0;
+  if (next == block_end) {
+    next = next_block.fetch_add(kBlock, std::memory_order_relaxed);
+    block_end = next + kBlock;
+  }
+  return next++;
 }
 
 void Tuple::SetLineage(std::vector<TupleId> ids) {
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  // Lineage gathered in arrival order is usually already strictly
+  // increasing, and then needs neither the sort nor the dedup.
+  if (std::adjacent_find(ids.begin(), ids.end(),
+                         std::greater_equal<TupleId>()) != ids.end()) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  }
   lineage_ = std::move(ids);
   base_lineage_ = false;
 }

@@ -26,10 +26,12 @@
 namespace usp {
 namespace stream {
 
-/// Globally unique tuple identifier (process-wide atomic counter).
+/// Process-wide unique tuple identifier.
 using TupleId = uint64_t;
 
-/// Allocate the next TupleId.
+/// Allocate the next TupleId: unique across threads and increasing within
+/// each thread (threads draw from per-thread blocks, so ids from different
+/// threads interleave in no particular order).
 TupleId NextTupleId();
 
 /// \brief Read-only view of a tuple's sorted lineage ids (pointer + size).

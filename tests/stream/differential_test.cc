@@ -16,7 +16,11 @@
 //      feed with bounded disorder, at a lateness equal to that disorder,
 //      vs. the naive reference fed the same tuples sorted — the same row
 //      set within 1e-9 (accumulation order differs), and no tuple late;
-//   4. seeded keyed joins (one join, or a join stacked on a join) over
+//   4. keys of mixed Value kinds (int k, double k.0, string "k" in one
+//      stream, one group by CanonicalKeyString): the compiled plan's typed
+//      group keys vs. the naive reference's key strings, and 1 vs 2
+//      shards bitwise;
+//   5. seeded keyed joins (one join, or a join stacked on a join) over
 //      out-of-order feeds in random batch splits, at 1 lane, 2 lanes, and
 //      2 shards with PartitionBy: each result multiset equals a
 //      brute-force nested-loop join of the pushed tuples, none late.
@@ -277,6 +281,53 @@ TEST(DifferentialTest, DisorderWithinLatenessMatchesSortedReference) {
     if (::testing::Test::HasFailure()) {
       FAIL() << "disorder differential failed at seed " << seed
              << " — replay with GenerateDisorderedPlan(" << seed << ")";
+    }
+    const WindowSpec w = GeneratePlan(seed).window;
+    ++(w.slide_us == w.size_us ? tumbling : sliding);
+  }
+  EXPECT_GT(tumbling, 0u);
+  EXPECT_GT(sliding, 0u);
+}
+
+void RunMixedKeySeed(uint64_t seed) {
+  const GeneratedPlan plan = gen::GenerateMixedKeyPlan(seed);
+  SCOPED_TRACE("replay: " + plan.ToString());
+  auto base_or = Run(plan, BaseOptions());
+  ASSERT_TRUE(base_or.ok()) << base_or.status().ToString();
+  const std::vector<Row> base = Rows(base_or.value());
+  ASSERT_FALSE(base.empty()) << "degenerate plan produced no output";
+  // One row per (window, key number): the three kinds of a key are one
+  // group, named by its integer's decimal string.
+  for (size_t i = 0; i < base.size(); ++i) {
+    EXPECT_EQ(base[i].key, std::to_string(std::stoll(base[i].key)));
+    if (i > 0) {
+      EXPECT_FALSE(base[i].ts == base[i - 1].ts &&
+                   base[i].key == base[i - 1].key)
+          << "key " << base[i].key << " split at ts " << base[i].ts;
+    }
+  }
+
+  auto oracle_or = RunOracle(plan);
+  ASSERT_TRUE(oracle_or.ok()) << oracle_or.status().ToString();
+  const bool tumbling = plan.window.slide_us == plan.window.size_us;
+  ExpectRowsEqual(Rows(oracle_or.value()), base, tumbling ? 0.0 : 1e-9);
+
+  PlannerOptions sharded = BaseOptions();
+  sharded.num_shards = 2;
+  auto sharded_or = Run(plan, sharded);
+  ASSERT_TRUE(sharded_or.ok()) << sharded_or.status().ToString();
+  ExpectRowsEqual(base, Rows(sharded_or.value()), 0.0);
+}
+
+TEST(DifferentialTest, MixedKeyKindsAgreeWithReferenceAndAcrossShards) {
+  constexpr uint64_t kFirstMixedSeed = 1001;
+  size_t tumbling = 0, sliding = 0;
+  for (uint64_t seed = kFirstMixedSeed; seed < kFirstMixedSeed + 24;
+       ++seed) {
+    RunMixedKeySeed(seed);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "mixed-key differential failed at seed " << seed
+             << " — replay with GenerateMixedKeyPlan(" << seed << ")";
     }
     const WindowSpec w = GeneratePlan(seed).window;
     ++(w.slide_us == w.size_us ? tumbling : sliding);

@@ -2,10 +2,10 @@
 // (differential_test.cc): Q1-style windowed aggregates (GeneratePlan) and
 // keyed sliding-window joins (GenerateJoinPlan). One uint64 seed
 // deterministically fixes a whole experiment — plan shape, batch splits,
-// feed contents, and optionally bounded timestamp disorder — so any
-// failing configuration is replayable from the seed the test prints. Kept
-// header-only and test-local: this is an input generator, not library
-// surface.
+// feed contents, optionally bounded timestamp disorder and keys of mixed
+// Value kinds — so any failing configuration is replayable from the seed
+// the test prints. Kept header-only and test-local: this is an input
+// generator, not library surface.
 
 #ifndef USP_TESTS_STREAM_SEEDED_PLAN_GENERATOR_H_
 #define USP_TESTS_STREAM_SEEDED_PLAN_GENERATOR_H_
@@ -26,9 +26,17 @@ namespace usp {
 namespace stream {
 namespace gen {
 
+/// The integer a generated key stands for, whatever kind carries it (an
+/// int, an integral double, or its decimal string).
+inline int64_t KeyNumber(const Value& key) {
+  if (key.is_int()) return key.AsInt();
+  if (key.is_double()) return static_cast<int64_t>(key.AsDouble());
+  return std::stoll(key.AsString());
+}
+
 /// The optional filter's predicate, shared by the built query and the
 /// differential test's hand-wired reference plan.
-inline bool KeepTuple(const Tuple& t) { return t.value(0).AsInt() % 3 != 1; }
+inline bool KeepTuple(const Tuple& t) { return KeyNumber(t.value(0)) % 3 != 1; }
 
 struct GeneratedPlan {
   uint64_t seed = 0;
@@ -45,6 +53,10 @@ struct GeneratedPlan {
   /// this much from its in-order position, so it trails the max timestamp
   /// ingested before it by at most this much. 0 = in order.
   int64_t max_disorder_us = 0;
+  /// Each key k arrives as int k, double k.0 or string "k", drawn per
+  /// tuple: one group by CanonicalKeyString, three Value kinds. Off = int
+  /// keys only.
+  bool mixed_key_kinds = false;
 
   std::string ToString() const {
     return "seed=" + std::to_string(seed) + " window=" +
@@ -57,7 +69,8 @@ struct GeneratedPlan {
            std::to_string(num_tuples) +
            (max_disorder_us > 0
                 ? " disorder=" + std::to_string(max_disorder_us)
-                : "");
+                : "") +
+           (mixed_key_kinds ? " mixed_key_kinds" : "");
   }
 
   /// The Q1 shape: From -> [Filter] -> Window -> GroupBy(key) -> SUM
@@ -96,8 +109,22 @@ struct GeneratedPlan {
         tuple_ts -= static_cast<int64_t>(
             rng.UniformInt(static_cast<uint64_t>(max_disorder_us) + 1));
       }
+      const int64_t k = static_cast<int64_t>(rng.UniformInt(num_keys));
+      Value key(k);
+      if (mixed_key_kinds) {
+        switch (rng.UniformInt(3)) {
+          case 1:
+            key = Value(static_cast<double>(k));
+            break;
+          case 2:
+            key = Value(std::to_string(k));
+            break;
+          default:
+            break;
+        }
+      }
       Tuple t(tuple_ts,
-              {Value(static_cast<int64_t>(rng.UniformInt(num_keys))),
+              {std::move(key),
                Value(stats::DistributionPtr(std::make_shared<stats::Gaussian>(
                    rng.Uniform(-10.0, 30.0), 0.25 + rng.Uniform())))});
       t.InitBaseLineage();
@@ -144,6 +171,15 @@ inline GeneratedPlan GenerateDisorderedPlan(uint64_t seed) {
   common::Rng rng(seed ^ 0x5bd1e995ULL);
   const uint64_t size = static_cast<uint64_t>(plan.window.size_us);
   plan.max_disorder_us = 1 + static_cast<int64_t>(rng.UniformInt(2 * size));
+  return plan;
+}
+
+/// GeneratePlan(seed) with keys of mixed Value kinds (the kind is drawn
+/// per tuple from the feed's stream, after the key, so the plan shape
+/// matches the int-keyed plan of the same seed).
+inline GeneratedPlan GenerateMixedKeyPlan(uint64_t seed) {
+  GeneratedPlan plan = GeneratePlan(seed);
+  plan.mixed_key_kinds = true;
   return plan;
 }
 

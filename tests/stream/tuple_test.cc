@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
+#include <thread>
 #include <utility>
+#include <vector>
 
 // Counting replacements of the global allocation functions, so a test can
 // assert how many heap allocations one operation makes. Every form is
@@ -191,6 +195,34 @@ TEST(NextTupleIdTest, MonotonicallyIncreasing) {
   const TupleId a = NextTupleId();
   const TupleId b = NextTupleId();
   EXPECT_GT(b, a);
+}
+
+TEST(NextTupleIdTest, ThreadsDrawUniqueIdsIncreasingPerThread) {
+  constexpr size_t kThreads = 4;
+  constexpr size_t kIdsPerThread = 100000;
+  std::vector<std::vector<TupleId>> ids(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&ids, t] {
+      ids[t].reserve(kIdsPerThread);
+      for (size_t i = 0; i < kIdsPerThread; ++i) {
+        ids[t].push_back(NextTupleId());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::vector<TupleId> all;
+  for (const std::vector<TupleId>& mine : ids) {
+    EXPECT_EQ(std::adjacent_find(mine.begin(), mine.end(),
+                                 std::greater_equal<TupleId>()),
+              mine.end())
+        << "ids not strictly increasing within a thread";
+    all.insert(all.end(), mine.begin(), mine.end());
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
+      << "an id was handed out twice";
+  EXPECT_EQ(all.size(), kThreads * kIdsPerThread);
 }
 
 }  // namespace
