@@ -12,6 +12,10 @@
 // hardware; the reproduction claims are the orderings: CF approx fastest
 // AND near-exact; inversion exact but slowest; histogram in between on
 // speed with clearly worse accuracy.
+//
+// Every throughput is the median, min and max of g_reps timed runs (one
+// under --smoke), and the JSON snapshot carries a machine block naming the
+// host. Variance distances come from each strategy's first run.
 
 #include <benchmark/benchmark.h>
 
@@ -36,11 +40,19 @@
 
 namespace {
 
+using usp::bench::Measure;
+using usp::bench::PrintSpreadJson;
+using usp::bench::Spread;
 using usp::stats::Distribution;
 using usp::stats::GaussianMixture;
 using usp::uncertain::SumStrategy;
 using usp::uncertain::SumStrategyKind;
 
+size_t g_reps = 5;
+// The quadrature row evaluates the product-CF closure at every
+// Gauss-Legendre node of every output bin; one run takes ~50 s on a
+// 4-vCPU AVX2 host, so it runs once.
+constexpr size_t kQuadratureReps = 1;
 size_t kWindowSize = 100;
 size_t kNumWindows = 10;
 // Sliding-window section: window of kWindowSize tuples sliding by
@@ -48,7 +60,6 @@ size_t kNumWindows = 10;
 constexpr size_t kOverlap = 4;
 size_t kSlidingTuples = 2000;
 bool g_smoke = false;
-const char* g_isa = "scalar";
 const char* g_json_out = "BENCH_table2.json";
 
 // "The input distributions are different for different tuples, and are
@@ -74,36 +85,43 @@ std::vector<std::shared_ptr<const Distribution>> MakeStream(uint64_t seed,
 
 struct Row {
   std::string name;
-  double throughput_tps;
+  size_t reps;
+  Spread tps;
   double variance_distance;
 };
 
 Row MeasureStrategy(
-    SumStrategy* strategy,
+    SumStrategy* strategy, size_t reps,
     const std::vector<std::shared_ptr<const Distribution>>& stream,
     const std::vector<usp::stats::DistributionPtr>& exact_per_window) {
-  usp::common::Stopwatch sw;
-  std::vector<usp::stats::DistributionPtr> results;
-  results.reserve(kNumWindows);
-  for (size_t w = 0; w < kNumWindows; ++w) {
-    std::vector<const Distribution*> window;
-    window.reserve(kWindowSize);
-    for (size_t i = 0; i < kWindowSize; ++i) {
-      window.push_back(stream[w * kWindowSize + i].get());
+  // Monte Carlo advances its generator from run to run, so the distance is
+  // taken from the first run's results.
+  std::vector<usp::stats::DistributionPtr> first;
+  const Spread tps = Measure(reps, [&] {
+    usp::common::Stopwatch sw;
+    std::vector<usp::stats::DistributionPtr> results;
+    results.reserve(kNumWindows);
+    for (size_t w = 0; w < kNumWindows; ++w) {
+      std::vector<const Distribution*> window;
+      window.reserve(kWindowSize);
+      for (size_t i = 0; i < kWindowSize; ++i) {
+        window.push_back(stream[w * kWindowSize + i].get());
+      }
+      auto sum = strategy->SumOf(window);
+      results.push_back(sum.ok() ? sum.MoveValueUnsafe() : nullptr);
     }
-    auto sum = strategy->SumOf(window);
-    results.push_back(sum.ok() ? sum.MoveValueUnsafe() : nullptr);
-  }
-  const double seconds = sw.ElapsedSeconds();
+    const double seconds = sw.ElapsedSeconds();
+    if (first.empty()) first = std::move(results);
+    return static_cast<double>(kWindowSize * kNumWindows) / seconds;
+  });
   double dist = 0.0;
   size_t counted = 0;
   for (size_t w = 0; w < kNumWindows; ++w) {
-    if (!results[w] || !exact_per_window[w]) continue;
-    dist += usp::stats::VarianceDistance(*results[w], *exact_per_window[w]);
+    if (!first[w] || !exact_per_window[w]) continue;
+    dist += usp::stats::VarianceDistance(*first[w], *exact_per_window[w]);
     ++counted;
   }
-  return {strategy->name(),
-          static_cast<double>(kWindowSize * kNumWindows) / seconds,
+  return {strategy->name(), reps, tps,
           counted ? dist / static_cast<double>(counted) : 1.0};
 }
 
@@ -132,21 +150,22 @@ std::vector<Row> PrintTable2() {
   usp::uncertain::CltSum clt;
 
   printf("\n=== Table 2: SUM over a tuple stream "
-         "(tumbling window of %zu tuples, %zu windows) ===\n",
-         kWindowSize, kNumWindows);
-  printf("%-16s %14s %18s   %s\n", "Algorithm", "Throughput",
-         "VarianceDistance", "(paper: 3382/0.083, 466/0, 10593/0.012)");
+         "(tumbling window of %zu tuples, %zu windows, %zu reps) ===\n",
+         kWindowSize, kNumWindows, g_reps);
+  printf("%-16s %14s %14s %14s %18s   %s\n", "Algorithm", "Median t/s",
+         "Min t/s", "Max t/s", "VarianceDistance",
+         "(paper: 3382/0.083, 466/0, 10593/0.012)");
   const std::vector<Row> rows = {
-      MeasureStrategy(&histogram, stream, reference),
-      MeasureStrategy(&inversion, stream, reference),
-      MeasureStrategy(&inversion_fft, stream, reference),
-      MeasureStrategy(&approx, stream, reference),
-      MeasureStrategy(&mc, stream, reference),
-      MeasureStrategy(&clt, stream, reference),
+      MeasureStrategy(&histogram, g_reps, stream, reference),
+      MeasureStrategy(&inversion, kQuadratureReps, stream, reference),
+      MeasureStrategy(&inversion_fft, g_reps, stream, reference),
+      MeasureStrategy(&approx, g_reps, stream, reference),
+      MeasureStrategy(&mc, g_reps, stream, reference),
+      MeasureStrategy(&clt, g_reps, stream, reference),
   };
   for (const Row& r : rows) {
-    printf("%-16s %14.0f %18.4f\n", r.name.c_str(), r.throughput_tps,
-           r.variance_distance);
+    printf("%-16s %14.0f %14.0f %14.0f %18.4f\n", r.name.c_str(),
+           r.tps.median, r.tps.min, r.tps.max, r.variance_distance);
   }
   printf("\n");
   return rows;
@@ -161,9 +180,9 @@ std::vector<Row> PrintTable2() {
 
 struct SlidingRow {
   std::string name;
-  double naive_tps;
-  double incremental_tps;
-  double speedup;
+  Spread naive_tps;
+  Spread incremental_tps;
+  double speedup;  // of the medians
 };
 
 std::vector<usp::stream::Tuple> MakeSlidingStream(uint64_t seed) {
@@ -222,27 +241,34 @@ SlidingRow MeasureSliding(SumStrategyKind kind, size_t grid_points,
       kind == SumStrategyKind::kCfInversion
           ? std::make_unique<usp::uncertain::CfInversionSum>(grid_points)
           : usp::uncertain::MakeSumStrategy(kind);
-  std::vector<usp::stream::AggregateSpec> naive_aggs;
-  naive_aggs.push_back(
-      usp::uncertain::MakeSumAggregate("sum", 1, strategy.get()));
-  usp::stream::GroupByAggregateOperator naive("naive", spec, key_fn,
-                                              std::move(naive_aggs));
-  const double naive_tps = DriveOperator(naive, stream, 256);
+  // A fresh operator per run: each run streams the whole input and closes.
+  const Spread naive_tps = Measure(g_reps, [&] {
+    std::vector<usp::stream::AggregateSpec> naive_aggs;
+    naive_aggs.push_back(
+        usp::uncertain::MakeSumAggregate("sum", 1, strategy.get()));
+    usp::stream::GroupByAggregateOperator naive("naive", spec, key_fn,
+                                                std::move(naive_aggs));
+    return DriveOperator(naive, stream, 256);
+  });
 
-  usp::stats::CfInversionWorkspace workspace;
-  usp::uncertain::PaneAggregateOptions popts;
-  popts.grid_points = grid_points;
-  popts.workspace = &workspace;
-  std::vector<usp::stream::PaneAggregateSpec> pane_aggs;
-  pane_aggs.push_back(
-      usp::uncertain::MakePaneSumAggregate("sum", 1, kind, popts));
-  usp::stream::PanedGroupByAggregateOperator paned("paned", spec, key_fn,
-                                                   std::move(pane_aggs));
-  const double incremental_tps = DriveOperator(paned, stream, 256);
+  const Spread incremental_tps = Measure(g_reps, [&] {
+    usp::stats::CfInversionWorkspace workspace;
+    usp::uncertain::PaneAggregateOptions popts;
+    popts.grid_points = grid_points;
+    popts.workspace = &workspace;
+    std::vector<usp::stream::PaneAggregateSpec> pane_aggs;
+    pane_aggs.push_back(
+        usp::uncertain::MakePaneSumAggregate("sum", 1, kind, popts));
+    usp::stream::PanedGroupByAggregateOperator paned("paned", spec, key_fn,
+                                                     std::move(pane_aggs));
+    return DriveOperator(paned, stream, 256);
+  });
 
   return {usp::uncertain::SumStrategyKindName(kind), naive_tps,
           incremental_tps,
-          naive_tps > 0.0 ? incremental_tps / naive_tps : 0.0};
+          naive_tps.median > 0.0
+              ? incremental_tps.median / naive_tps.median
+              : 0.0};
 }
 
 void WriteJson(const std::vector<Row>& table2,
@@ -251,26 +277,31 @@ void WriteJson(const std::vector<Row>& table2,
   if (!f) return;
   fprintf(f, "{\n  \"bench\": \"table2_aggregation\",\n");
   fprintf(f, "  \"smoke\": %s,\n", g_smoke ? "true" : "false");
-  fprintf(f, "  \"isa\": \"%s\",\n", g_isa);
+  usp::bench::PrintMachineJson(f);
+  fprintf(f, "  \"reps\": %zu,\n", g_reps);
   fprintf(f, "  \"window_size\": %zu,\n  \"num_windows\": %zu,\n",
           kWindowSize, kNumWindows);
   fprintf(f, "  \"tumbling\": [\n");
   for (size_t i = 0; i < table2.size(); ++i) {
-    fprintf(f,
-            "    {\"algorithm\": \"%s\", \"throughput_tps\": %.1f, "
-            "\"variance_distance\": %.6f}%s\n",
-            table2[i].name.c_str(), table2[i].throughput_tps,
+    fprintf(f, "    {\"algorithm\": \"%s\", \"reps\": %zu, ",
+            table2[i].name.c_str(), table2[i].reps);
+    PrintSpreadJson(f, table2[i].tps);
+    fprintf(f, ", \"variance_distance\": %.6f}%s\n",
             table2[i].variance_distance, i + 1 < table2.size() ? "," : "");
   }
   fprintf(f, "  ],\n");
   fprintf(f, "  \"sliding_overlap\": %zu,\n", kOverlap);
   fprintf(f, "  \"sliding\": [\n");
   for (size_t i = 0; i < sliding.size(); ++i) {
+    const SlidingRow& r = sliding[i];
     fprintf(f,
             "    {\"algorithm\": \"%s\", \"naive_tps\": %.1f, "
-            "\"incremental_tps\": %.1f, \"speedup\": %.2f}%s\n",
-            sliding[i].name.c_str(), sliding[i].naive_tps,
-            sliding[i].incremental_tps, sliding[i].speedup,
+            "\"naive_tps_min\": %.1f, \"naive_tps_max\": %.1f, "
+            "\"incremental_tps\": %.1f, \"incremental_tps_min\": %.1f, "
+            "\"incremental_tps_max\": %.1f, \"speedup\": %.2f}%s\n",
+            r.name.c_str(), r.naive_tps.median, r.naive_tps.min,
+            r.naive_tps.max, r.incremental_tps.median, r.incremental_tps.min,
+            r.incremental_tps.max, r.speedup,
             i + 1 < sliding.size() ? "," : "");
   }
   fprintf(f, "  ]\n}\n");
@@ -280,8 +311,9 @@ void WriteJson(const std::vector<Row>& table2,
 std::vector<SlidingRow> PrintSlidingComparison() {
   const auto stream = MakeSlidingStream(44);
   printf("=== Sliding-window SUM: naive recompute vs. pane-incremental "
-         "(window %zu tuples, slide %zu, overlap %zu) ===\n",
-         kWindowSize, kWindowSize / kOverlap, kOverlap);
+         "(window %zu tuples, slide %zu, overlap %zu; medians of %zu "
+         "reps) ===\n",
+         kWindowSize, kWindowSize / kOverlap, kOverlap, g_reps);
   printf("%-16s %14s %14s %10s\n", "Algorithm", "Naive t/s", "Incr t/s",
          "Speedup");
   std::vector<SlidingRow> rows;
@@ -290,8 +322,8 @@ std::vector<SlidingRow> PrintSlidingComparison() {
        {SumStrategyKind::kCfInversion, SumStrategyKind::kClt}) {
     rows.push_back(MeasureSliding(kind, grid_points, stream));
     const SlidingRow& r = rows.back();
-    printf("%-16s %14.0f %14.0f %9.2fx\n", r.name.c_str(), r.naive_tps,
-           r.incremental_tps, r.speedup);
+    printf("%-16s %14.0f %14.0f %9.2fx\n", r.name.c_str(), r.naive_tps.median,
+           r.incremental_tps.median, r.speedup);
   }
   printf("\n");
   return rows;
@@ -326,11 +358,12 @@ BENCHMARK_CAPTURE(BM_SumWindow, clt, &g_clt);
 int main(int argc, char** argv) {
   const usp::bench::Args args = usp::bench::ParseArgs(argc, argv);
   g_smoke = args.smoke;
-  g_isa = usp::bench::ApplySimdFlag(args);  // before any CF evaluation
+  // Before any CF evaluation, so the dispatch table latches the asked tier.
+  printf("SIMD dispatch: %s\n", usp::bench::ApplySimdFlag(args));
   g_json_out = args.JsonOutPath("BENCH_table2.json");
-  printf("SIMD dispatch: %s\n", g_isa);
   if (g_smoke) {
     // Tiny sizes so CI can exercise the perf-path code under sanitizers.
+    g_reps = 1;
     kWindowSize = 20;
     kNumWindows = 2;
     kSlidingTuples = 160;

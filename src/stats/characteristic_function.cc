@@ -36,17 +36,17 @@ namespace {
 // Evaluate (or recall) one distribution's CfGrid through the shared cache.
 // Keys are compared bitwise (memcmp), so +-0 / NaN parameters can only
 // cause extra misses, never a wrong hit.
-const std::complex<double>* CachedCfGrid(const Distribution& d,
-                                         const double* t, size_t n,
+const std::complex<double>* CachedCfGrid(const Distribution& d, double dt,
+                                         int64_t j_begin, size_t n,
                                          std::complex<double>* scratch,
                                          CfGridCache* cache) {
   std::vector<double>& key = cache->key_scratch;
   key.clear();
+  key.push_back(dt);
+  key.push_back(static_cast<double>(j_begin));
   key.push_back(static_cast<double>(n));
-  key.push_back(t[0]);
-  key.push_back(t[n - 1]);
   if (n > CfGridCache::kMaxGridPoints || !d.AppendCacheKey(&key)) {
-    d.CfGrid(t, n, scratch);
+    d.CfGrid(dt, j_begin, n, scratch);
     return scratch;
   }
   ++cache->tick;
@@ -60,7 +60,7 @@ const std::complex<double>* CachedCfGrid(const Distribution& d,
     }
   }
   ++cache->misses;
-  d.CfGrid(t, n, scratch);
+  d.CfGrid(dt, j_begin, n, scratch);
   CfGridCache::Entry* slot;
   if (cache->entries.size() < CfGridCache::kMaxEntries) {
     slot = &cache->entries.emplace_back();
@@ -78,8 +78,8 @@ const std::complex<double>* CachedCfGrid(const Distribution& d,
 
 }  // namespace
 
-void ProductCfGrid(const std::vector<const Distribution*>& dists,
-                   const double* t, size_t n, std::complex<double>* out,
+void ProductCfGrid(const std::vector<const Distribution*>& dists, double dt,
+                   int64_t j_begin, size_t n, std::complex<double>* out,
                    std::vector<std::complex<double>>* scratch,
                    CfGridCache* cache) {
   for (size_t i = 0; i < n; ++i) out[i] = std::complex<double>(1.0, 0.0);
@@ -91,9 +91,9 @@ void ProductCfGrid(const std::vector<const Distribution*>& dists,
   for (const Distribution* d : dists) {
     const std::complex<double>* grid;
     if (use_cache) {
-      grid = CachedCfGrid(*d, t, n, cf, cache);
+      grid = CachedCfGrid(*d, dt, j_begin, n, cf, cache);
     } else {
-      d->CfGrid(t, n, cf);
+      d->CfGrid(dt, j_begin, n, cf);
       grid = cf;
     }
     k.product_cf_accum(grid, n, out);
@@ -197,11 +197,12 @@ common::Result<Histogram> InvertCfToDensity(const CharFn& phi,
   const double t_max = kPi / dx;
   const double dt = 2.0 * t_max / static_cast<double>(n);
 
-  // a_k = phi(t_k) * e^{-i k dt lo} * e^{-i pi k / N},  t_k = -T + k dt.
+  // a_k = phi(t_k) * e^{-i k dt lo} * e^{-i pi k / N}, with t_k = -T + k dt
+  // formed on the lattice as (k - n/2) * dt (T = (n/2) * dt exactly).
+  const int64_t j_begin = -static_cast<int64_t>(n / 2);
   std::vector<std::complex<double>> a(n);
   for (size_t k = 0; k < n; ++k) {
-    const double tk = -t_max + static_cast<double>(k) * dt;
-    a[k] = phi(tk);
+    a[k] = phi(LatticeFrequency(j_begin + static_cast<int64_t>(k), dt));
   }
   simd::Active().phase_rotate(a.data(), n, dt, lo);
   return DensityFromFftBuffer(a, lo, hi, n, dt, t_max, opts.grid_points);
@@ -224,13 +225,9 @@ common::Result<Histogram> InvertSumCfToDensity(
   const double t_max = kPi / dx;
   const double dt = 2.0 * t_max / static_cast<double>(n);
 
-  ws->t_grid.resize(n);
-  for (size_t k = 0; k < n; ++k) {
-    ws->t_grid[k] = -t_max + static_cast<double>(k) * dt;
-  }
   ws->fft.resize(n);
-  ProductCfGrid(dists, ws->t_grid.data(), n, ws->fft.data(), &ws->dist_cf,
-                &ws->grid_cache);
+  ProductCfGrid(dists, dt, -static_cast<int64_t>(n / 2), n, ws->fft.data(),
+                &ws->dist_cf, &ws->grid_cache);
   simd::Active().phase_rotate(ws->fft.data(), n, dt, lo);
   return DensityFromFftBuffer(ws->fft, lo, hi, n, dt, t_max,
                               opts.grid_points);

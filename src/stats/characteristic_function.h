@@ -27,7 +27,8 @@ using CharFn = std::function<std::complex<double>(double)>;
 CharFn ProductCf(const std::vector<const Distribution*>& dists);
 
 /// \brief Cross-group CF grid cache, keyed by distribution-parameter
-/// signature (Distribution::AppendCacheKey) plus the frequency range.
+/// signature (Distribution::AppendCacheKey) plus the frequency lattice
+/// range (dt, j_begin, n).
 ///
 /// G groups over identically-parameterised sensor models evaluate each
 /// CfGrid once instead of G times. Owned by CfInversionWorkspace under the
@@ -55,18 +56,22 @@ struct CfGridCache {
   uint64_t tick = 0;
 };
 
-/// Grid form of ProductCf: out[i] = prod_d Cf_d(t[i]) for i in [0, n),
-/// evaluated one distribution at a time through Distribution::CfGrid so the
-/// hot aggregation path makes |dists| virtual calls instead of n * |dists|
-/// closure calls. Applies the same underflow rule as the ProductCf closure
-/// (a point whose partial product drops below 1e-300 in squared magnitude
-/// is pinned to exactly zero), so results are bitwise-identical to calling
-/// the closure per point. `scratch` is resized to n and reused. When
-/// `cache` is non-null and enabled, per-distribution grid evaluations are
-/// looked up / stored by parameter signature (bitwise-equal keys), which
+/// Grid form of ProductCf on the frequency lattice:
+/// out[i] = prod_d Cf_d(t_j), t_j = LatticeFrequency(j, dt),
+/// j = j_begin + i for i in [0, n), evaluated one distribution at a time
+/// through Distribution::CfGrid so the hot aggregation path makes |dists|
+/// virtual calls instead of n * |dists| closure calls. Applies the same
+/// underflow rule as the ProductCf closure (a point whose partial product
+/// drops below 1e-300 in squared magnitude is pinned to exactly zero), so
+/// it equals the closure per point bitwise wherever the distributions'
+/// CfGrid equals their Cf (uniform, exponential, gamma) and to CfGrid's
+/// accuracy elsewhere. Each entry depends only on (dists, dt, j).
+/// `scratch` is resized to n and reused. When `cache` is non-null and
+/// enabled, per-distribution grid evaluations are looked up / stored by
+/// parameter signature and lattice range (bitwise-equal keys), which
 /// cannot change any value — only who computed it first.
-void ProductCfGrid(const std::vector<const Distribution*>& dists,
-                   const double* t, size_t n, std::complex<double>* out,
+void ProductCfGrid(const std::vector<const Distribution*>& dists, double dt,
+                   int64_t j_begin, size_t n, std::complex<double>* out,
                    std::vector<std::complex<double>>* scratch,
                    CfGridCache* cache = nullptr);
 
@@ -78,8 +83,7 @@ void ProductCfGrid(const std::vector<const Distribution*>& dists,
 /// loop of the CF-based aggregates is allocation-free. All vectors are
 /// resized on demand and keep their capacity across windows.
 struct CfInversionWorkspace {
-  std::vector<double> t_grid;                 ///< FFT frequency grid
-  std::vector<std::complex<double>> phi;      ///< product CF on t_grid
+  std::vector<std::complex<double>> phi;      ///< assembled window CF
   std::vector<std::complex<double>> fft;      ///< FFT input/output buffer
   std::vector<std::complex<double>> dist_cf;  ///< per-distribution scratch
   std::vector<double> x_grid;                 ///< order-statistics lattice
@@ -109,17 +113,21 @@ struct CfInversionOptions {
 /// evaluated with an FFT over a truncated frequency grid.
 ///
 /// f(x) = (1/2pi) Int e^{-itx} phi(t) dt, truncated to |t| <= T where T is
-/// chosen so |phi(T)| is negligible (found by doubling scan). The returned
-/// Histogram is the density sampled on the requested grid (clamped to
-/// non-negative and renormalized, which also suppresses truncation ripple).
+/// chosen so |phi(T)| is negligible (found by doubling scan). phi is
+/// sampled on the lattice t_k = (k - n/2) * dt, k in [0, n), with
+/// T = (n/2) * dt. The returned Histogram is the density sampled on the
+/// requested grid (clamped to non-negative and renormalized, which also
+/// suppresses truncation ripple).
 common::Result<Histogram> InvertCfToDensity(const CharFn& phi,
                                             const CfInversionOptions& opts);
 
 /// Sum-of-independents inversion: same algorithm as InvertCfToDensity over
-/// ProductCf(dists), but the frequency grid is evaluated through
-/// ProductCfGrid (one CfGrid call per distribution) and all intermediate
-/// buffers live in `ws` (may be null for a one-shot local workspace).
-/// Produces bitwise-identical histograms to the closure path.
+/// ProductCf(dists), on the same lattice t_k = (k - n/2) * dt, but the
+/// frequency grid is evaluated through ProductCfGrid (one CfGrid call per
+/// distribution) and all intermediate buffers live in `ws` (may be null for
+/// a one-shot local workspace). Bitwise-identical to the closure path when
+/// every distribution's CfGrid equals its Cf (uniform, exponential, gamma);
+/// Gaussian and mixture grids agree to their recurrence accuracy.
 common::Result<Histogram> InvertSumCfToDensity(
     const std::vector<const Distribution*>& dists,
     const CfInversionOptions& opts, CfInversionWorkspace* ws);

@@ -37,9 +37,11 @@ double Distribution::LogPdf(double x) const {
 
 double Distribution::Stddev() const { return std::sqrt(Variance()); }
 
-void Distribution::CfGrid(const double* t, size_t n,
+void Distribution::CfGrid(double dt, int64_t j_begin, size_t n,
                           std::complex<double>* out) const {
-  for (size_t i = 0; i < n; ++i) out[i] = Cf(t[i]);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = Cf(LatticeFrequency(j_begin + static_cast<int64_t>(i), dt));
+  }
 }
 
 void Distribution::CdfGrid(const double* x, size_t n, double* out) const {

@@ -13,6 +13,7 @@
 #define USP_STATS_DISTRIBUTION_H_
 
 #include <complex>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,6 +46,13 @@ struct Support {
   double Width() const { return hi - lo; }
 };
 
+/// The frequency lattice every CF grid lives on: t_j = j * dt. Grid
+/// kernels and their callers form t_j exactly this way, so a grid entry
+/// and a per-point Cf() call see the same frequency.
+inline double LatticeFrequency(int64_t j, double dt) {
+  return static_cast<double>(j) * dt;
+}
+
 /// \brief A univariate continuous probability distribution.
 ///
 /// All implementations must provide density, cdf, moments, sampling, and the
@@ -74,14 +82,21 @@ class Distribution {
   /// True when Cf() evaluates a closed form (vs. numeric integration).
   virtual bool HasClosedFormCf() const { return true; }
 
-  /// Grid form of Cf(): out[i] = Cf(t[i]) for i in [0, n). The default loops
-  /// Cf(); concrete distributions override it with a vectorised kernel that
-  /// hoists loop-invariant parameters and skips the per-point virtual
-  /// dispatch. Overrides must stay bitwise-identical to per-point Cf() so
-  /// the batched and scalar aggregation paths agree exactly.
-  virtual void CfGrid(const double* t, size_t n,
+  /// Grid form of Cf() on the frequency lattice:
+  /// out[i] = Cf(LatticeFrequency(j_begin + i, dt)) for i in [0, n), where
+  /// j_begin may be negative. The default loops Cf(); concrete
+  /// distributions override it with a dispatch-table kernel that hoists
+  /// loop-invariant parameters and skips the per-point virtual call.
+  /// Every entry must be a pure function of the parameters, dt and its j,
+  /// independent of the dispatch tier and of the range a call covers, so
+  /// split, extended, cached and sharded evaluations agree bitwise.
+  /// Uniform, exponential and gamma grids equal per-point Cf() bitwise;
+  /// Gaussian and mixture grids run an exp/sincos-free recurrence that
+  /// agrees with Cf() to ~1e-13 relative (see stats/simd/kernels.h).
+  virtual void CfGrid(double dt, int64_t j_begin, size_t n,
                       std::complex<double>* out) const;
-  /// Grid form of Cdf(): out[i] = Cdf(x[i]). Same contract as CfGrid().
+  /// Grid form of Cdf(): out[i] = Cdf(x[i]), bitwise-identical to per-point
+  /// Cdf().
   virtual void CdfGrid(const double* x, size_t n, double* out) const;
 
   /// Appends a value-identity signature (type tag + exact parameters) to

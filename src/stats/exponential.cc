@@ -37,9 +37,9 @@ std::complex<double> Exponential::Cf(double t) const {
   return simd::ExponentialCfPoint(rate_, t);
 }
 
-void Exponential::CfGrid(const double* t, size_t n,
+void Exponential::CfGrid(double dt, int64_t j_begin, size_t n,
                          std::complex<double>* out) const {
-  simd::Active().exponential_cf_grid(rate_, t, n, out);
+  simd::Active().exponential_cf_grid(rate_, dt, j_begin, n, out);
 }
 
 bool Exponential::AppendCacheKey(std::vector<double>* key) const {

@@ -89,11 +89,11 @@ std::complex<double> GammaDist::Cf(double t) const {
   return std::pow(base, -shape_);
 }
 
-void GammaDist::CfGrid(const double* t, size_t n,
+void GammaDist::CfGrid(double dt, int64_t j_begin, size_t n,
                        std::complex<double>* out) const {
   // Both dispatch tiers route here: complex pow has no lane-exact vector
   // form, so the table registers this same per-lane loop for every ISA.
-  simd::Active().gamma_cf_grid(shape_, scale_, t, n, out);
+  simd::Active().gamma_cf_grid(shape_, scale_, dt, j_begin, n, out);
 }
 
 bool GammaDist::AppendCacheKey(std::vector<double>* key) const {

@@ -24,7 +24,7 @@ class GammaDist final : public Distribution {
   double Mean() const override { return shape_ * scale_; }
   double Variance() const override { return shape_ * scale_ * scale_; }
   std::complex<double> Cf(double t) const override;
-  void CfGrid(const double* t, size_t n,
+  void CfGrid(double dt, int64_t j_begin, size_t n,
               std::complex<double>* out) const override;
   bool AppendCacheKey(std::vector<double>* key) const override;
   double Sample(common::Rng* rng) const override;

@@ -44,14 +44,15 @@ double Gaussian::Quantile(double p) const {
 }
 
 std::complex<double> Gaussian::Cf(double t) const {
-  // exp(i mu t - sigma^2 t^2 / 2); the point form of the grid kernel, so
-  // CfGrid stays bitwise-identical to Cf on every dispatch tier.
+  // exp(i mu t - sigma^2 t^2 / 2), the direct form the grid kernel's
+  // recurrence anchors on.
   return simd::GaussianCfPoint(-0.5 * stddev_ * stddev_, mean_, t);
 }
 
-void Gaussian::CfGrid(const double* t, size_t n,
+void Gaussian::CfGrid(double dt, int64_t j_begin, size_t n,
                       std::complex<double>* out) const {
-  simd::Active().gaussian_cf_grid(-0.5 * stddev_ * stddev_, mean_, t, n, out);
+  simd::Active().gaussian_cf_grid(-0.5 * stddev_ * stddev_, mean_, dt, j_begin,
+                                  n, out);
 }
 
 void Gaussian::CdfGrid(const double* x, size_t n, double* out) const {

@@ -74,8 +74,8 @@ double GaussianMixture::Cdf(double x) const {
 }
 
 std::complex<double> GaussianMixture::Cf(double t) const {
-  // Point form of the grid kernel, accumulated in component order — the
-  // same order and associativity CfGrid uses on every dispatch tier.
+  // Direct form of each component, accumulated in component order like
+  // CfGrid.
   std::complex<double> s(0.0, 0.0);
   for (const auto& c : comps_) {
     simd::GmmCfPointAccum(-0.5 * c.stddev * c.stddev, c.mean, c.weight, t, &s);
@@ -83,15 +83,15 @@ std::complex<double> GaussianMixture::Cf(double t) const {
   return s;
 }
 
-void GaussianMixture::CfGrid(const double* t, size_t n,
+void GaussianMixture::CfGrid(double dt, int64_t j_begin, size_t n,
                              std::complex<double>* out) const {
   // Component-major accumulation: per-component constants are hoisted once
-  // instead of once per (point, component) pair, mirroring Cf() exactly.
+  // instead of once per (point, component) pair.
   for (size_t i = 0; i < n; ++i) out[i] = std::complex<double>(0.0, 0.0);
   const simd::Dispatch& k = simd::Active();
   for (const auto& c : comps_) {
-    k.gmm_cf_grid_accum(-0.5 * c.stddev * c.stddev, c.mean, c.weight, t, n,
-                        out);
+    k.gmm_cf_grid_accum(-0.5 * c.stddev * c.stddev, c.mean, c.weight, dt,
+                        j_begin, n, out);
   }
 }
 

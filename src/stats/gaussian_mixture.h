@@ -35,7 +35,7 @@ class GaussianMixture final : public Distribution {
   double Mean() const override { return mean_; }
   double Variance() const override { return variance_; }
   std::complex<double> Cf(double t) const override;
-  void CfGrid(const double* t, size_t n,
+  void CfGrid(double dt, int64_t j_begin, size_t n,
               std::complex<double>* out) const override;
   void CdfGrid(const double* x, size_t n, double* out) const override;
   bool AppendCacheKey(std::vector<double>* key) const override;

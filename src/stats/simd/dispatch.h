@@ -23,6 +23,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 namespace usp {
 namespace stats {
@@ -34,18 +35,21 @@ struct Dispatch {
   const char* isa;  // "scalar" or "avx2"; recorded in bench JSON
   Tier tier;
 
-  // Distribution grid kernels (see kernels.h for the exact formulas).
-  void (*gaussian_cf_grid)(double c, double mean, const double* t,
+  // Distribution grid kernels (see kernels.h for the exact formulas). CF
+  // grids cover the frequency lattice t_j = j * dt, j in
+  // [j_begin, j_begin + n).
+  void (*gaussian_cf_grid)(double c, double mean, double dt, int64_t j_begin,
                            std::size_t n, std::complex<double>* out);
-  void (*gmm_cf_grid_accum)(double c, double mean, double weight,
-                            const double* t, std::size_t n,
+  void (*gmm_cf_grid_accum)(double c, double mean, double weight, double dt,
+                            int64_t j_begin, std::size_t n,
                             std::complex<double>* out);
-  void (*uniform_cf_grid)(double lo, double hi, const double* t, std::size_t n,
-                          std::complex<double>* out);
-  void (*exponential_cf_grid)(double rate, const double* t, std::size_t n,
-                              std::complex<double>* out);
-  void (*gamma_cf_grid)(double shape, double scale, const double* t,
-                        std::size_t n, std::complex<double>* out);
+  void (*uniform_cf_grid)(double lo, double hi, double dt, int64_t j_begin,
+                          std::size_t n, std::complex<double>* out);
+  void (*exponential_cf_grid)(double rate, double dt, int64_t j_begin,
+                              std::size_t n, std::complex<double>* out);
+  void (*gamma_cf_grid)(double shape, double scale, double dt,
+                        int64_t j_begin, std::size_t n,
+                        std::complex<double>* out);
   void (*gaussian_cdf_grid)(double mean, double sd, const double* x,
                             std::size_t n, double* out);
   void (*gmm_cdf_grid_accum)(double mean, double sd, double weight,

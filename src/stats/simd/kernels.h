@@ -1,9 +1,11 @@
 // Templated kernel bodies for the SIMD dispatch layer.
 //
 // Each kernel is instantiated once per backend (kernels_scalar.cc,
-// kernels_avx2.cc); the vector main loop hands its remainder to the
-// ScalarBackend instantiation, so a tier's tail elements are bitwise
-// identical to the pure-scalar tier by construction.
+// kernels_avx2.cc); a per-point kernel's vector main loop hands its
+// remainder to the ScalarBackend instantiation, so a tier's tail elements
+// are bitwise identical to the pure-scalar tier by construction. (The
+// Gaussian lattice recurrence instead fixes its chain layout across tiers
+// and writes range edges lane by lane; see GaussianChainsT.)
 //
 // Aliasing contract (shared by every tier): input and output ranges must
 // not overlap unless a kernel is explicitly documented as in-place
@@ -12,17 +14,28 @@
 // as such by the vector loads/stores; the asserts make the contract
 // checkable in debug builds.
 //
-// The single-point CfPoint helpers at the bottom are what the
-// Distribution::Cf overrides call: they are the ScalarBackend kernels at
-// n == 1, which keeps the CfGrid == Cf bitwise contract
-// (tests/stats/cf_grid_test.cc) intact no matter which tier grids run on.
+// CF grids live on the frequency lattice t_j = j * dt. Uniform and
+// exponential grids evaluate the direct per-lane form at every t_j (gamma
+// runs one shared libm loop), so their entries equal the single-point
+// CfPoint helpers at the bottom, which the Distribution::Cf overrides
+// call, bitwise. Gaussian and mixture grids instead run an anchored
+// recurrence (detail::GaussianChainsT) with one exact evaluation per
+// chain anchor and no exp or sincos in between: their entries equal Cf(t_j)
+// at the anchors and agree with it to ~1e-13 relative elsewhere
+// (tests/stats/cf_lattice_test.cc). Every tier still performs the same
+// correctly-rounded operations on the same values, so the tiers stay
+// bitwise-equal to each other, and each entry is a pure function of the
+// parameters, dt and j, whatever range a call covers.
 
 #ifndef USP_STATS_SIMD_KERNELS_H_
 #define USP_STATS_SIMD_KERNELS_H_
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <type_traits>
 #include <vector>
 
@@ -37,116 +50,288 @@ inline constexpr double kPi = 3.14159265358979323846;
 inline constexpr double kSqrt2 = 1.41421356237309504880;
 }  // namespace detail
 
-// out[i] = exp(c * t^2) * (cos(mean*t) + i sin(mean*t)), c = -sd^2/2.
+// ---- CF grids on the frequency lattice ------------------------------------
+// Every CF grid kernel evaluates t_j = j * dt for the integers j in
+// [j_begin, j_begin + n); j may be negative. Each kernel forms t_j as
+// static_cast<double>(j) * dt (an Iota lane times dt), the same value the
+// per-point Cf(t_j) receives from LatticeFrequency() in distribution.h.
+
+namespace detail {
+
+// weight * exp(c * t^2) * (cos(mean*t), sin(mean*t)) per lane: the direct
+// Gaussian-component form, used by the point helpers and as the exact
+// anchor of every recurrence chain below.
 template <class B>
-void GaussianCfGridT(double c, double mean, const double* __restrict t,
-                     std::size_t n, std::complex<double>* __restrict out) {
-  assert(NoOverlap(t, n * sizeof(*t), out, n * sizeof(*out)));
-  const auto vc = B::Set(c);
-  const auto vm = B::Set(mean);
-  std::size_t i = 0;
-  for (; i + B::kLanes <= n; i += B::kLanes) {
-    const auto tv = B::Load(t + i);
-    const auto re = B::Mul(B::Mul(vc, tv), tv);  // (c*t)*t, as hoisted form
-    const auto im = B::Mul(vm, tv);
-    const auto e = Exp<B>(re);
-    typename B::V s, co;
-    SinCos<B>(im, &s, &co);
-    B::StoreComplex(out + i, B::Mul(e, co), B::Mul(e, s));
-  }
-  if constexpr (!std::is_same_v<B, ScalarBackend>) {
-    if (i < n) GaussianCfGridT<ScalarBackend>(c, mean, t + i, n - i, out + i);
-  }
+void GaussianCfAt(typename B::V vc, typename B::V vmean, typename B::V vw,
+                  typename B::V t, typename B::V* re, typename B::V* im) {
+  const auto env = B::Mul(vw, Exp<B>(B::Mul(B::Mul(vc, t), t)));
+  typename B::V s, co;
+  SinCos<B>(B::Mul(vmean, t), &s, &co);
+  *re = B::Mul(env, co);
+  *im = B::Mul(env, s);
 }
 
-// out[i] += weight * exp(c * t^2) * (cos(mean*t) + i sin(mean*t));
-// one call per mixture component, in component order.
-template <class B>
-void GmmCfGridAccumT(double c, double mean, double weight,
-                     const double* __restrict t, std::size_t n,
-                     std::complex<double>* __restrict out) {
-  assert(NoOverlap(t, n * sizeof(*t), out, n * sizeof(*out)));
-  const auto vc = B::Set(c);
-  const auto vm = B::Set(mean);
-  const auto vw = B::Set(weight);
-  std::size_t i = 0;
-  for (; i + B::kLanes <= n; i += B::kLanes) {
-    const auto tv = B::Load(t + i);
-    const auto re = B::Mul(B::Mul(vc, tv), tv);
-    const auto im = B::Mul(vm, tv);
-    const auto g = B::Mul(vw, Exp<B>(re));  // weight * exp(re), then * rot
-    typename B::V s, co;
-    SinCos<B>(im, &s, &co);
-    B::AccumComplex(out + i, B::Mul(g, co), B::Mul(g, s));
-  }
-  if constexpr (!std::is_same_v<B, ScalarBackend>) {
-    if (i < n) {
-      GmmCfGridAccumT<ScalarBackend>(c, mean, weight, t + i, n - i, out + i);
+// Anchored-recurrence layout of the Gaussian lattice kernels, the same on
+// every tier whatever its lane count: each block of kAnchorBlock points
+// whose first |j| is a multiple of kAnchorBlock runs kChains interleaved
+// chains (chain c holds |j| = block + c, block + c + kChains, ...). With
+// S = kChains, CF(t_{m+S}) = CF(t_m) * R_m where
+//   R_m = exp(c dt^2 (2Sm + S^2)) * e^{i mean S dt},
+//   R_{m+S} = R_m * exp(2 S^2 c dt^2),
+// so a chain step is one complex multiply and one real-by-complex
+// multiply, no exp or sincos. A chain's anchor (its first point) and its
+// first ratio are exact evaluations; the rotation e^{i mean S dt} and the
+// real step factor are computed once per call from (c, mean, dt) alone.
+// Each value is therefore a pure function of (c, mean, weight, dt, j): a
+// grid split into pieces, extended, or cached equals a fresh evaluation.
+inline constexpr int64_t kAnchorBlock = 128;
+inline constexpr int64_t kChains = 4;
+inline constexpr int64_t kChainSteps = kAnchorBlock / kChains;
+
+// Writes (kAccum false) or adds (kAccum true) the chain points |j| = m in
+// [m_lo, m_hi) of one half of the lattice: j = m for the t >= 0 half; for
+// the t < 0 half (negative true) j = -m and the value is the conjugate,
+// since CF(-t) = conj(CF(t)). Chains run outward from t = 0, so an envelope
+// that has underflowed only ever continues to 0; a block whose anchors are
+// all exactly 0 is left at 0 without running its chains.
+template <class B, bool kAccum>
+void GaussianChainsT(double c, double mean, double weight, double dt,
+                     int64_t m_lo, int64_t m_hi, bool negative,
+                     int64_t j_begin, std::complex<double>* __restrict out) {
+  using V = typename B::V;
+  constexpr int64_t kL = static_cast<int64_t>(B::kLanes);
+  static_assert(kChains % kL == 0, "chains must fill whole vectors");
+  constexpr int64_t kGroups = kChains / kL;
+  // Hoisted per-call constants: scalar evaluations, identical on every tier.
+  const double cdt2 = c * dt * dt;
+  const V vq = B::Set(
+      Exp<ScalarBackend>(cdt2 * static_cast<double>(2 * kChains * kChains)));
+  double rot_s, rot_c;
+  SinCos<ScalarBackend>(mean * (dt * static_cast<double>(kChains)), &rot_s,
+                        &rot_c);
+  const V vrot_s = B::Set(rot_s);
+  const V vrot_c = B::Set(rot_c);
+  const V vc = B::Set(c);
+  const V vmean = B::Set(mean);
+  const V vw = B::Set(weight);
+  const V vdt = B::Set(dt);
+  const V vcdt2 = B::Set(cdt2);
+  const V vtwo_s = B::Set(static_cast<double>(2 * kChains));
+  const V vs2 = B::Set(static_cast<double>(kChains * kChains));
+
+  // Output index of lattice point |j| = m in this half.
+  const auto index = [&](int64_t m) {
+    return static_cast<std::size_t>((negative ? -m : m) - j_begin);
+  };
+  // One vector of kL consecutive points m_first .. m_first + kL - 1.
+  const auto emit = [&](int64_t m_first, V re, V im) {
+    if (m_first >= m_lo && m_first + kL <= m_hi) {
+      if (negative) {
+        // Descending j: lanes reversed into ascending output order.
+        std::complex<double>* p = out + index(m_first + kL - 1);
+        const V rre = B::Reverse(re);
+        const V rim = B::Neg(B::Reverse(im));
+        if constexpr (kAccum) {
+          B::AccumComplex(p, rre, rim);
+        } else {
+          B::StoreComplex(p, rre, rim);
+        }
+      } else {
+        std::complex<double>* p = out + index(m_first);
+        if constexpr (kAccum) {
+          B::AccumComplex(p, re, im);
+        } else {
+          B::StoreComplex(p, re, im);
+        }
+      }
+      return;
+    }
+    // Range edge: per lane, with the same adds the vector forms perform.
+    double lre[kL], lim[kL];
+    B::Store(lre, re);
+    B::Store(lim, im);
+    for (int64_t l = 0; l < kL; ++l) {
+      const int64_t m = m_first + l;
+      if (m < m_lo || m >= m_hi) continue;
+      const double vim_l = negative ? -lim[l] : lim[l];
+      std::complex<double>& o = out[index(m)];
+      if constexpr (kAccum) {
+        o = {o.real() + lre[l], o.imag() + vim_l};
+      } else {
+        o = {lre[l], vim_l};
+      }
+    }
+  };
+
+  for (int64_t mb = m_lo / kAnchorBlock * kAnchorBlock; mb < m_hi;
+       mb += kAnchorBlock) {
+    const int64_t steps =
+        std::min(kChainSteps, (m_hi - mb + kChains - 1) / kChains);
+    V vre[kGroups], vim[kGroups], rre[kGroups], rim[kGroups];
+    bool all_zero = true;
+    for (int64_t g = 0; g < kGroups; ++g) {
+      const V m0 = B::Iota(static_cast<double>(mb + g * kL));
+      GaussianCfAt<B>(vc, vmean, vw, B::Mul(m0, vdt), &vre[g], &vim[g]);
+      const V renv =
+          Exp<B>(B::Mul(vcdt2, B::Add(B::Mul(vtwo_s, m0), vs2)));
+      rre[g] = B::Mul(renv, vrot_c);
+      rim[g] = B::Mul(renv, vrot_s);
+      double are[kL], aim[kL];
+      B::Store(are, vre[g]);
+      B::Store(aim, vim[g]);
+      for (int64_t l = 0; l < kL; ++l) {
+        all_zero = all_zero && are[l] == 0.0 && aim[l] == 0.0;
+      }
+    }
+    if (all_zero) {
+      if constexpr (!kAccum) {
+        const int64_t end = std::min(mb + kAnchorBlock, m_hi);
+        for (int64_t m = std::max(mb, m_lo); m < end; ++m) {
+          out[index(m)] = {0.0, 0.0};
+        }
+      }
+      continue;
+    }
+    for (int64_t s = 0;; ++s) {
+      for (int64_t g = 0; g < kGroups; ++g) {
+        emit(mb + s * kChains + g * kL, vre[g], vim[g]);
+      }
+      if (s + 1 == steps) break;
+      for (int64_t g = 0; g < kGroups; ++g) {
+        // CMul(v, R) in the canonical form, then R *= q.
+        const V nre = B::Sub(B::Mul(vre[g], rre[g]), B::Mul(vim[g], rim[g]));
+        const V nim = B::Add(B::Mul(vre[g], rim[g]), B::Mul(vim[g], rre[g]));
+        vre[g] = nre;
+        vim[g] = nim;
+        rre[g] = B::Mul(rre[g], vq);
+        rim[g] = B::Mul(rim[g], vq);
+      }
     }
   }
 }
 
-// Uniform[lo, hi]: out = (e^{it*hi} - e^{it*lo}) / (i * t * width), with
-// the t == 0 lanes selected to exactly (1, 0). Division by the purely
-// imaginary denominator is expanded to (num_im/den, -num_re/den); zero
-// lanes divide by a selected 1.0 so no lane ever divides by zero.
-template <class B>
-void UniformCfGridT(double lo, double hi, const double* __restrict t,
-                    std::size_t n, std::complex<double>* __restrict out) {
-  assert(NoOverlap(t, n * sizeof(*t), out, n * sizeof(*out)));
-  const auto vlo = B::Set(lo);
-  const auto vhi = B::Set(hi);
-  const auto vwidth = B::Set(hi - lo);
-  const auto one = B::Set(1.0);
-  const auto zero = B::Set(0.0);
-  std::size_t i = 0;
-  for (; i + B::kLanes <= n; i += B::kLanes) {
-    const auto tv = B::Load(t + i);
-    const auto is_zero = B::Eq(tv, zero);
-    typename B::V sh, ch, sl, cl;
-    SinCos<B>(B::Mul(tv, vhi), &sh, &ch);
-    SinCos<B>(B::Mul(tv, vlo), &sl, &cl);
-    const auto num_re = B::Sub(ch, cl);
-    const auto num_im = B::Sub(sh, sl);
-    const auto den = B::Select(is_zero, one, B::Mul(tv, vwidth));
-    const auto out_re = B::Select(is_zero, one, B::Div(num_im, den));
-    const auto out_im = B::Select(is_zero, zero, B::Neg(B::Div(num_re, den)));
-    B::StoreComplex(out + i, out_re, out_im);
+// Splits the lattice range into its t >= 0 and t < 0 halves.
+template <class B, bool kAccum>
+void GaussianLatticeT(double c, double mean, double weight, double dt,
+                      int64_t j_begin, std::size_t n,
+                      std::complex<double>* __restrict out) {
+  if (n == 0) return;
+  const int64_t j_end = j_begin + static_cast<int64_t>(n);
+  if (j_end > 0) {
+    GaussianChainsT<B, kAccum>(c, mean, weight, dt,
+                               std::max<int64_t>(j_begin, 0), j_end,
+                               /*negative=*/false, j_begin, out);
   }
-  if constexpr (!std::is_same_v<B, ScalarBackend>) {
-    if (i < n) UniformCfGridT<ScalarBackend>(lo, hi, t + i, n - i, out + i);
+  if (j_begin < 0) {
+    GaussianChainsT<B, kAccum>(c, mean, weight, dt,
+                               1 - std::min<int64_t>(j_end, 0), 1 - j_begin,
+                               /*negative=*/true, j_begin, out);
   }
 }
 
-// Exponential(rate): rate / (rate - i t) expanded against the conjugate:
-// (rate^2 / den, rate*t / den), den = rate^2 + t^2.
+// Uniform[lo, hi] per lane: (e^{it*hi} - e^{it*lo}) / (i * t * width), with
+// t == 0 lanes selected to exactly (1, 0). Division by the purely
+// imaginary denominator is expanded to (num_im/den, -num_re/den); zero
+// lanes divide by a selected 1.0 so no lane ever divides by zero.
 template <class B>
-void ExponentialCfGridT(double rate, const double* __restrict t, std::size_t n,
-                        std::complex<double>* __restrict out) {
-  assert(NoOverlap(t, n * sizeof(*t), out, n * sizeof(*out)));
-  const auto vrate = B::Set(rate);
+void UniformCfAt(double lo, double hi, typename B::V t, typename B::V* re,
+                 typename B::V* im) {
+  const auto one = B::Set(1.0);
+  const auto zero = B::Set(0.0);
+  const auto is_zero = B::Eq(t, zero);
+  typename B::V sh, ch, sl, cl;
+  SinCos<B>(B::Mul(t, B::Set(hi)), &sh, &ch);
+  SinCos<B>(B::Mul(t, B::Set(lo)), &sl, &cl);
+  const auto num_re = B::Sub(ch, cl);
+  const auto num_im = B::Sub(sh, sl);
+  const auto den = B::Select(is_zero, one, B::Mul(t, B::Set(hi - lo)));
+  *re = B::Select(is_zero, one, B::Div(num_im, den));
+  *im = B::Select(is_zero, zero, B::Neg(B::Div(num_re, den)));
+}
+
+// Exponential(rate) per lane: rate / (rate - i t) expanded against the
+// conjugate: (rate^2 / den, rate*t / den), den = rate^2 + t^2.
+template <class B>
+void ExponentialCfAt(double rate, typename B::V t, typename B::V* re,
+                     typename B::V* im) {
   const auto vrate2 = B::Set(rate * rate);
+  const auto den = B::Add(vrate2, B::Mul(t, t));
+  *re = B::Div(vrate2, den);
+  *im = B::Div(B::Mul(B::Set(rate), t), den);
+}
+
+}  // namespace detail
+
+// out[i] = exp(c * t_j^2) * e^{i mean t_j}, c = -sd^2/2, j = j_begin + i,
+// by the anchored recurrence (detail::GaussianChainsT).
+template <class B>
+void GaussianCfGridT(double c, double mean, double dt, int64_t j_begin,
+                     std::size_t n, std::complex<double>* __restrict out) {
+  detail::GaussianLatticeT<B, false>(c, mean, 1.0, dt, j_begin, n, out);
+}
+
+// out[i] += weight * exp(c * t_j^2) * e^{i mean t_j}; one call per mixture
+// component, in component order.
+template <class B>
+void GmmCfGridAccumT(double c, double mean, double weight, double dt,
+                     int64_t j_begin, std::size_t n,
+                     std::complex<double>* __restrict out) {
+  detail::GaussianLatticeT<B, true>(c, mean, weight, dt, j_begin, n, out);
+}
+
+// Uniform[lo, hi], evaluated directly at every lattice point.
+template <class B>
+void UniformCfGridT(double lo, double hi, double dt, int64_t j_begin,
+                    std::size_t n, std::complex<double>* __restrict out) {
+  const auto vdt = B::Set(dt);
   std::size_t i = 0;
   for (; i + B::kLanes <= n; i += B::kLanes) {
-    const auto tv = B::Load(t + i);
-    const auto den = B::Add(vrate2, B::Mul(tv, tv));
-    B::StoreComplex(out + i, B::Div(vrate2, den),
-                    B::Div(B::Mul(vrate, tv), den));
+    const auto t = B::Mul(
+        B::Iota(static_cast<double>(j_begin + static_cast<int64_t>(i))), vdt);
+    typename B::V re, im;
+    detail::UniformCfAt<B>(lo, hi, t, &re, &im);
+    B::StoreComplex(out + i, re, im);
   }
   if constexpr (!std::is_same_v<B, ScalarBackend>) {
-    if (i < n) ExponentialCfGridT<ScalarBackend>(rate, t + i, n - i, out + i);
+    if (i < n) {
+      UniformCfGridT<ScalarBackend>(lo, hi, dt,
+                                    j_begin + static_cast<int64_t>(i), n - i,
+                                    out + i);
+    }
+  }
+}
+
+// Exponential(rate), evaluated directly at every lattice point.
+template <class B>
+void ExponentialCfGridT(double rate, double dt, int64_t j_begin,
+                        std::size_t n, std::complex<double>* __restrict out) {
+  const auto vdt = B::Set(dt);
+  std::size_t i = 0;
+  for (; i + B::kLanes <= n; i += B::kLanes) {
+    const auto t = B::Mul(
+        B::Iota(static_cast<double>(j_begin + static_cast<int64_t>(i))), vdt);
+    typename B::V re, im;
+    detail::ExponentialCfAt<B>(rate, t, &re, &im);
+    B::StoreComplex(out + i, re, im);
+  }
+  if constexpr (!std::is_same_v<B, ScalarBackend>) {
+    if (i < n) {
+      ExponentialCfGridT<ScalarBackend>(
+          rate, dt, j_begin + static_cast<int64_t>(i), n - i, out + i);
+    }
   }
 }
 
 // Gamma(shape, scale): (1 - i*scale*t)^{-shape} has no cheap lane-exact
 // vector form (complex pow), so every tier runs this same per-lane libm
 // loop — registered in both dispatch tables on purpose.
-inline void GammaCfGridScalar(double shape, double scale,
-                              const double* __restrict t, std::size_t n,
+inline void GammaCfGridScalar(double shape, double scale, double dt,
+                              int64_t j_begin, std::size_t n,
                               std::complex<double>* __restrict out) {
-  assert(NoOverlap(t, n * sizeof(*t), out, n * sizeof(*out)));
   for (std::size_t i = 0; i < n; ++i) {
-    const std::complex<double> base(1.0, -scale * t[i]);
+    const double t =
+        static_cast<double>(j_begin + static_cast<int64_t>(i)) * dt;
+    const std::complex<double> base(1.0, -scale * t);
     out[i] = std::pow(base, -shape);
   }
 }
@@ -337,31 +522,35 @@ void DensityMassesT(const std::complex<double>* __restrict a, std::size_t n,
 }
 
 // ---- single-point helpers for the Distribution::Cf overrides --------------
-// These are the ScalarBackend kernels at n == 1; because every vector tier
-// defers its remainder to ScalarBackend, a CfGrid evaluation of any length
-// on any tier is bitwise-identical to calling these point forms per entry.
+// The direct per-lane forms above on ScalarBackend. Uniform and exponential
+// grids run exactly these forms at t_j, so their CfGrid entries equal
+// Cf(t_j) bitwise on every tier; Gaussian and mixture grids equal these at
+// the chain anchors and agree elsewhere to ~1e-13 relative
+// (tests/stats/cf_lattice_test.cc).
 
 inline std::complex<double> GaussianCfPoint(double c, double mean, double t) {
-  std::complex<double> out;
-  GaussianCfGridT<ScalarBackend>(c, mean, &t, 1, &out);
-  return out;
+  double re, im;
+  detail::GaussianCfAt<ScalarBackend>(c, mean, 1.0, t, &re, &im);
+  return {re, im};
 }
 
 inline void GmmCfPointAccum(double c, double mean, double weight, double t,
                             std::complex<double>* acc) {
-  GmmCfGridAccumT<ScalarBackend>(c, mean, weight, &t, 1, acc);
+  double re, im;
+  detail::GaussianCfAt<ScalarBackend>(c, mean, weight, t, &re, &im);
+  ScalarBackend::AccumComplex(acc, re, im);
 }
 
 inline std::complex<double> UniformCfPoint(double lo, double hi, double t) {
-  std::complex<double> out;
-  UniformCfGridT<ScalarBackend>(lo, hi, &t, 1, &out);
-  return out;
+  double re, im;
+  detail::UniformCfAt<ScalarBackend>(lo, hi, t, &re, &im);
+  return {re, im};
 }
 
 inline std::complex<double> ExponentialCfPoint(double rate, double t) {
-  std::complex<double> out;
-  ExponentialCfGridT<ScalarBackend>(rate, &t, 1, &out);
-  return out;
+  double re, im;
+  detail::ExponentialCfAt<ScalarBackend>(rate, t, &re, &im);
+  return {re, im};
 }
 
 }  // namespace simd

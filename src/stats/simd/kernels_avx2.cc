@@ -49,6 +49,7 @@ struct Avx2Backend {
     return _mm256_add_pd(_mm256_set1_pd(base),
                          _mm256_setr_pd(0.0, 1.0, 2.0, 3.0));
   }
+  static V Reverse(V a) { return _mm256_permute4x64_pd(a, 0x1B); }
   static V Add(V a, V b) { return _mm256_add_pd(a, b); }
   static V Sub(V a, V b) { return _mm256_sub_pd(a, b); }
   static V Mul(V a, V b) { return _mm256_mul_pd(a, b); }

@@ -20,7 +20,13 @@
 //
 // Domain notes: Exp() is exact-zero below -745.2 and overflows to inf
 // naturally above ~709.8; SinCos() requires |x| < 2^31 * pi/2 (quadrant
-// indices must fit in int32 — CF phase arguments here stay below ~1e8).
+// indices must fit in int32). CF grids call them only where the direct
+// form needs them: at every lattice point for uniform, and for Gaussian
+// and mixture grids only at the recurrence anchors (one per chain and
+// 128-point block) plus two per-call constants, so the arguments are
+// mean * t_j and c * t_j^2 at anchor frequencies (phases stay below ~1e8)
+// and non-positive ratio exponents. Lattice indices j must stay below
+// 2^53 in magnitude, so j and j * dt are formed exactly from an Iota lane.
 
 #ifndef USP_STATS_SIMD_VEC_MATH_H_
 #define USP_STATS_SIMD_VEC_MATH_H_
@@ -76,6 +82,7 @@ struct ScalarBackend {
   static V Load(const double* p) { return *p; }
   static void Store(double* p, V v) { *p = v; }
   static V Iota(double base) { return base; }
+  static V Reverse(V a) { return a; }  // lane order reversed
   static V Add(V a, V b) { return a + b; }
   static V Sub(V a, V b) { return a - b; }
   static V Mul(V a, V b) { return a * b; }

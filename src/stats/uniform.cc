@@ -45,9 +45,9 @@ std::complex<double> Uniform::Cf(double t) const {
   return simd::UniformCfPoint(lo_, hi_, t);
 }
 
-void Uniform::CfGrid(const double* t, size_t n,
+void Uniform::CfGrid(double dt, int64_t j_begin, size_t n,
                      std::complex<double>* out) const {
-  simd::Active().uniform_cf_grid(lo_, hi_, t, n, out);
+  simd::Active().uniform_cf_grid(lo_, hi_, dt, j_begin, n, out);
 }
 
 bool Uniform::AppendCacheKey(std::vector<double>* key) const {

@@ -22,7 +22,7 @@ class Uniform final : public Distribution {
   double Mean() const override { return 0.5 * (lo_ + hi_); }
   double Variance() const override;
   std::complex<double> Cf(double t) const override;
-  void CfGrid(const double* t, size_t n,
+  void CfGrid(double dt, int64_t j_begin, size_t n,
               std::complex<double>* out) const override;
   bool AppendCacheKey(std::vector<double>* key) const override;
   double Sample(common::Rng* rng) const override;

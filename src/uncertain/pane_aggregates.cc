@@ -114,17 +114,15 @@ struct CfGridPartial final : SumPartialBase {
       grid_dist_count = dists.size();
     }
     if (grid.size() >= points) return;
-    // Same spacing, larger n: extend with the new frequencies only.
+    // Same spacing, larger n: extend with the new lattice points only. A
+    // grid entry depends only on (dists, dt, j), so the extended grid
+    // equals a fresh evaluation of all `points`.
     const size_t old = grid.size();
     std::vector<const stats::Distribution*> raw;
     raw.reserve(dists.size());
     for (const DistributionPtr& d : dists) raw.push_back(d.get());
-    ws->t_grid.resize(points - old);
-    for (size_t j = old; j < points; ++j) {
-      ws->t_grid[j - old] = dt * static_cast<double>(j);
-    }
     grid.resize(points);
-    stats::ProductCfGrid(raw, ws->t_grid.data(), points - old,
+    stats::ProductCfGrid(raw, dt, static_cast<int64_t>(old), points - old,
                          grid.data() + old, &ws->dist_cf, &ws->grid_cache);
   }
 };

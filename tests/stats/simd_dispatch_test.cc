@@ -40,17 +40,20 @@ std::vector<Tier> AvailableTiers() {
   return tiers;
 }
 
-std::vector<double> ProbeGrid(size_t n) {
-  // Irrational-ish spacing over a wide range so exp/sincos reductions and
-  // the underflow pin all engage; includes 0 and negatives.
-  std::vector<double> t;
-  t.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    t.push_back(-40.0 + 80.0 * static_cast<double>(i) /
-                            static_cast<double>(n - 1));
+// A lattice over ~[-40, 40] with irrational-ish spacing so exp/sincos
+// reductions and the underflow pin all engage; j_begin = -(n / 2), so it
+// includes 0 and negatives.
+struct Probe {
+  double dt;
+  int64_t j_begin;
+  size_t n;
+  double t(size_t i) const {
+    return LatticeFrequency(j_begin + static_cast<int64_t>(i), dt);
   }
-  t[n / 2] = 0.0;
-  return t;
+};
+
+Probe ProbeGrid(size_t n) {
+  return {80.0 / static_cast<double>(n - 1), -static_cast<int64_t>(n / 2), n};
 }
 
 std::vector<std::unique_ptr<Distribution>> AllDistributions() {
@@ -77,18 +80,27 @@ void ExpectComplexEq(const std::vector<std::complex<double>>& a,
 
 TEST(SimdDispatchTest, CfGridBitwiseAcrossTiers) {
   // Odd length so the AVX2 tier exercises its scalar tail.
-  const std::vector<double> t = ProbeGrid(259);
+  const Probe t = ProbeGrid(259);
   for (const auto& d : AllDistributions()) {
+    const bool recurrence = d->type() == DistType::kGaussian ||
+                            d->type() == DistType::kGaussianMixture;
     std::vector<std::vector<std::complex<double>>> per_tier;
     for (const Tier tier : AvailableTiers()) {
       ScopedForceTier force(tier);
-      std::vector<std::complex<double>> grid(t.size());
-      d->CfGrid(t.data(), t.size(), grid.data());
-      // Single-point Cf must agree with the grid kernel on every tier.
-      for (size_t i = 0; i < t.size(); i += 37) {
-        const std::complex<double> one = d->Cf(t[i]);
-        ASSERT_EQ(grid[i].real(), one.real()) << d->ToString();
-        ASSERT_EQ(grid[i].imag(), one.imag()) << d->ToString();
+      std::vector<std::complex<double>> grid(t.n);
+      d->CfGrid(t.dt, t.j_begin, t.n, grid.data());
+      // Single-point Cf must agree with the grid kernel on every tier:
+      // bitwise for the direct-form families, within the recurrence's
+      // 1e-12 relative bound for Gaussian and mixture grids.
+      for (size_t i = 0; i < t.n; i += 37) {
+        const std::complex<double> one = d->Cf(t.t(i));
+        if (recurrence) {
+          ASSERT_LE(std::abs(grid[i] - one), 1e-12 * std::abs(one))
+              << d->ToString();
+        } else {
+          ASSERT_EQ(grid[i].real(), one.real()) << d->ToString();
+          ASSERT_EQ(grid[i].imag(), one.imag()) << d->ToString();
+        }
       }
       per_tier.push_back(std::move(grid));
     }
@@ -125,12 +137,12 @@ TEST(SimdDispatchTest, ProductCfGridBitwiseAcrossTiers) {
   for (int rep = 0; rep < 40; ++rep) {
     for (const auto& d : owned) dists.push_back(d.get());
   }
-  const std::vector<double> t = ProbeGrid(515);
+  const Probe t = ProbeGrid(515);
   std::vector<std::vector<std::complex<double>>> per_tier;
   for (const Tier tier : AvailableTiers()) {
     ScopedForceTier force(tier);
-    std::vector<std::complex<double>> out(t.size()), scratch;
-    ProductCfGrid(dists, t.data(), t.size(), out.data(), &scratch);
+    std::vector<std::complex<double>> out(t.n), scratch;
+    ProductCfGrid(dists, t.dt, t.j_begin, t.n, out.data(), &scratch);
     per_tier.push_back(std::move(out));
   }
   for (size_t k = 1; k < per_tier.size(); ++k) {
@@ -215,21 +227,21 @@ TEST(SimdDispatchTest, InversionEndToEndBitwiseAcrossTiers) {
 TEST(CfGridCacheTest, RepeatedSignaturesHitAndStayBitwise) {
   const Gaussian a(1.0, 2.0), b(1.0, 2.0), c(-3.0, 0.5);
   const std::vector<const Distribution*> dists = {&a, &b, &c};
-  const std::vector<double> t = ProbeGrid(129);
+  const Probe t = ProbeGrid(129);
 
-  std::vector<std::complex<double>> plain(t.size()), scratch;
-  ProductCfGrid(dists, t.data(), t.size(), plain.data(), &scratch);
+  std::vector<std::complex<double>> plain(t.n), scratch;
+  ProductCfGrid(dists, t.dt, t.j_begin, t.n, plain.data(), &scratch);
 
   CfGridCache cache;
   cache.enabled = true;
-  std::vector<std::complex<double>> cached(t.size());
-  ProductCfGrid(dists, t.data(), t.size(), cached.data(), &scratch, &cache);
+  std::vector<std::complex<double>> cached(t.n);
+  ProductCfGrid(dists, t.dt, t.j_begin, t.n, cached.data(), &scratch, &cache);
   // First window: a and b share one signature -> one miss serves both.
   EXPECT_EQ(cache.misses, 2u);
   EXPECT_EQ(cache.hits, 1u);
   ExpectComplexEq(plain, cached, "cache first pass");
 
-  ProductCfGrid(dists, t.data(), t.size(), cached.data(), &scratch, &cache);
+  ProductCfGrid(dists, t.dt, t.j_begin, t.n, cached.data(), &scratch, &cache);
   // Second window over the same parameters: all hits, no new misses.
   EXPECT_EQ(cache.misses, 2u);
   EXPECT_EQ(cache.hits, 4u);
@@ -239,10 +251,10 @@ TEST(CfGridCacheTest, RepeatedSignaturesHitAndStayBitwise) {
 TEST(CfGridCacheTest, DisabledCacheCountsNothing) {
   const Gaussian g(0.0, 1.0);
   const std::vector<const Distribution*> dists = {&g, &g};
-  const std::vector<double> t = ProbeGrid(65);
+  const Probe t = ProbeGrid(65);
   CfGridCache cache;  // enabled defaults to false
-  std::vector<std::complex<double>> out(t.size()), scratch;
-  ProductCfGrid(dists, t.data(), t.size(), out.data(), &scratch, &cache);
+  std::vector<std::complex<double>> out(t.n), scratch;
+  ProductCfGrid(dists, t.dt, t.j_begin, t.n, out.data(), &scratch, &cache);
   EXPECT_EQ(cache.hits, 0u);
   EXPECT_EQ(cache.misses, 0u);
   EXPECT_TRUE(cache.entries.empty());
@@ -255,16 +267,16 @@ TEST(CfGridCacheTest, UncacheableDistributionFallsThrough) {
       Histogram::FromMasses(0.0, 1.0, {1.0, 2.0, 1.0}).MoveValueUnsafe();
   const Gaussian g(0.0, 1.0);
   const std::vector<const Distribution*> dists = {&h, &g};
-  const std::vector<double> t = ProbeGrid(65);
+  const Probe t = ProbeGrid(65);
 
-  std::vector<std::complex<double>> plain(t.size()), scratch;
-  ProductCfGrid(dists, t.data(), t.size(), plain.data(), &scratch);
+  std::vector<std::complex<double>> plain(t.n), scratch;
+  ProductCfGrid(dists, t.dt, t.j_begin, t.n, plain.data(), &scratch);
 
   CfGridCache cache;
   cache.enabled = true;
-  std::vector<std::complex<double>> cached(t.size());
+  std::vector<std::complex<double>> cached(t.n);
   for (int pass = 0; pass < 2; ++pass) {
-    ProductCfGrid(dists, t.data(), t.size(), cached.data(), &scratch, &cache);
+    ProductCfGrid(dists, t.dt, t.j_begin, t.n, cached.data(), &scratch, &cache);
   }
   EXPECT_EQ(cache.misses, 1u);  // the gaussian only
   EXPECT_EQ(cache.hits, 1u);
@@ -278,32 +290,32 @@ TEST(CfGridCacheTest, LruEvictionBoundsEntries) {
     owned.push_back(
         std::make_unique<Gaussian>(static_cast<double>(i), 1.0 + 0.01 * i));
   }
-  const std::vector<double> t = ProbeGrid(65);
+  const Probe t = ProbeGrid(65);
   CfGridCache cache;
   cache.enabled = true;
-  std::vector<std::complex<double>> out(t.size()), scratch;
+  std::vector<std::complex<double>> out(t.n), scratch;
   for (const auto& g : owned) {
     const std::vector<const Distribution*> one = {g.get()};
-    ProductCfGrid(one, t.data(), t.size(), out.data(), &scratch, &cache);
+    ProductCfGrid(one, t.dt, t.j_begin, t.n, out.data(), &scratch, &cache);
   }
   EXPECT_EQ(cache.entries.size(), CfGridCache::kMaxEntries);
   EXPECT_EQ(cache.misses, owned.size());
   EXPECT_EQ(cache.hits, 0u);
   // The most recent signature survived the eviction churn.
   const std::vector<const Distribution*> last = {owned.back().get()};
-  ProductCfGrid(last, t.data(), t.size(), out.data(), &scratch, &cache);
+  ProductCfGrid(last, t.dt, t.j_begin, t.n, out.data(), &scratch, &cache);
   EXPECT_EQ(cache.hits, 1u);
 }
 
 TEST(CfGridCacheTest, OversizedGridsAreNotStored) {
   const Gaussian g(0.0, 1.0);
   const std::vector<const Distribution*> dists = {&g};
-  const std::vector<double> t = ProbeGrid(CfGridCache::kMaxGridPoints + 1);
+  const Probe t = ProbeGrid(CfGridCache::kMaxGridPoints + 1);
   CfGridCache cache;
   cache.enabled = true;
-  std::vector<std::complex<double>> out(t.size()), scratch;
+  std::vector<std::complex<double>> out(t.n), scratch;
   for (int pass = 0; pass < 2; ++pass) {
-    ProductCfGrid(dists, t.data(), t.size(), out.data(), &scratch, &cache);
+    ProductCfGrid(dists, t.dt, t.j_begin, t.n, out.data(), &scratch, &cache);
   }
   EXPECT_EQ(cache.hits, 0u);
   EXPECT_EQ(cache.misses, 0u);
