@@ -15,7 +15,9 @@
 //
 // Every throughput is the median, min and max of g_reps timed runs (one
 // under --smoke), and the JSON snapshot carries a machine block naming the
-// host. Variance distances come from each strategy's first run.
+// host. A run repeats its pass over the input until it has lasted
+// kMinRunSeconds, so fast strategies are not timed over a few
+// microseconds. Variance distances come from each strategy's first pass.
 
 #include <benchmark/benchmark.h>
 
@@ -53,6 +55,9 @@ size_t g_reps = 5;
 // Gauss-Legendre node of every output bin; one run takes ~50 s on a
 // 4-vCPU AVX2 host, so it runs once.
 constexpr size_t kQuadratureReps = 1;
+// One CLT pass over the 10 windows takes ~7 us: a single pass would time
+// the clock, not the strategy.
+constexpr double kMinRunSeconds = 0.05;
 size_t kWindowSize = 100;
 size_t kNumWindows = 10;
 // Sliding-window section: window of kWindowSize tuples sliding by
@@ -90,14 +95,30 @@ struct Row {
   double variance_distance;
 };
 
+// Tuples per second of one run: repeats `pass` (which returns the seconds
+// it timed, negative on failure) until the timed total reaches
+// kMinRunSeconds. 0 when a pass failed, which fails the point.
+template <typename PassFn>
+double TimedRate(size_t tuples_per_pass, PassFn pass) {
+  double seconds = 0.0;
+  size_t passes = 0;
+  while (seconds < kMinRunSeconds) {
+    const double s = pass();
+    if (s < 0.0) return 0.0;
+    seconds += s;
+    ++passes;
+  }
+  return static_cast<double>(tuples_per_pass * passes) / seconds;
+}
+
 Row MeasureStrategy(
     SumStrategy* strategy, size_t reps,
     const std::vector<std::shared_ptr<const Distribution>>& stream,
     const std::vector<usp::stats::DistributionPtr>& exact_per_window) {
-  // Monte Carlo advances its generator from run to run, so the distance is
-  // taken from the first run's results.
+  // Monte Carlo advances its generator from pass to pass, so the distance
+  // is taken from the first pass's results.
   std::vector<usp::stats::DistributionPtr> first;
-  const Spread tps = Measure(reps, [&] {
+  const auto pass = [&] {
     usp::common::Stopwatch sw;
     std::vector<usp::stats::DistributionPtr> results;
     results.reserve(kNumWindows);
@@ -112,8 +133,10 @@ Row MeasureStrategy(
     }
     const double seconds = sw.ElapsedSeconds();
     if (first.empty()) first = std::move(results);
-    return static_cast<double>(kWindowSize * kNumWindows) / seconds;
-  });
+    return seconds;
+  };
+  const Spread tps = Measure(
+      reps, [&] { return TimedRate(kWindowSize * kNumWindows, pass); });
   double dist = 0.0;
   size_t counted = 0;
   for (size_t w = 0; w < kNumWindows; ++w) {
@@ -199,6 +222,8 @@ std::vector<usp::stream::Tuple> MakeSlidingStream(uint64_t seed) {
   return out;
 }
 
+// Seconds the operator took to take the stream and close; negative on
+// failure.
 double DriveOperator(usp::stream::Operator& op,
                      const std::vector<usp::stream::Tuple>& stream,
                      size_t batch_size) {
@@ -221,11 +246,11 @@ double DriveOperator(usp::stream::Operator& op,
   for (const usp::stream::TupleBatch& batch : batches) {
     if (!op.PushBatch(batch, &out).ok() ||
         !op.AdvanceWatermark(batch.MaxTimestamp(), &out).ok()) {
-      return 0.0;
+      return -1.0;
     }
   }
-  if (!op.Close(&out).ok()) return 0.0;
-  return static_cast<double>(stream.size()) / sw.ElapsedSeconds();
+  if (!op.Close(&out).ok()) return -1.0;
+  return sw.ElapsedSeconds();
 }
 
 SlidingRow MeasureSliding(SumStrategyKind kind, size_t grid_points,
@@ -241,17 +266,20 @@ SlidingRow MeasureSliding(SumStrategyKind kind, size_t grid_points,
       kind == SumStrategyKind::kCfInversion
           ? std::make_unique<usp::uncertain::CfInversionSum>(grid_points)
           : usp::uncertain::MakeSumStrategy(kind);
-  // A fresh operator per run: each run streams the whole input and closes.
-  const Spread naive_tps = Measure(g_reps, [&] {
+  // A fresh operator per pass: each pass streams the whole input and
+  // closes.
+  const auto naive_pass = [&] {
     std::vector<usp::stream::AggregateSpec> naive_aggs;
     naive_aggs.push_back(
         usp::uncertain::MakeSumAggregate("sum", 1, strategy.get()));
     usp::stream::GroupByAggregateOperator naive("naive", spec, key_fn,
                                                 std::move(naive_aggs));
     return DriveOperator(naive, stream, 256);
-  });
+  };
+  const Spread naive_tps = Measure(
+      g_reps, [&] { return TimedRate(stream.size(), naive_pass); });
 
-  const Spread incremental_tps = Measure(g_reps, [&] {
+  const auto paned_pass = [&] {
     usp::stats::CfInversionWorkspace workspace;
     usp::uncertain::PaneAggregateOptions popts;
     popts.grid_points = grid_points;
@@ -262,7 +290,9 @@ SlidingRow MeasureSliding(SumStrategyKind kind, size_t grid_points,
     usp::stream::PanedGroupByAggregateOperator paned("paned", spec, key_fn,
                                                      std::move(pane_aggs));
     return DriveOperator(paned, stream, 256);
-  });
+  };
+  const Spread incremental_tps = Measure(
+      g_reps, [&] { return TimedRate(stream.size(), paned_pass); });
 
   return {usp::uncertain::SumStrategyKindName(kind), naive_tps,
           incremental_tps,
