@@ -106,9 +106,9 @@ double RunQ1Sharding(size_t num_shards, const std::vector<TupleBatch>& input) {
           .Map("annotate",
                [](const Tuple& t) -> usp::common::Result<Tuple> {
                  Tuple out = t;
-                 out.AppendValue(Value(usp::uncertain::PredicateProbability(
+                 out.AppendValue(usp::uncertain::PredicateProbability(
                      t.value(1), usp::uncertain::PredicateOp::kGreaterThan,
-                     22.0)));
+                     22.0));
                  return out;
                },
                3)

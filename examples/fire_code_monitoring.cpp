@@ -82,9 +82,8 @@ int main() {
                [&weight_by_tag](const Tuple& t)
                    -> usp::common::Result<Tuple> {
                  Tuple out = t;
-                 out.AppendValue(Value(AreaOf(t)));
-                 out.AppendValue(
-                     Value(weight_by_tag[size_t(t.value(0).AsInt())]));
+                 out.AppendValue(AreaOf(t));
+                 out.AppendValue(weight_by_tag[size_t(t.value(0).AsInt())]);
                  return out;
                },
                5)

@@ -89,9 +89,9 @@ int main() {
           .Map("p_hot",
                [](const Tuple& t) -> usp::common::Result<Tuple> {
                  Tuple out = t;
-                 out.AppendValue(Value(usp::uncertain::PredicateProbability(
+                 out.AppendValue(usp::uncertain::PredicateProbability(
                      t.value(5), usp::uncertain::PredicateOp::kGreaterThan,
-                     60.0)));
+                     60.0));
                  return out;
                })
           .Filter("hot",

@@ -139,8 +139,8 @@ int main() {
                  [](const usp::stream::Tuple& t)
                      -> usp::common::Result<usp::stream::Tuple> {
                    usp::stream::Tuple out = t;
-                   out.AppendValue(usp::stream::Value(
-                       std::fabs(t.value(3).AsDistribution()->Mean())));
+                   out.AppendValue(
+                       std::fabs(t.value(3).AsDistribution()->Mean()));
                    return out;
                  },
                  /*output_arity=*/6, /*preserved_prefix=*/5)

@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t& x) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -22,23 +20,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& w : s_) w = SplitMix64(x);
   // Avoid the all-zero state, which is a fixed point of the recurrence.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::Uniform() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
@@ -105,8 +86,6 @@ double Rng::Gamma(double shape, double scale) {
     }
   }
 }
-
-bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
 size_t Rng::Categorical(const std::vector<double>& weights) {
   double total = 0.0;

@@ -30,11 +30,21 @@ class Rng {
   static constexpr result_type max() { return ~0ULL; }
 
   /// Next raw 64 bits.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
   result_type operator()() { return Next(); }
 
-  /// Uniform double in [0, 1).
-  double Uniform();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double Uniform() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
   /// Uniform integer in [0, n). Requires n > 0.
@@ -48,16 +58,37 @@ class Rng {
   /// Gamma(shape k > 0, scale theta > 0) via Marsaglia-Tsang.
   double Gamma(double shape, double scale);
   /// Bernoulli trial with success probability p.
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) { return Uniform() < p; }
   /// Index sampled from unnormalized non-negative weights.
   /// Returns weights.size() if all weights are zero.
   size_t Categorical(const std::vector<double>& weights);
+
+  /// Removes the second deviate of the last Box-Muller pair, if Gaussian()
+  /// has one cached, into `*z` and returns true; returns false otherwise.
+  /// With SetCachedGaussian this lets a caller that generates its own
+  /// Box-Muller pairs from Uniform() keep the exact sequence Gaussian()
+  /// would return.
+  bool TakeCachedGaussian(double* z) {
+    if (!has_cached_gaussian_) return false;
+    has_cached_gaussian_ = false;
+    *z = cached_gaussian_;
+    return true;
+  }
+  /// Makes `z` the value the next Gaussian() call returns.
+  void SetCachedGaussian(double z) {
+    cached_gaussian_ = z;
+    has_cached_gaussian_ = true;
+  }
 
   /// Independent child generator; used to give each simulated entity its
   /// own stream so adding entities does not perturb existing ones.
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;

@@ -4,12 +4,29 @@
 #include <cassert>
 #include <cmath>
 
+#include "stats/simd/dispatch.h"
+
 namespace usp {
 namespace rfid {
 
 namespace {
 constexpr double kWeightFloor = 1e-12;
+
+// Max of the x and y posterior standard deviations about `m`.
+double SpreadAbout(const ObjectBelief& b, const Point2& m) {
+  double vx = 0.0, vy = 0.0;
+  for (size_t i = 0; i < b.xs.size(); ++i) {
+    vx += b.ws[i] * (b.xs[i] - m.x) * (b.xs[i] - m.x);
+    vy += b.ws[i] * (b.ys[i] - m.y) * (b.ys[i] - m.y);
+  }
+  return std::sqrt(std::max(vx, vy));
 }
+
+stats::simd::LogisticDetection KernelModel(const SensingModel& s) {
+  return {s.max_read_prob, s.range_midpoint, s.range_steepness,
+          s.fov_cos,       s.fov_steepness,  s.hard_range};
+}
+}  // namespace
 
 Point2 ObjectBelief::Mean() const {
   Point2 m;
@@ -20,20 +37,62 @@ Point2 ObjectBelief::Mean() const {
   return m;
 }
 
-double ObjectBelief::Spread() const {
-  const Point2 m = Mean();
-  double vx = 0.0, vy = 0.0;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    vx += ws[i] * (xs[i] - m.x) * (xs[i] - m.x);
-    vy += ws[i] * (ys[i] - m.y) * (ys[i] - m.y);
-  }
-  return std::sqrt(std::max(vx, vy));
-}
+double ObjectBelief::Spread() const { return SpreadAbout(*this, Mean()); }
 
 double ObjectBelief::EffectiveSampleSize() const {
   double s2 = 0.0;
   for (double w : ws) s2 += w * w;
   return s2 > 0.0 ? 1.0 / s2 : 0.0;
+}
+
+void MoveParticles(const std::vector<Point2>& shelves, double sigma,
+                   double jump_prob, common::Rng* rng, MotionScratch* scratch,
+                   ObjectBelief* b) {
+  const size_t n = b->size();
+  if (n == 0) return;
+  scratch->u1.resize(n);
+  scratch->u2.resize(n);
+  scratch->z_cos.resize(n);
+  scratch->z_sin.resize(n);
+  scratch->targets.resize(n);
+  // Serial draw pass, in the per-particle order of the header's contract.
+  for (size_t i = 0; i < n; ++i) {
+    const Point2* target = nullptr;
+    if (jump_prob > 0.0 && rng->Bernoulli(jump_prob)) {
+      target = &shelves[rng->UniformInt(shelves.size())];
+    }
+    scratch->targets[i] = target;
+    double u1;
+    do {
+      u1 = rng->Uniform();
+    } while (u1 <= 0.0);
+    scratch->u1[i] = u1;
+    scratch->u2[i] = rng->Uniform();
+  }
+  stats::simd::Active().box_muller(scratch->u1.data(), scratch->u2.data(), n,
+                                   scratch->z_cos.data(),
+                                   scratch->z_sin.data());
+  // Rng::Gaussian hands out a pair as (cos, sin). Without a cached deviate
+  // particle i takes pair i whole; with one, every particle's x takes the
+  // deviate left over before it (the cache, then pair i-1's sin) and its y
+  // takes pair i's cos, and pair n-1's sin stays cached.
+  double cached = 0.0;
+  const bool shifted = rng->TakeCachedGaussian(&cached);
+  const double* z_cos = scratch->z_cos.data();
+  const double* z_sin = scratch->z_sin.data();
+  for (size_t i = 0; i < n; ++i) {
+    const double zx = !shifted ? z_cos[i] : (i == 0 ? cached : z_sin[i - 1]);
+    const double zy = shifted ? z_cos[i] : z_sin[i];
+    // The expressions Rng::Gaussian(mean, sd) = mean + sd * z forms.
+    if (const Point2* target = scratch->targets[i]) {
+      b->xs[i] = target->x + (0.0 + zx);
+      b->ys[i] = target->y + (0.0 + zy);
+    } else {
+      b->xs[i] += 0.0 + sigma * zx;
+      b->ys[i] += 0.0 + sigma * zy;
+    }
+  }
+  if (shifted) rng->SetCachedGaussian(z_sin[n - 1]);
 }
 
 // ---------------------------------------------------------------------------
@@ -44,6 +103,7 @@ FactoredParticleFilter::FactoredParticleFilter(
     const SensingModel& sensing, const FilterOptions& options)
     : shelves_(std::move(shelf_positions)),
       sensing_(sensing),
+      detection_(KernelModel(sensing)),
       opts_(options),
       rng_(options.seed) {
   assert(!shelves_.empty());
@@ -100,27 +160,22 @@ void FactoredParticleFilter::MotionUpdate(ObjectBelief* b, double now_s) {
   if (dt <= 0.0) return;
   const double sigma = opts_.random_walk_sigma * std::sqrt(dt);
   const double jump_prob = 1.0 - std::exp(-opts_.shelf_jump_rate * dt);
-  for (size_t i = 0; i < b->size(); ++i) {
-    if (jump_prob > 0.0 && rng_.Bernoulli(jump_prob)) {
-      const Point2& shelf = shelves_[rng_.UniformInt(shelves_.size())];
-      b->xs[i] = shelf.x + rng_.Gaussian(0.0, 1.0);
-      b->ys[i] = shelf.y + rng_.Gaussian(0.0, 1.0);
-    } else {
-      b->xs[i] += rng_.Gaussian(0.0, sigma);
-      b->ys[i] += rng_.Gaussian(0.0, sigma);
-    }
-  }
+  MoveParticles(shelves_, sigma, jump_prob, &rng_, &motion_scratch_, b);
 }
 
 void FactoredParticleFilter::MeasurementUpdate(ObjectBelief* b,
                                                const Reading& reading,
+                                               double cos_heading,
+                                               double sin_heading,
                                                bool detected) {
-  const double cos_heading = std::cos(reading.reader_heading_rad);
-  const double sin_heading = std::sin(reading.reader_heading_rad);
+  const size_t n = b->size();
+  probs_.resize(n);
+  stats::simd::Active().logistic_detection(
+      detection_, reading.reader_pos.x, reading.reader_pos.y, cos_heading,
+      sin_heading, b->xs.data(), b->ys.data(), n, probs_.data());
   double total = 0.0;
-  for (size_t i = 0; i < b->size(); ++i) {
-    const double p = sensing_.DetectionProbability(
-        reading.reader_pos, cos_heading, sin_heading, {b->xs[i], b->ys[i]});
+  for (size_t i = 0; i < n; ++i) {
+    const double p = probs_[i];
     const double lik = detected ? p : (1.0 - p);
     b->ws[i] *= std::max(lik, kWeightFloor);
     total += b->ws[i];
@@ -157,7 +212,8 @@ void FactoredParticleFilter::ResampleIfNeeded(ObjectBelief* b) {
     return;
   }
   const size_t n = b->size();
-  std::vector<double> xs(n), ys(n);
+  resample_xs_.resize(n);
+  resample_ys_.resize(n);
   // Systematic resampling.
   const double step = 1.0 / static_cast<double>(n);
   double u = rng_.Uniform() * step;
@@ -168,37 +224,40 @@ void FactoredParticleFilter::ResampleIfNeeded(ObjectBelief* b) {
       ++idx;
       cum += b->ws[idx];
     }
-    xs[i] = b->xs[idx];
-    ys[i] = b->ys[idx];
+    resample_xs_[i] = b->xs[idx];
+    resample_ys_[i] = b->ys[idx];
     u += step;
   }
-  b->xs = std::move(xs);
-  b->ys = std::move(ys);
+  // Copied back rather than swapped, so each belief keeps its own buffers'
+  // capacity (a compressed belief stays small).
+  std::copy(resample_xs_.begin(), resample_xs_.end(), b->xs.begin());
+  std::copy(resample_ys_.begin(), resample_ys_.end(), b->ys.begin());
   b->ws.assign(n, step);
 }
 
-void FactoredParticleFilter::CompressOrExpand(ObjectBelief* b) {
-  if (!opts_.use_compression) return;
-  const double spread = b->Spread();
+Point2 FactoredParticleFilter::CompressOrExpand(ObjectBelief* b) {
+  const Point2 mean = b->Mean();
+  if (!opts_.use_compression) return mean;
+  const double spread = SpreadAbout(*b, mean);
   if (!b->compressed && spread < opts_.compression_stddev_ft &&
       b->size() > opts_.compressed_particles) {
     // Keep the highest-weight particles (the cloud is tight; any subset
     // represents it), renormalize.
-    std::vector<size_t> order(b->size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::partial_sort(order.begin(),
-                      order.begin() +
+    order_.resize(b->size());
+    for (size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+    std::partial_sort(order_.begin(),
+                      order_.begin() +
                           static_cast<ptrdiff_t>(opts_.compressed_particles),
-                      order.end(), [&](size_t a, size_t c) {
+                      order_.end(), [&](size_t a, size_t c) {
                         return b->ws[a] > b->ws[c];
                       });
     std::vector<double> xs(opts_.compressed_particles),
         ys(opts_.compressed_particles), ws(opts_.compressed_particles);
     double total = 0.0;
     for (size_t i = 0; i < opts_.compressed_particles; ++i) {
-      xs[i] = b->xs[order[i]];
-      ys[i] = b->ys[order[i]];
-      ws[i] = b->ws[order[i]];
+      xs[i] = b->xs[order_[i]];
+      ys[i] = b->ys[order_[i]];
+      ws[i] = b->ws[order_[i]];
       total += ws[i];
     }
     for (double& w : ws) w /= total;
@@ -206,6 +265,7 @@ void FactoredParticleFilter::CompressOrExpand(ObjectBelief* b) {
     b->ys = std::move(ys);
     b->ws = std::move(ws);
     b->compressed = true;
+    return b->Mean();
   } else if (b->compressed && b->ever_detected &&
              spread > opts_.expansion_stddev_ft) {
     // Uncertainty grew (missed detections / possible move): re-expand by
@@ -223,16 +283,18 @@ void FactoredParticleFilter::CompressOrExpand(ObjectBelief* b) {
     b->ys = std::move(ys);
     b->ws.assign(n, 1.0 / static_cast<double>(n));
     b->compressed = false;
+    return b->Mean();
   }
+  return mean;
 }
 
-std::vector<uint32_t> FactoredParticleFilter::CandidateObjects(
-    const Reading& reading) const {
-  std::vector<uint32_t> out;
+void FactoredParticleFilter::CandidateObjects(
+    const Reading& reading, std::vector<uint32_t>* out) const {
+  out->clear();
   if (!opts_.use_spatial_index) {
-    out.resize(beliefs_.size());
-    for (uint32_t id = 0; id < beliefs_.size(); ++id) out[id] = id;
-    return out;
+    out->resize(beliefs_.size());
+    for (uint32_t id = 0; id < beliefs_.size(); ++id) (*out)[id] = id;
+    return;
   }
   const double radius = sensing_.hard_range + 5.0;
   const int r_cells = static_cast<int>(radius / cell_ft_) + 1;
@@ -246,21 +308,20 @@ std::vector<uint32_t> FactoredParticleFilter::CandidateObjects(
       if (gx < 0 || gx >= static_cast<int>(grid_w_)) continue;
       const auto& cell = grid_[static_cast<size_t>(gy) * grid_w_ +
                                static_cast<size_t>(gx)];
-      out.insert(out.end(), cell.begin(), cell.end());
+      out->insert(out->end(), cell.begin(), cell.end());
     }
   }
   // Detected objects must always be processed, wherever their belief is.
   for (uint32_t id : reading.observed_objects) {
-    if (std::find(out.begin(), out.end(), id) == out.end()) {
-      out.push_back(id);
+    if (std::find(out->begin(), out->end(), id) == out->end()) {
+      out->push_back(id);
     }
   }
-  return out;
 }
 
 void FactoredParticleFilter::ReindexObject(uint32_t id,
-                                           const Point2& old_mean) {
-  const Point2 new_mean = beliefs_[id].Mean();
+                                           const Point2& old_mean,
+                                           const Point2& new_mean) {
   const size_t old_cell = CellOf(old_mean);
   const size_t new_cell = CellOf(new_mean);
   belief_means_[id] = new_mean;
@@ -271,34 +332,37 @@ void FactoredParticleFilter::ReindexObject(uint32_t id,
 }
 
 size_t FactoredParticleFilter::ProcessReading(const Reading& reading) {
-  const std::vector<uint32_t> candidates = CandidateObjects(reading);
+  CandidateObjects(reading, &candidates_);
   // Detected set membership; candidate lists are small so linear probing
   // against a sorted copy is cheap.
-  std::vector<uint32_t> detected = reading.observed_objects;
-  std::sort(detected.begin(), detected.end());
+  detected_.assign(reading.observed_objects.begin(),
+                   reading.observed_objects.end());
+  std::sort(detected_.begin(), detected_.end());
+  const double cos_heading = std::cos(reading.reader_heading_rad);
+  const double sin_heading = std::sin(reading.reader_heading_rad);
   if (!opts_.lazy_motion) {
     // Eager motion: advance every object's belief (ablation mode).
     for (uint32_t id = 0; id < beliefs_.size(); ++id) {
       MotionUpdate(&beliefs_[id], reading.time_s);
     }
   }
-  for (uint32_t id : candidates) {
+  for (uint32_t id : candidates_) {
     ObjectBelief& b = beliefs_[id];
     const Point2 old_mean = belief_means_[id];
     if (opts_.lazy_motion) MotionUpdate(&b, reading.time_s);
     const bool was_detected =
-        std::binary_search(detected.begin(), detected.end(), id);
+        std::binary_search(detected_.begin(), detected_.end(), id);
     if (was_detected) {
       b.ever_detected = true;
       b.last_seen_s = reading.time_s;
       ++b.detection_count;
     }
-    MeasurementUpdate(&b, reading, was_detected);
+    MeasurementUpdate(&b, reading, cos_heading, sin_heading, was_detected);
     ResampleIfNeeded(&b);
-    CompressOrExpand(&b);
-    ReindexObject(id, old_mean);
+    const Point2 new_mean = CompressOrExpand(&b);
+    ReindexObject(id, old_mean, new_mean);
   }
-  return candidates.size();
+  return candidates_.size();
 }
 
 double FactoredParticleFilter::MeanErrorAgainst(

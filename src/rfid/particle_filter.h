@@ -12,6 +12,27 @@
 //    update to objects near the reader; *compression* shrinks the particle
 //    set of objects whose posterior has stabilized in a small region.
 //    Each optimization can be toggled for the ablation bench.
+//
+// The factored filter's per-particle math runs in blocks through the
+// stats::simd dispatch kernels, so it is bitwise-identical on every SIMD
+// tier: the motion update draws one object's uniforms serially, turns
+// them into Gaussians with one Box-Muller kernel call
+// (MoveParticles), and the measurement update scores every particle with
+// one logistic-detection kernel call. Weight products, sums, means,
+// resampling and compression stay scalar loops in particle order.
+//
+// Draw-order contract: MoveParticles consumes the filter's common::Rng
+// exactly as a per-particle loop over Rng::Bernoulli, Rng::UniformInt and
+// two Rng::Gaussian calls would — per particle, the Bernoulli uniform
+// (only when jump_prob > 0), the shelf index (only for a jump), then one
+// Box-Muller pair (u1 redrawn while u1 <= 0, then u2). A Gaussian deviate
+// the Rng had cached on entry is consumed first and the last pair's
+// second deviate is left cached, as Rng::Gaussian would. Only the
+// transcendentals differ from Rng::Gaussian's: the lane-exact
+// stats::simd Log/SinCos (~1-2 ulp) replace libm.
+//
+// JointParticleFilter, the ablation baseline, keeps its per-particle
+// Rng::Gaussian loop.
 
 #ifndef USP_RFID_PARTICLE_FILTER_H_
 #define USP_RFID_PARTICLE_FILTER_H_
@@ -22,6 +43,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "rfid/model.h"
+#include "stats/simd/dispatch.h"
 
 namespace usp {
 namespace rfid {
@@ -60,6 +82,23 @@ struct ObjectBelief {
   double EffectiveSampleSize() const;
 };
 
+/// Per-particle buffers MoveParticles reuses from call to call.
+struct MotionScratch {
+  std::vector<double> u1, u2;          ///< Box-Muller uniforms
+  std::vector<double> z_cos, z_sin;    ///< Box-Muller deviates
+  std::vector<const Point2*> targets;  ///< jump shelf; null for a walk
+};
+
+/// One motion step over every particle of `b`: with probability
+/// `jump_prob` a particle hops to a uniformly drawn shelf plus unit
+/// Gaussian noise per axis, otherwise it takes a random-walk step of
+/// standard deviation `sigma` per axis. Draws from `rng` in the order the
+/// header comment states; the Gaussians come from the active tier's
+/// box_muller kernel.
+void MoveParticles(const std::vector<Point2>& shelves, double sigma,
+                   double jump_prob, common::Rng* rng, MotionScratch* scratch,
+                   ObjectBelief* b);
+
 /// \brief Factored per-object particle filter with spatial indexing and
 /// particle compression.
 class FactoredParticleFilter {
@@ -92,16 +131,21 @@ class FactoredParticleFilter {
   void InitBelief(uint32_t id);
   void MotionUpdate(ObjectBelief* b, double now_s);
   void MeasurementUpdate(ObjectBelief* b, const Reading& reading,
+                         double cos_heading, double sin_heading,
                          bool detected);
   void ResampleIfNeeded(ObjectBelief* b);
-  void CompressOrExpand(ObjectBelief* b);
+  /// Returns the belief's mean after any change it made.
+  Point2 CompressOrExpand(ObjectBelief* b);
   void RecoverAroundReader(ObjectBelief* b, const Reading& reading);
-  void ReindexObject(uint32_t id, const Point2& old_mean);
-  std::vector<uint32_t> CandidateObjects(const Reading& reading) const;
+  void ReindexObject(uint32_t id, const Point2& old_mean,
+                     const Point2& new_mean);
+  void CandidateObjects(const Reading& reading,
+                        std::vector<uint32_t>* out) const;
   size_t CellOf(const Point2& p) const;
 
   std::vector<Point2> shelves_;
   SensingModel sensing_;
+  stats::simd::LogisticDetection detection_;  ///< sensing_ for the kernel
   FilterOptions opts_;
   common::Rng rng_;
   std::vector<ObjectBelief> beliefs_;
@@ -111,6 +155,13 @@ class FactoredParticleFilter {
   size_t grid_w_, grid_h_;
   double area_w_, area_h_;
   std::vector<std::vector<uint32_t>> grid_;
+  // Scratch reused from reading to reading, so the per-reading passes
+  // allocate no temporaries.
+  MotionScratch motion_scratch_;
+  std::vector<double> probs_;             ///< detection prob per particle
+  std::vector<double> resample_xs_, resample_ys_;
+  std::vector<size_t> order_;             ///< compression ranking
+  std::vector<uint32_t> candidates_, detected_;
 };
 
 /// \brief Joint-state baseline particle filter.

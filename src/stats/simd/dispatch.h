@@ -1,5 +1,6 @@
 // Runtime SIMD dispatch for the CF/CDF grid kernels, the ProductCfGrid
-// accumulation, and the CF-inversion FFT/phase/density loops.
+// accumulation, the CF-inversion FFT/phase/density loops, and the RFID
+// particle filter's Box-Muller and detection-probability loops.
 //
 // The tier is selected ONCE (first use) via cpuid: AVX2+FMA when the CPU
 // and the build support it, the scalar fallback otherwise. Every entry in
@@ -30,6 +31,17 @@ namespace stats {
 namespace simd {
 
 enum class Tier { kScalar, kAvx2 };
+
+/// Parameters of the logistic RFID sensing model (rfid::SensingModel),
+/// as the detection kernel takes them.
+struct LogisticDetection {
+  double max_read_prob;
+  double range_midpoint;
+  double range_steepness;
+  double fov_cos;
+  double fov_steepness;
+  double hard_range;
+};
 
 struct Dispatch {
   const char* isa;  // "scalar" or "avx2"; recorded in bench JSON
@@ -67,6 +79,16 @@ struct Dispatch {
   void (*density_masses)(const std::complex<double>* a, std::size_t n,
                          double lo, double dx, double t_max, double scale,
                          double* masses);
+
+  // Particle-filter kernels: Box-Muller pairs from paired uniforms, and the
+  // logistic detection probability of tags (xs[i], ys[i]) against one
+  // reader pose (see kernels.h).
+  void (*box_muller)(const double* u1, const double* u2, std::size_t n,
+                     double* z_cos, double* z_sin);
+  void (*logistic_detection)(const LogisticDetection& model, double reader_x,
+                             double reader_y, double cos_heading,
+                             double sin_heading, const double* xs,
+                             const double* ys, std::size_t n, double* out);
 };
 
 /// The active table. First call performs cpuid detection (honouring

@@ -39,6 +39,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "stats/simd/dispatch.h"
 #include "stats/simd/vec_math.h"
 
 namespace usp {
@@ -47,7 +48,6 @@ namespace simd {
 
 namespace detail {
 inline constexpr double kPi = 3.14159265358979323846;
-inline constexpr double kSqrt2 = 1.41421356237309504880;
 }  // namespace detail
 
 // ---- CF grids on the frequency lattice ------------------------------------
@@ -167,15 +167,20 @@ void GaussianChainsT(double c, double mean, double weight, double dt,
        mb += kAnchorBlock) {
     const int64_t steps =
         std::min(kChainSteps, (m_hi - mb + kChains - 1) / kChains);
-    V vre[kGroups], vim[kGroups], rre[kGroups], rim[kGroups];
+    V vre[kGroups], vim[kGroups];
+    V rre[kGroups] = {}, rim[kGroups] = {};  // set only when steps > 1
     bool all_zero = true;
     for (int64_t g = 0; g < kGroups; ++g) {
       const V m0 = B::Iota(static_cast<double>(mb + g * kL));
       GaussianCfAt<B>(vc, vmean, vw, B::Mul(m0, vdt), &vre[g], &vim[g]);
-      const V renv =
-          Exp<B>(B::Mul(vcdt2, B::Add(B::Mul(vtwo_s, m0), vs2)));
-      rre[g] = B::Mul(renv, vrot_c);
-      rim[g] = B::Mul(renv, vrot_s);
+      // A block that emits only its anchors (the lone j = 512 point of a
+      // 513-point pane grid) never steps, so it needs no ratio.
+      if (steps > 1) {
+        const V renv =
+            Exp<B>(B::Mul(vcdt2, B::Add(B::Mul(vtwo_s, m0), vs2)));
+        rre[g] = B::Mul(renv, vrot_c);
+        rim[g] = B::Mul(renv, vrot_s);
+      }
       double are[kL], aim[kL];
       B::Store(are, vre[g]);
       B::Store(aim, vim[g]);
@@ -517,6 +522,97 @@ void DensityMassesT(const std::complex<double>* __restrict a, std::size_t n,
       SinCos<ScalarBackend>(t_max * xj, &s, &c);
       const double fj = scale * (c * a[j].real() - s * a[j].imag());
       masses[j] = (0.0 < fj ? fj : 0.0) * dx;
+    }
+  }
+}
+
+// ---- particle-filter kernels ----------------------------------------------
+// Per-particle math of the RFID particle filter over plain arrays. Both are
+// elementwise; a vector tier's tail runs the ScalarBackend instantiation.
+
+// Box-Muller over paired uniforms: r = sqrt(-2 log u1[i]), theta =
+// 2 pi u2[i], z_cos[i] = r cos(theta), z_sin[i] = r sin(theta) — the
+// expression order of common::Rng::Gaussian, with the lane-exact Log and
+// SinCos in place of libm. Requires u1[i] in [2^-53, 1] and u2[i] in
+// [0, 1).
+template <class B>
+void BoxMullerT(const double* __restrict u1, const double* __restrict u2,
+                std::size_t n, double* __restrict z_cos,
+                double* __restrict z_sin) {
+  assert(NoOverlap(u1, n * sizeof(*u1), z_cos, n * sizeof(*z_cos)));
+  assert(NoOverlap(u2, n * sizeof(*u2), z_sin, n * sizeof(*z_sin)));
+  assert(NoOverlap(z_cos, n * sizeof(*z_cos), z_sin, n * sizeof(*z_sin)));
+  const auto vm2 = B::Set(-2.0);
+  const auto v2pi = B::Set(2.0 * detail::kPi);
+  std::size_t i = 0;
+  for (; i + B::kLanes <= n; i += B::kLanes) {
+    const auto r = B::Sqrt(B::Mul(vm2, Log<B>(B::Load(u1 + i))));
+    typename B::V s, c;
+    SinCos<B>(B::Mul(v2pi, B::Load(u2 + i)), &s, &c);
+    B::Store(z_cos + i, B::Mul(r, c));
+    B::Store(z_sin + i, B::Mul(r, s));
+  }
+  if constexpr (!std::is_same_v<B, ScalarBackend>) {
+    if (i < n) {
+      BoxMullerT<ScalarBackend>(u1 + i, u2 + i, n - i, z_cos + i, z_sin + i);
+    }
+  }
+}
+
+// Logistic RFID sensing model per tag (xs[i], ys[i]) against one reader
+// pose, the formula of rfid::SensingModel::DetectionProbability: with d
+// the reader-tag distance,
+//   p = max_read_prob / (1 + e^{range_steepness (d - range_midpoint)})
+//                     / (1 + e^{-fov_steepness (cos_theta - fov_cos)}),
+// cos_theta the bearing cosine against the heading; the angular factor is
+// 1 when d <= 1e-9 and p is 0 when d > hard_range. Both branches are lane
+// selects (a masked lane divides by 1, never by 0).
+template <class B>
+void LogisticDetectionT(const LogisticDetection& model, double reader_x,
+                        double reader_y, double cos_heading,
+                        double sin_heading, const double* __restrict xs,
+                        const double* __restrict ys, std::size_t n,
+                        double* __restrict out) {
+  assert(NoOverlap(xs, n * sizeof(*xs), out, n * sizeof(*out)));
+  assert(NoOverlap(ys, n * sizeof(*ys), out, n * sizeof(*out)));
+  const auto one = B::Set(1.0);
+  const auto zero = B::Set(0.0);
+  const auto vrx = B::Set(reader_x);
+  const auto vry = B::Set(reader_y);
+  const auto vcos = B::Set(cos_heading);
+  const auto vsin = B::Set(sin_heading);
+  const auto vmax = B::Set(model.max_read_prob);
+  const auto vmid = B::Set(model.range_midpoint);
+  const auto vrange = B::Set(model.range_steepness);
+  const auto vfov = B::Set(model.fov_cos);
+  const auto vnfov = B::Set(-model.fov_steepness);
+  const auto vhard = B::Set(model.hard_range);
+  const auto vnear = B::Set(1e-9);
+  std::size_t i = 0;
+  for (; i + B::kLanes <= n; i += B::kLanes) {
+    const auto tx = B::Load(xs + i);
+    const auto ty = B::Load(ys + i);
+    const auto dx = B::Sub(vrx, tx);
+    const auto dy = B::Sub(vry, ty);
+    const auto d = B::Sqrt(B::Add(B::Mul(dx, dx), B::Mul(dy, dy)));
+    const auto range_term =
+        B::Div(one, B::Add(one, Exp<B>(B::Mul(vrange, B::Sub(d, vmid)))));
+    const auto has_bearing = B::Lt(vnear, d);
+    const auto cos_theta =
+        B::Div(B::Add(B::Mul(B::Sub(tx, vrx), vcos),
+                      B::Mul(B::Sub(ty, vry), vsin)),
+               B::Select(has_bearing, d, one));
+    const auto angle_exp = Exp<B>(B::Mul(vnfov, B::Sub(cos_theta, vfov)));
+    const auto angle_term =
+        B::Select(has_bearing, B::Div(one, B::Add(one, angle_exp)), one);
+    const auto p = B::Mul(B::Mul(vmax, range_term), angle_term);
+    B::Store(out + i, B::Select(B::Lt(vhard, d), zero, p));
+  }
+  if constexpr (!std::is_same_v<B, ScalarBackend>) {
+    if (i < n) {
+      LogisticDetectionT<ScalarBackend>(model, reader_x, reader_y,
+                                        cos_heading, sin_heading, xs + i,
+                                        ys + i, n - i, out + i);
     }
   }
 }

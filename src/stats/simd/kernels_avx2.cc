@@ -54,6 +54,7 @@ struct Avx2Backend {
   static V Sub(V a, V b) { return _mm256_sub_pd(a, b); }
   static V Mul(V a, V b) { return _mm256_mul_pd(a, b); }
   static V Div(V a, V b) { return _mm256_div_pd(a, b); }
+  static V Sqrt(V a) { return _mm256_sqrt_pd(a); }
   static V Neg(V a) { return _mm256_xor_pd(a, _mm256_set1_pd(-0.0)); }
   static V Fma(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
   static V Round(V a) {
@@ -78,6 +79,21 @@ struct Avx2Backend {
     __m256i k64 = _mm256_cvtepi32_epi64(k32);
     k64 = _mm256_add_epi64(k64, _mm256_set1_epi64x(1023));
     return _mm256_castsi256_pd(_mm256_slli_epi64(k64, 52));
+  }
+
+  static void SplitExponent(V x, V* m, V* k) {
+    const __m256i bits = _mm256_castpd_si256(x);
+    // The biased exponent (< 2^11) as a double: OR it into the mantissa of
+    // 2^52 and subtract 2^52, both exact.
+    const __m256d two52 = _mm256_set1_pd(0x1.0p52);
+    const __m256d biased = _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(bits, 52),
+                                            _mm256_castpd_si256(two52))),
+        two52);
+    *k = _mm256_sub_pd(biased, _mm256_set1_pd(1023.0));
+    *m = _mm256_castsi256_pd(_mm256_or_si256(
+        _mm256_and_si256(bits, _mm256_set1_epi64x(0x000FFFFFFFFFFFFFLL)),
+        _mm256_set1_epi64x(0x3FF0000000000000LL)));
   }
 
   static void Quadrant(V j, M* swap, M* neg_sin, M* neg_cos) {
@@ -190,6 +206,8 @@ const Dispatch kAvx2Dispatch = {
     &FftAvx2,
     &PhaseRotateT<Avx2Backend>,
     &DensityMassesT<Avx2Backend>,
+    &BoxMullerT<Avx2Backend>,
+    &LogisticDetectionT<Avx2Backend>,
 };
 
 }  // namespace simd

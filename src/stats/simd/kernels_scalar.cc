@@ -36,6 +36,8 @@ const Dispatch kScalarDispatch = {
     &FftScalar,
     &PhaseRotateT<ScalarBackend>,
     &DensityMassesT<ScalarBackend>,
+    &BoxMullerT<ScalarBackend>,
+    &LogisticDetectionT<ScalarBackend>,
 };
 
 }  // namespace simd

@@ -12,21 +12,26 @@
 //  * The build compiles with -ffp-contract=off (CMakeLists.txt), so scalar
 //    expressions elsewhere cannot be re-fused into fma by the optimiser and
 //    drift from the scalar tier of these kernels.
-//  * exp and sin/cos are implemented HERE as branch-free polynomial kernels
-//    over backend ops instead of calling libm per lane — libm makes no
-//    cross-call-site reproducibility promise once values are in registers
-//    of different widths. (erfc stays a per-lane libm call: both tiers call
-//    the same symbol on the same values, which is lane-exact trivially.)
+//  * exp, sin/cos and log are implemented HERE as branch-free polynomial
+//    kernels over backend ops instead of calling libm per lane — libm
+//    makes no cross-call-site reproducibility promise once values are in
+//    registers of different widths. (erfc stays a per-lane libm call:
+//    both tiers call the same symbol on the same values, which is
+//    lane-exact trivially.)
 //
 // Domain notes: Exp() is exact-zero below -745.2 and overflows to inf
 // naturally above ~709.8; SinCos() requires |x| < 2^31 * pi/2 (quadrant
-// indices must fit in int32). CF grids call them only where the direct
-// form needs them: at every lattice point for uniform, and for Gaussian
-// and mixture grids only at the recurrence anchors (one per chain and
-// 128-point block) plus two per-call constants, so the arguments are
-// mean * t_j and c * t_j^2 at anchor frequencies (phases stay below ~1e8)
-// and non-positive ratio exponents. Lattice indices j must stay below
-// 2^53 in magnitude, so j and j * dt are formed exactly from an Iota lane.
+// indices must fit in int32); Log() takes positive normal inputs only
+// (the Box-Muller kernel feeds it uniforms in [2^-53, 1)). CF grids call
+// Exp/SinCos only where the direct form needs them: at every lattice point
+// for uniform, and for Gaussian and mixture grids only at the recurrence
+// anchors (one per chain and 128-point block) plus two per-call
+// constants, so the arguments are mean * t_j and c * t_j^2 at anchor
+// frequencies (phases stay below ~1e8) and non-positive ratio exponents.
+// Lattice indices j must stay below 2^53 in magnitude, so j and j * dt
+// are formed exactly from an Iota lane. The particle-filter kernels call
+// SinCos on 2 pi u in [0, 2 pi) and Exp on the logistic exponents (an
+// overflow to inf there yields a 0 term).
 
 #ifndef USP_STATS_SIMD_VEC_MATH_H_
 #define USP_STATS_SIMD_VEC_MATH_H_
@@ -87,6 +92,7 @@ struct ScalarBackend {
   static V Sub(V a, V b) { return a - b; }
   static V Mul(V a, V b) { return a * b; }
   static V Div(V a, V b) { return a / b; }
+  static V Sqrt(V a) { return std::sqrt(a); }
   static V Neg(V a) { return -a; }
   static V Fma(V a, V b, V c) { return std::fma(a, b, c); }
   static V Round(V a) { return std::nearbyint(a); }  // nearest-even
@@ -105,6 +111,16 @@ struct ScalarBackend {
     double out;
     std::memcpy(&out, &bits, sizeof(out));
     return out;
+  }
+
+  // Splits a positive normal x into x = m * 2^k with m in [1, 2) and k an
+  // integral double, by the bits of x.
+  static void SplitExponent(V x, V* m, V* k) {
+    uint64_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    *k = static_cast<double>(static_cast<int64_t>(bits >> 52) - 1023);
+    bits = (bits & 0x000FFFFFFFFFFFFFULL) | 0x3FF0000000000000ULL;
+    std::memcpy(m, &bits, sizeof(bits));
   }
 
   // Quadrant masks for sin/cos reconstruction from j = round(x * 2/pi).
@@ -164,6 +180,7 @@ inline constexpr double kLn2Lo = 1.90821492927058770002e-10;
 inline constexpr double kTwoOverPi = 6.36619772367581382433e-01;
 inline constexpr double kPio2Hi = 1.57079632673412561417e+00;
 inline constexpr double kPio2Lo = 6.07710050650619224932e-11;
+inline constexpr double kSqrt2 = 1.41421356237309504880;
 }  // namespace detail
 
 // exp(x): k = round(x*log2e); r = x - k*ln2 (two fma steps); degree-13
@@ -229,6 +246,40 @@ void SinCos(typename B::V x, typename B::V* sin_out, typename B::V* cos_out) {
   B::Quadrant(j, &swap, &neg_sin, &neg_cos);
   *sin_out = B::NegateIf(B::Select(swap, c, s), neg_sin);
   *cos_out = B::NegateIf(B::Select(swap, s, c), neg_cos);
+}
+
+// log(x) for positive normal x, the fdlibm e_log.c algorithm without its
+// special-case branches: x = m * 2^k with m in [sqrt2/2, sqrt2], f = m - 1
+// (exact), s = f / (2 + f), and log(1 + f) = f - (f^2/2 - s (f^2/2 + R(s^2)))
+// with fdlibm's degree-14 minimax R; k * ln2 is added as two parts. Plain
+// multiplies and adds in fdlibm's order, ~1 ulp. Zero, negative,
+// subnormal, infinite and NaN inputs are outside the domain.
+template <class B>
+typename B::V Log(typename B::V x) {
+  using V = typename B::V;
+  V m, k;
+  B::SplitExponent(x, &m, &k);
+  const typename B::M high = B::Lt(B::Set(detail::kSqrt2), m);
+  m = B::Select(high, B::Mul(m, B::Set(0.5)), m);
+  k = B::Select(high, B::Add(k, B::Set(1.0)), k);
+  const V f = B::Sub(m, B::Set(1.0));
+  const V s = B::Div(f, B::Add(B::Set(2.0), f));
+  const V z = B::Mul(s, s);
+  const V w = B::Mul(z, z);
+  // t1 = w (Lg2 + w (Lg4 + w Lg6)), t2 = z (Lg1 + w (Lg3 + w (Lg5 + w Lg7))).
+  V t1 = B::Mul(w, B::Set(1.531383769920937332e-01));
+  t1 = B::Mul(w, B::Add(B::Set(2.222219843214978396e-01), t1));
+  t1 = B::Mul(w, B::Add(B::Set(3.999999999940941908e-01), t1));
+  V t2 = B::Mul(w, B::Set(1.479819860511658591e-01));
+  t2 = B::Mul(w, B::Add(B::Set(1.818357216161805012e-01), t2));
+  t2 = B::Mul(w, B::Add(B::Set(2.857142874366239149e-01), t2));
+  t2 = B::Mul(z, B::Add(B::Set(6.666666666666735130e-01), t2));
+  const V r = B::Add(t2, t1);
+  const V hfsq = B::Mul(B::Mul(B::Set(0.5), f), f);
+  const V tail = B::Add(B::Mul(s, B::Add(hfsq, r)),
+                        B::Mul(k, B::Set(detail::kLn2Lo)));
+  return B::Sub(B::Mul(k, B::Set(detail::kLn2Hi)),
+                B::Sub(B::Sub(hfsq, tail), f));
 }
 
 }  // namespace simd

@@ -392,7 +392,7 @@ common::Status SubscriptionDispatchOperator::Process(const Tuple& tuple,
             });
   for (const SubscriptionIndex::MatchResult& m : scratch_) {
     Tuple tagged = tuple;
-    tagged.AppendValue(Value(static_cast<int64_t>(m.id)));
+    tagged.AppendValue(static_cast<int64_t>(m.id));
     if (m.on_match && *m.on_match) (*m.on_match)(tagged);
     out->Emit(std::move(tagged));
   }

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stream/value.h"
@@ -87,7 +88,13 @@ class Tuple {
   const Value& value(size_t i) const { return values_[i]; }
   Value& mutable_value(size_t i) { return values_[i]; }
   const std::vector<Value>& values() const { return values_; }
-  void AppendValue(Value v) { values_.push_back(std::move(v)); }
+  /// Appends a value constructed in place from `v`: a Value, or what a
+  /// Value is constructed from (an int64_t, a double, ...). Passing the
+  /// payload itself builds no temporary Value.
+  template <typename T>
+  void AppendValue(T&& v) {
+    values_.emplace_back(std::forward<T>(v));
+  }
 
   /// Lineage: sorted set of base tuple ids this tuple derives from. A base
   /// tuple's lineage is just its own id.

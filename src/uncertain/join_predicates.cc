@@ -202,7 +202,7 @@ stream::SlidingWindowJoin::MatchFn MakeProbabilisticEqualityMatch(
     }
     stream::Tuple joined = stream::ConcatJoinedTuple(l, r);
     if (spec.annotate_probability) {
-      joined.AppendValue(Value(p));
+      joined.AppendValue(p);
     }
     return joined;
   };

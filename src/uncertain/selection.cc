@@ -60,8 +60,7 @@ std::unique_ptr<stream::MapOperator> MakeProbabilityAnnotator(
               "probability annotator attribute index out of range");
         }
         Tuple out = t;
-        out.AppendValue(
-            Value(PredicateProbability(t.value(attr_index), op, a, b)));
+        out.AppendValue(PredicateProbability(t.value(attr_index), op, a, b));
         return out;
       });
 }

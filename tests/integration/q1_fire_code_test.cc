@@ -41,10 +41,10 @@ stream::MapOperator::MapFn AnnotateAreaAndWeight(
     const double y = t.value(2).AsDistribution()->Mean();
     const int64_t col = static_cast<int64_t>(x / cell_ft);
     const int64_t row = static_cast<int64_t>(y / cell_ft);
-    out.AppendValue(
-        Value("area_" + std::to_string(col) + "_" + std::to_string(row)));
+    out.AppendValue("area_" + std::to_string(col) + "_" +
+                    std::to_string(row));
     const auto tag = static_cast<size_t>(t.value(0).AsInt());
-    out.AppendValue(Value(weights_by_tag[tag]));
+    out.AppendValue(weights_by_tag[tag]);
     return out;
   };
 }

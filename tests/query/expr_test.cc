@@ -59,7 +59,7 @@ TEST(ComparePredicateTest, DerivedReadSetEnablesFilterPushdown) {
   // pushed — that contrast is exactly what Attr() buys.
   auto annotate = [](const Tuple& t) -> common::Result<Tuple> {
     Tuple out = t;
-    out.AppendValue(Value(t.value(1).AsDouble() * 2.0));
+    out.AppendValue(t.value(1).AsDouble() * 2.0);
     return out;
   };
   auto compiled =

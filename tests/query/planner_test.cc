@@ -132,11 +132,11 @@ common::Result<Tuple> AnnotateAreaWeight(const Tuple& t) {
   Tuple out = t;
   const double x = t.value(1).AsDistribution()->Mean();
   const double y = t.value(2).AsDistribution()->Mean();
-  out.AppendValue(Value(AreaOf(x, y)));
+  out.AppendValue(AreaOf(x, y));
   // Uncertain weight derived from the tag (deterministic).
   const double mean = 20.0 + static_cast<double>(t.value(0).AsInt() % 7);
-  out.AppendValue(Value(stats::DistributionPtr(
-      std::make_shared<stats::Gaussian>(mean, 1.5))));
+  out.AppendValue(stats::DistributionPtr(
+      std::make_shared<stats::Gaussian>(mean, 1.5)));
   return out;
 }
 
@@ -1033,7 +1033,7 @@ Query PushdownQuery(bool declare_reads = true) {
           .Map("annotate",
                [](const Tuple& t) -> common::Result<Tuple> {
                  Tuple out = t;
-                 out.AppendValue(Value(t.value(0).AsInt() * 10));
+                 out.AppendValue(t.value(0).AsInt() * 10);
                  return out;
                },
                3, /*preserved_prefix=*/2);

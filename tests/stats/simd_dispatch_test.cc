@@ -23,6 +23,7 @@
 #include "stats/gaussian.h"
 #include "stats/gaussian_mixture.h"
 #include "stats/histogram.h"
+#include "stats/simd/vec_math.h"
 #include "stats/uniform.h"
 
 namespace usp {
@@ -190,6 +191,38 @@ TEST(SimdDispatchTest, PhaseRotateAndDensityMassesBitwiseAcrossTiers) {
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(masses[0][i], masses[k][i]) << "density_masses[" << i << "]";
     }
+  }
+}
+
+// Log<B> is ~1 ulp on the Box-Muller domain [2^-53, 1]. The scalar
+// backend is checked here; the AVX2 lanes equal it bitwise (the
+// box_muller tier tests in tests/rfid/particle_kernels_test.cc).
+TEST(VecMathTest, LogWithinOneUlpOfLibm) {
+  EXPECT_EQ(simd::Log<simd::ScalarBackend>(1.0), 0.0);
+  EXPECT_FALSE(std::signbit(simd::Log<simd::ScalarBackend>(1.0)));
+  std::vector<double> xs = {0x1.0p-53, 0x1.0p-52, 0.5, 0.25,
+                            std::sqrt(0.5), std::nextafter(std::sqrt(0.5), 0.0),
+                            std::nextafter(1.0, 0.0), 0.75, 1.0};
+  common::Rng rng(17);
+  for (int i = 0; i < 200000; ++i) {
+    // Log-uniform over [2^-53, 1), plus uniforms as Rng::Uniform draws them.
+    xs.push_back(std::exp2(-53.0 * rng.Uniform()));
+    const double u = rng.Uniform();
+    if (u > 0.0) xs.push_back(u);
+  }
+  for (int k = -53; k <= 0; ++k) {
+    const double p = std::ldexp(1.0, k);
+    xs.push_back(p);
+    if (k < 0) xs.push_back(std::nextafter(p, 1.0));
+    xs.push_back(std::nextafter(p, 0.0));
+  }
+  for (const double x : xs) {
+    if (!(x >= 0x1.0p-53 && x <= 1.0)) continue;
+    const double want = std::log(x);
+    const double got = simd::Log<simd::ScalarBackend>(x);
+    const double ulp = std::nextafter(std::fabs(want), HUGE_VAL) -
+                       std::fabs(want);
+    ASSERT_LE(std::fabs(got - want), ulp) << "x = " << x;
   }
 }
 

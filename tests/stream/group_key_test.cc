@@ -75,7 +75,9 @@ TEST(GroupKeyTest, IdentityIsCanonicalKeyStringEquality) {
       const GroupKey kb = GroupKey::Of(b);
       const bool same = CanonicalKeyString(a) == CanonicalKeyString(b);
       EXPECT_EQ(ka == kb, same) << a.ToString() << " vs " << b.ToString();
-      if (same) EXPECT_EQ(ka.Hash(), kb.Hash()) << a.ToString();
+      if (same) {
+        EXPECT_EQ(ka.Hash(), kb.Hash()) << a.ToString();
+      }
     }
   }
 }

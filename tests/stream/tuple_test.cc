@@ -62,7 +62,7 @@ TEST(TupleTest, TimestampAndValues) {
   EXPECT_EQ(t.timestamp(), 1000);
   EXPECT_EQ(t.num_values(), 2u);
   EXPECT_EQ(t.value(0).AsInt(), 1);
-  t.AppendValue(Value(std::string("x")));
+  t.AppendValue(std::string("x"));
   EXPECT_EQ(t.num_values(), 3u);
   t.set_timestamp(2000);
   EXPECT_EQ(t.timestamp(), 2000);
@@ -121,7 +121,7 @@ TEST(TupleTest, BaseLineageSurvivesCopyMoveAndAppend) {
   move_assigned = std::move(moved);
   EXPECT_EQ(move_assigned.lineage(), expected);
 
-  move_assigned.AppendValue(Value(2.0));
+  move_assigned.AppendValue(2.0);
   EXPECT_EQ(move_assigned.num_values(), 2u);
   EXPECT_EQ(move_assigned.lineage(), expected);
 }
