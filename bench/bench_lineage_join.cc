@@ -16,6 +16,7 @@
 #include "query/planner.h"
 #include "query/query.h"
 #include "stats/gaussian.h"
+#include "stream/batch.h"
 #include "uncertain/join_predicates.h"
 #include "uncertain/lineage_aggregate.h"
 
@@ -23,6 +24,7 @@ namespace {
 
 using usp::stats::DistributionPtr;
 using usp::stream::Tuple;
+using usp::stream::TupleBatch;
 using usp::stream::Value;
 
 // Run the Q2-style join for one temperature cell against `fanout` objects
@@ -52,7 +54,7 @@ std::vector<DistributionPtr> JoinedTemps(size_t fanout, uint64_t seed) {
                  Value(DistributionPtr(std::make_shared<usp::stats::Gaussian>(
                      70.0, 4.0)))});
   temp.InitBaseLineage();
-  (void)exec->Push(exec->source("temps"), temp);
+  (void)exec->PushBatch(exec->source("temps"), TupleBatch({temp}));
   usp::stream::TupleBatch objs;
   objs.Reserve(fanout);
   for (size_t i = 0; i < fanout; ++i) {

@@ -345,13 +345,6 @@ stream::ExecGraph::NodeId CompiledQuery::sink(const std::string& name) const {
   return it == sinks_.end() ? ExecGraph::kInvalidNode : it->second;
 }
 
-common::Status CompiledQuery::Push(stream::ExecGraph::NodeId source,
-                                   stream::Tuple tuple) {
-  TupleBatch batch;
-  batch.Append(std::move(tuple));
-  return PushBatch(source, std::move(batch));
-}
-
 common::Status CompiledQuery::PushBatch(stream::ExecGraph::NodeId source,
                                         const stream::TupleBatch& batch) {
   TupleBatch copy = batch;
@@ -363,8 +356,29 @@ size_t CompiledQuery::ingest_lane(stream::ExecGraph::NodeId source) const {
   return it == lane_of_source_.end() ? 0 : it->second;
 }
 
+common::Status CompiledQuery::CheckArity(
+    stream::ExecGraph::NodeId source, const stream::TupleBatch& batch) const {
+  const size_t arity =
+      source < declared_arity_.size() ? declared_arity_[source] : 0;
+  if (arity == 0) return common::Status::OK();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].num_values() == arity) continue;
+    std::string name = std::to_string(source);
+    for (const auto& [n, id] : sources_) {
+      if (id == source) name = n;
+    }
+    return common::Status::InvalidArgument(
+        "source '" + name + "' declares arity " + std::to_string(arity) +
+        " but tuple " + std::to_string(i) + " of the push has " +
+        std::to_string(batch[i].num_values()) +
+        " values; nothing of this push was ingested");
+  }
+  return common::Status::OK();
+}
+
 common::Status CompiledQuery::PushBatch(stream::ExecGraph::NodeId source,
                                         stream::TupleBatch&& batch) {
+  USP_RETURN_NOT_OK(CheckArity(source, batch));
   return executor_->PushBatch(ingest_lane(source), source, std::move(batch));
 }
 
@@ -531,14 +545,19 @@ common::Result<std::unique_ptr<CompiledQuery>> Planner::CompileImpl(
   compiled->executor_ = exec_or.MoveValueUnsafe();
   // Route each source to its lane, round-robin in declaration order (the
   // identity mapping when lanes were auto-chosen as one per source). With
-  // one lane every source stays on lane 0, ingest_lane()'s default.
+  // one lane every source stays on lane 0, ingest_lane()'s default. Record
+  // each source's declared arity for the ingest check.
   size_t source_index = 0;
-  for (LogicalPlan::NodeId id = 0; num_lanes > 1 && id < plan.num_nodes();
-       ++id) {
+  for (LogicalPlan::NodeId id = 0; id < plan.num_nodes(); ++id) {
     if (plan.kind(id) != LogicalPlan::NodeKind::kSource) continue;
     const auto it = compiled->sources_.find(plan.node(id).name);
     if (it != compiled->sources_.end()) {
-      compiled->lane_of_source_[it->second] = source_index % num_lanes;
+      if (num_lanes > 1) {
+        compiled->lane_of_source_[it->second] = source_index % num_lanes;
+      }
+      std::vector<size_t>& arity = compiled->declared_arity_;
+      if (arity.size() <= it->second) arity.resize(it->second + 1, 0);
+      arity[it->second] = plan.node(id).declared_arity;
     }
     ++source_index;
   }
@@ -651,11 +670,6 @@ stream::ExecGraph::NodeId MultiplexedQuery::sink(
 
 size_t MultiplexedQuery::ingest_lane(stream::ExecGraph::NodeId source) const {
   return compiled_->ingest_lane(source);
-}
-
-common::Status MultiplexedQuery::Push(stream::ExecGraph::NodeId source,
-                                      stream::Tuple tuple) {
-  return compiled_->Push(source, std::move(tuple));
 }
 
 common::Status MultiplexedQuery::PushBatch(stream::ExecGraph::NodeId source,

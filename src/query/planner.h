@@ -191,7 +191,10 @@ class CompiledQuery {
   /// report lane 0 for every source.
   size_t ingest_lane(stream::ExecGraph::NodeId source) const;
 
-  common::Status Push(stream::ExecGraph::NodeId source, stream::Tuple tuple);
+  /// Ingest a batch at a source (a single tuple is a batch of one). When
+  /// the source declares its arity, a push holding a tuple of another
+  /// arity is refused whole with InvalidArgument before any of it is
+  /// ingested, so the stream continues as if it had not been made.
   common::Status PushBatch(stream::ExecGraph::NodeId source,
                            const stream::TupleBatch& batch);
   common::Status PushBatch(stream::ExecGraph::NodeId source,
@@ -234,11 +237,18 @@ class CompiledQuery {
   friend class Planner;
   CompiledQuery() = default;
 
+  /// InvalidArgument naming the source and the first tuple whose arity
+  /// differs from the source's declared one; OK when it declares none.
+  common::Status CheckArity(stream::ExecGraph::NodeId source,
+                            const stream::TupleBatch& batch) const;
+
   PlanSummary summary_;
   std::unordered_map<std::string, stream::ExecGraph::NodeId> sources_;
   std::unordered_map<std::string, stream::ExecGraph::NodeId> sinks_;
   /// Ingest lane per source node id.
   std::unordered_map<stream::ExecGraph::NodeId, size_t> lane_of_source_;
+  /// Declared arity per source node id; 0 = undeclared (not checked).
+  std::vector<size_t> declared_arity_;
   std::unique_ptr<stream::ShardedExecutor> executor_;
   /// Set by Finish(); results exist only after it.
   bool finished_ = false;
@@ -264,7 +274,6 @@ class MultiplexedQuery {
   stream::ExecGraph::NodeId sink(const std::string& name) const;
   size_t ingest_lane(stream::ExecGraph::NodeId source) const;
 
-  common::Status Push(stream::ExecGraph::NodeId source, stream::Tuple tuple);
   common::Status PushBatch(stream::ExecGraph::NodeId source,
                            const stream::TupleBatch& batch);
   common::Status PushBatch(stream::ExecGraph::NodeId source,

@@ -21,11 +21,6 @@ class FilterOperator final : public Operator {
       : Operator(std::move(name)), pred_(std::move(pred)) {}
 
  protected:
-  common::Status Process(const Tuple& tuple, Collector* out) override {
-    if (pred_(tuple)) out->Emit(tuple);
-    return common::Status::OK();
-  }
-
   common::Status ProcessBatch(const TupleBatch& batch,
                               Collector* out) override {
     for (const Tuple& t : batch) {
@@ -48,32 +43,20 @@ class MapOperator final : public Operator {
       : Operator(std::move(name)), fn_(std::move(fn)) {}
 
  protected:
-  common::Status Process(const Tuple& tuple, Collector* out) override {
-    return MapOne(tuple, out);
-  }
-
   common::Status ProcessBatch(const TupleBatch& batch,
                               Collector* out) override {
     for (const Tuple& t : batch) {
-      USP_RETURN_NOT_OK(MapOne(t, out));
+      auto res = fn_(t);
+      if (!res.ok()) {
+        if (res.status().code() == common::StatusCode::kNotFound) continue;
+        return res.status();
+      }
+      out->Emit(res.MoveValueUnsafe());
     }
     return common::Status::OK();
   }
 
  private:
-  // Single drop-on-NotFound / abort-on-error policy for both paths.
-  common::Status MapOne(const Tuple& tuple, Collector* out) {
-    auto res = fn_(tuple);
-    if (!res.ok()) {
-      if (res.status().code() == common::StatusCode::kNotFound) {
-        return common::Status::OK();
-      }
-      return res.status();
-    }
-    out->Emit(res.MoveValueUnsafe());
-    return common::Status::OK();
-  }
-
   MapFn fn_;
 };
 
@@ -86,12 +69,6 @@ class TapOperator final : public Operator {
       : Operator(std::move(name)), fn_(std::move(fn)) {}
 
  protected:
-  common::Status Process(const Tuple& tuple, Collector* out) override {
-    fn_(tuple);
-    out->Emit(tuple);
-    return common::Status::OK();
-  }
-
   common::Status ProcessBatch(const TupleBatch& batch,
                               Collector* out) override {
     for (const Tuple& t : batch) {

@@ -1,7 +1,7 @@
-// Batched tuple transport. Operators and the DAG executor move tuples in
-// TupleBatch units so the per-tuple costs of the seed runtime (one virtual
-// dispatch, one Stopwatch read, one heap-allocated collector per tuple per
-// stage) are amortised across a whole batch.
+// Batched tuple transport. A TupleBatch is the only unit of input to an
+// operator, a join or an executor (a single tuple travels as a batch of
+// one), so per-stage costs (one virtual dispatch, one Stopwatch read, one
+// collector) are paid once per batch, not once per tuple.
 
 #ifndef USP_STREAM_BATCH_H_
 #define USP_STREAM_BATCH_H_

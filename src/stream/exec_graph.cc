@@ -131,8 +131,8 @@ common::Status DagExecutor::Deliver(ExecGraph::NodeId id, int port,
       TupleBatch out;
       BatchCollector collector(&out);
       // On a mid-batch error, still forward what was emitted before the
-      // failing tuple: under the seed per-tuple runtime those results had
-      // already traversed the downstream stages.
+      // failing tuple, as if the batch had been pushed one tuple at a
+      // time.
       const common::Status st = node.op->PushBatch(batch, &collector);
       const common::Status fwd = Forward(id, out);
       return st.ok() ? fwd : st;
@@ -244,13 +244,6 @@ common::Status DagExecutor::PushBatch(ExecGraph::NodeId source,
     return common::Status::InvalidArgument("PushBatch target is not a source");
   }
   return Deliver(source, 0, batch);
-}
-
-common::Status DagExecutor::Push(ExecGraph::NodeId source,
-                                 const Tuple& tuple) {
-  TupleBatch batch;
-  batch.Append(tuple);
-  return PushBatch(source, batch);
 }
 
 common::Status DagExecutor::Close() {

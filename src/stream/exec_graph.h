@@ -114,8 +114,6 @@ class DagExecutor {
 
   /// Inject a batch at a source node.
   common::Status PushBatch(ExecGraph::NodeId source, const TupleBatch& batch);
-  /// Single-tuple convenience (wraps the tuple in a batch of one).
-  common::Status Push(ExecGraph::NodeId source, const Tuple& tuple);
   /// Event-time progress injection: promises every future tuple pushed at
   /// `source` has timestamp >= watermark. The signal propagates along the
   /// graph edges — stateful operators close windows / expire buffers as

@@ -22,12 +22,8 @@ void GroupByAggregateOperator::AppendRun(int64_t window_start,
                                          size_t batch_offset) {
   WindowedOperator::AppendRun(window_start, tuples, count, batch_offset);
   std::vector<std::string>& keys = open_keys_[window_start];
-  if (batch_offset != SIZE_MAX && batch_offset + count <= batch_keys_.size()) {
-    keys.insert(keys.end(), batch_keys_.begin() + batch_offset,
-                batch_keys_.begin() + batch_offset + count);
-  } else {
-    for (size_t i = 0; i < count; ++i) keys.push_back(key_fn_(tuples[i]));
-  }
+  keys.insert(keys.end(), batch_keys_.begin() + batch_offset,
+              batch_keys_.begin() + batch_offset + count);
 }
 
 common::Status GroupByAggregateOperator::EmitWindow(

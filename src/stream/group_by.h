@@ -32,9 +32,9 @@ struct AggregateSpec {
 /// = window end (Rstream semantics: results are streamed when the window
 /// closes), lineage = union of the group's input lineage.
 ///
-/// On the batch path, group keys are computed once per batch tuple and
-/// cached per window, so a sliding window with overlap k evaluates the key
-/// function once per tuple instead of k times at emit.
+/// Group keys are computed once per batch tuple and cached per window, so
+/// a sliding window with overlap k evaluates the key function once per
+/// tuple instead of k times at emit.
 class GroupByAggregateOperator final : public WindowedOperator {
  public:
   /// Group key of a tuple as its canonical string (CanonicalKeyString for
@@ -70,7 +70,7 @@ class GroupByAggregateOperator final : public WindowedOperator {
   /// Per-window cached group keys, aligned with the window's tuple buffer.
   std::map<int64_t, std::vector<std::string>> open_keys_;
   /// Keys of the batch currently inside WindowedOperator::ProcessBatch;
-  /// AppendRun slices it by batch offset. Empty on the per-tuple path.
+  /// AppendRun slices it by batch offset.
   std::vector<std::string> batch_keys_;
 };
 

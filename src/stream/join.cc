@@ -97,15 +97,6 @@ common::Status SlidingWindowJoin::AdvanceWatermark(bool from_left,
   return common::Status::OK();
 }
 
-common::Status SlidingWindowJoin::PushImpl(const Tuple& tuple, bool from_left,
-                                           Collector* out) {
-  ++metrics_.tuples_in;
-  common::Stopwatch sw;
-  ProbeAndBuffer(tuple, from_left, out);
-  metrics_.processing_seconds += sw.ElapsedSeconds();
-  return common::Status::OK();
-}
-
 common::Status SlidingWindowJoin::PushBatchImpl(const TupleBatch& batch,
                                                 bool from_left,
                                                 Collector* out) {
@@ -115,16 +106,6 @@ common::Status SlidingWindowJoin::PushBatchImpl(const TupleBatch& batch,
   for (const Tuple& t : batch) ProbeAndBuffer(t, from_left, out);
   metrics_.processing_seconds += sw.ElapsedSeconds();
   return common::Status::OK();
-}
-
-common::Status SlidingWindowJoin::PushLeft(const Tuple& tuple,
-                                           Collector* out) {
-  return PushImpl(tuple, /*from_left=*/true, out);
-}
-
-common::Status SlidingWindowJoin::PushRight(const Tuple& tuple,
-                                            Collector* out) {
-  return PushImpl(tuple, /*from_left=*/false, out);
 }
 
 common::Status SlidingWindowJoin::PushLeftBatch(const TupleBatch& batch,

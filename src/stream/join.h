@@ -61,10 +61,11 @@ class SlidingWindowJoin {
   SlidingWindowJoin(std::string name, int64_t range_us, MatchFn match)
       : name_(std::move(name)), range_us_(range_us), match_(std::move(match)) {}
 
-  common::Status PushLeft(const Tuple& tuple, Collector* out);
-  common::Status PushRight(const Tuple& tuple, Collector* out);
-  /// Batch forms: one metrics update and one Stopwatch read per batch
-  /// instead of per tuple. This is the DAG executor's hot path.
+  /// The join's input: a batch of tuples on one side (a single tuple is
+  /// a batch of one). Each tuple below its own side's watermark is
+  /// dropped as late; every other tuple probes the peer buffer, emits its
+  /// matches into `out` at once, and is buffered. One metrics update and
+  /// one Stopwatch read per batch.
   common::Status PushLeftBatch(const TupleBatch& batch, Collector* out);
   common::Status PushRightBatch(const TupleBatch& batch, Collector* out);
   /// Event-time progress on one input (`from_left` names the side the
@@ -86,7 +87,6 @@ class SlidingWindowJoin {
   size_t right_buffer_size() const { return right_.size(); }
 
  private:
-  common::Status PushImpl(const Tuple& tuple, bool from_left, Collector* out);
   common::Status PushBatchImpl(const TupleBatch& batch, bool from_left,
                                Collector* out);
   /// Unmetered core: drop a late tuple, else probe the other side and

@@ -19,15 +19,6 @@ class Operator::CountingCollector final : public Collector {
   OperatorMetrics* metrics_;
 };
 
-common::Status Operator::Push(const Tuple& tuple, Collector* out) {
-  ++metrics_.tuples_in;
-  CountingCollector counting(out, &metrics_);
-  common::Stopwatch sw;
-  const common::Status st = Process(tuple, &counting);
-  metrics_.processing_seconds += sw.ElapsedSeconds();
-  return st;
-}
-
 common::Status Operator::PushBatch(const TupleBatch& batch, Collector* out) {
   metrics_.tuples_in += batch.size();
   ++metrics_.batches_in;
@@ -36,14 +27,6 @@ common::Status Operator::PushBatch(const TupleBatch& batch, Collector* out) {
   const common::Status st = ProcessBatch(batch, &counting);
   metrics_.processing_seconds += sw.ElapsedSeconds();
   return st;
-}
-
-common::Status Operator::ProcessBatch(const TupleBatch& batch,
-                                      Collector* out) {
-  for (const Tuple& t : batch) {
-    USP_RETURN_NOT_OK(Process(t, out));
-  }
-  return common::Status::OK();
 }
 
 common::Status Operator::AdvanceWatermark(int64_t watermark, Collector* out) {

@@ -6,7 +6,6 @@
 #define USP_STREAM_OPERATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,17 +36,6 @@ class VectorCollector final : public Collector {
 
  private:
   std::vector<Tuple> tuples_;
-};
-
-/// Collector that invokes a callback per tuple.
-class CallbackCollector final : public Collector {
- public:
-  explicit CallbackCollector(std::function<void(Tuple)> fn)
-      : fn_(std::move(fn)) {}
-  void Emit(Tuple tuple) override { fn_(std::move(tuple)); }
-
- private:
-  std::function<void(Tuple)> fn_;
 };
 
 /// Cumulative per-operator counters.
@@ -117,9 +105,15 @@ struct OperatorMetrics {
 
 /// \brief Base class for unary stream operators.
 ///
-/// Contract: Process() is called once per input tuple in timestamp order;
-/// Finish() is called once at end-of-stream and must flush any buffered
-/// state (open windows, pending joins).
+/// Contract: input arrives only as batches, through PushBatch() into the
+/// ProcessBatch() hook (a single tuple is a batch of one). Per source,
+/// batches arrive in push order; whether tuples must also be in timestamp
+/// order is the operator's own contract: the paned aggregate accepts
+/// out-of-order input down to its watermark and counts what falls below
+/// it as late, the naive WindowedOperator reference needs timestamp
+/// order. AdvanceWatermark() delivers event-time progress, and Close()
+/// is called once at end-of-stream and must flush any buffered state
+/// (open windows, pending panes).
 class Operator {
  public:
   explicit Operator(std::string name) : name_(std::move(name)) {}
@@ -131,12 +125,8 @@ class Operator {
   const std::string& name() const { return name_; }
   const OperatorMetrics& metrics() const { return metrics_; }
 
-  /// Consume one tuple, emitting zero or more results.
-  common::Status Push(const Tuple& tuple, Collector* out);
-  /// Consume a whole batch. Metrics are metered once per batch, so this is
-  /// the hot path for the DAG executor; the default implementation calls
-  /// Process() per tuple, subclasses may override ProcessBatch() with a
-  /// vectorised loop.
+  /// Consume a batch, emitting zero or more results. Metrics are metered
+  /// once per batch (one Stopwatch read, one tuples_in update).
   common::Status PushBatch(const TupleBatch& batch, Collector* out);
   /// Event-time progress: the executor promises every future input tuple
   /// has timestamp >= `watermark`. Stateful operators close windows and
@@ -149,9 +139,9 @@ class Operator {
   common::Status Close(Collector* out);
 
  protected:
-  virtual common::Status Process(const Tuple& tuple, Collector* out) = 0;
-  /// Batch hook; default loops over Process(). Emissions go to `out`.
-  virtual common::Status ProcessBatch(const TupleBatch& batch, Collector* out);
+  /// The one input hook. Emissions go to `out`.
+  virtual common::Status ProcessBatch(const TupleBatch& batch,
+                                      Collector* out) = 0;
   /// Watermark hook; default no-op (stateless operators).
   virtual common::Status OnWatermark(int64_t watermark, Collector* out) {
     (void)watermark;

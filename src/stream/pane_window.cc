@@ -201,22 +201,11 @@ common::Status PanedGroupByAggregateOperator::OnWatermark(int64_t watermark,
   return common::Status::OK();
 }
 
-common::Status PanedGroupByAggregateOperator::Process(
-    const Tuple& tuple, Collector* /*out*/) {
-  const int64_t ts = tuple.timestamp();
-  if (IsLate(ts)) {
-    ++mutable_metrics().late_dropped;
-    return common::Status::OK();
-  }
-  return AddToPane(panes_[FloorToMultiple(ts, pane_us_)], tuple,
-                   key_fn_(tuple));
-}
-
 common::Status PanedGroupByAggregateOperator::ProcessBatch(
     const TupleBatch& batch, Collector* /*out*/) {
-  // Same per-tuple logic, but consecutive tuples falling into the same
-  // pane reuse the pane map node (std::map nodes are stable, and nothing
-  // evicts panes mid-batch: windows close only on watermarks).
+  // Consecutive tuples falling into the same pane reuse the pane map node
+  // (std::map nodes are stable, and nothing evicts panes mid-batch:
+  // windows close only on watermarks).
   Pane* pane = nullptr;
   int64_t pane_start = 0;
   for (const Tuple& tuple : batch) {

@@ -111,7 +111,6 @@ class PanedGroupByAggregateOperator final : public Operator {
   }
 
  protected:
-  common::Status Process(const Tuple& tuple, Collector* out) override;
   common::Status ProcessBatch(const TupleBatch& batch,
                               Collector* out) override;
   /// Closes every window with end <= watermark.
@@ -140,7 +139,7 @@ class PanedGroupByAggregateOperator final : public Operator {
     return closed_start_ != std::numeric_limits<int64_t>::min() &&
            ts < closed_start_ + spec_.slide_us;
   }
-  /// Shared accumulation body of the per-tuple and batch paths.
+  /// Accumulates one tuple into its group's partials in `pane`.
   common::Status AddToPane(Pane& pane, const Tuple& tuple, GroupKey key);
   common::Status EmitWindow(int64_t start, Collector* out);
   /// Drop leading panes fully covered by the just-emitted window `start`,

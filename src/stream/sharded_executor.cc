@@ -409,28 +409,6 @@ common::Status ShardedExecutor::PushWatermark(LaneId lane_id,
   return BroadcastWatermark(lane, source, watermark);
 }
 
-common::Status ShardedExecutor::PushWatermark(ExecGraph::NodeId source,
-                                              int64_t watermark) {
-  return PushWatermark(LaneId{0}, source, watermark);
-}
-
-common::Status ShardedExecutor::PushBatch(ExecGraph::NodeId source,
-                                          const TupleBatch& batch) {
-  TupleBatch copy = batch;
-  return PushBatch(LaneId{0}, source, std::move(copy));
-}
-
-common::Status ShardedExecutor::PushBatch(ExecGraph::NodeId source,
-                                          TupleBatch&& batch) {
-  return PushBatch(LaneId{0}, source, std::move(batch));
-}
-
-common::Status ShardedExecutor::Push(ExecGraph::NodeId source, Tuple tuple) {
-  TupleBatch batch;
-  batch.Append(std::move(tuple));
-  return PushBatch(LaneId{0}, source, std::move(batch));
-}
-
 common::Status ShardedExecutor::Finish() {
   // Serialises concurrent Finish() calls: a second caller blocks until the
   // first completes, then sees finished_ == true and the final status.
@@ -539,13 +517,6 @@ std::vector<NodeMetrics> ShardedExecutor::MetricsSnapshot() const {
     merged.push_back(std::move(entry));
   }
   return merged;
-}
-
-ShardedExecutor::KeyFn KeyByStringValue(size_t value_index) {
-  return [value_index](const Tuple& t) {
-    return static_cast<uint64_t>(
-        std::hash<std::string>{}(t.value(value_index).AsString()));
-  };
 }
 
 ShardedExecutor::KeyFn KeyByIntValue(size_t value_index) {

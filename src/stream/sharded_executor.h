@@ -37,7 +37,8 @@
 // that got tuples — nothing is held back in the lane, so a push's tuples
 // (and the watermark they carry) reach the shards as soon as a worker
 // pops them. The caller's push size is the message size: push in chunks
-// to amortise the ring hop, or tuple by tuple for the lowest latency.
+// to amortise the ring hop, or in one-tuple batches for the lowest
+// latency.
 //
 // Shards partition nothing themselves, and all tuples of one key are
 // processed by one shard: keyed plans (group-by, keyed joins) need no
@@ -47,8 +48,8 @@
 // assignment and worker interleaving).
 //
 // Thread safety: PushBatch(lane, ...) is single-producer PER LANE — two
-// threads may push concurrently only on different lanes. The lane-less
-// overloads use lane 0 (the seed single-caller API, unchanged).
+// threads may push concurrently only on different lanes. Every push names
+// its lane; a single-producer caller passes lane 0.
 //
 // Metrics: every shard's operator instances accumulate private
 // OperatorMetrics; MetricsSnapshot() merges them under the shard locks
@@ -163,7 +164,9 @@ class ShardedExecutor {
   /// the inline rule, process it before returning). Nothing is buffered:
   /// when the call returns OK every tuple is in a ring or processed.
   /// Single producer per lane; the source becomes bound to `lane` on first
-  /// push and may not move.
+  /// push and may not move. The rvalue form moves the tuples into the
+  /// partitions (with a single shard it forwards the whole batch without
+  /// copying); the const form copies the batch first.
   common::Status PushBatch(LaneId lane, ExecGraph::NodeId source,
                            TupleBatch&& batch);
   common::Status PushBatch(LaneId lane, ExecGraph::NodeId source,
@@ -182,16 +185,6 @@ class ShardedExecutor {
   /// data already carried are ignored).
   common::Status PushWatermark(LaneId lane, ExecGraph::NodeId source,
                                int64_t watermark);
-  /// Lane-0 convenience overload.
-  common::Status PushWatermark(ExecGraph::NodeId source, int64_t watermark);
-
-  /// Single-caller convenience API: lane 0.
-  common::Status PushBatch(ExecGraph::NodeId source, const TupleBatch& batch);
-  /// Move ingest: tuples are moved into the partitions (and with a single
-  /// shard the whole batch is forwarded without copying). Prefer this for
-  /// batches the caller does not reuse.
-  common::Status PushBatch(ExecGraph::NodeId source, TupleBatch&& batch);
-  common::Status Push(ExecGraph::NodeId source, Tuple tuple);
 
   /// Shutdown, in backpressure-safe order: (1) close every ingest lane so
   /// a racing push fails loudly with FailedPrecondition instead of
@@ -358,8 +351,7 @@ class ShardedExecutor {
   common::Status final_status_;
 };
 
-/// KeyFn helpers: shard by the hash of one attribute.
-ShardedExecutor::KeyFn KeyByStringValue(size_t value_index);
+/// KeyFn helper: shard by the hash of one int64 attribute.
 ShardedExecutor::KeyFn KeyByIntValue(size_t value_index);
 
 }  // namespace stream

@@ -378,23 +378,25 @@ SubscriptionDispatchOperator::SubscriptionDispatchOperator(
       partition_(partition),
       prob_(std::move(prob)) {}
 
-common::Status SubscriptionDispatchOperator::Process(const Tuple& tuple,
-                                                     Collector* out) {
-  scratch_.clear();
-  table_->MatchRow(partition_, tuple, prob_, &scratch_);
-  if (scratch_.empty()) return common::Status::OK();
-  // Deterministic per-row emission order (the index returns matches in
-  // bucket-internal order, which subscribe/unsubscribe churn perturbs).
-  std::sort(scratch_.begin(), scratch_.end(),
-            [](const SubscriptionIndex::MatchResult& a,
-               const SubscriptionIndex::MatchResult& b) {
-              return a.id < b.id;
-            });
-  for (const SubscriptionIndex::MatchResult& m : scratch_) {
-    Tuple tagged = tuple;
-    tagged.AppendValue(static_cast<int64_t>(m.id));
-    if (m.on_match && *m.on_match) (*m.on_match)(tagged);
-    out->Emit(std::move(tagged));
+common::Status SubscriptionDispatchOperator::ProcessBatch(
+    const TupleBatch& batch, Collector* out) {
+  for (const Tuple& tuple : batch) {
+    scratch_.clear();
+    table_->MatchRow(partition_, tuple, prob_, &scratch_);
+    if (scratch_.empty()) continue;
+    // Deterministic per-row emission order (the index returns matches in
+    // bucket-internal order, which subscribe/unsubscribe churn perturbs).
+    std::sort(scratch_.begin(), scratch_.end(),
+              [](const SubscriptionIndex::MatchResult& a,
+                 const SubscriptionIndex::MatchResult& b) {
+                return a.id < b.id;
+              });
+    for (const SubscriptionIndex::MatchResult& m : scratch_) {
+      Tuple tagged = tuple;
+      tagged.AppendValue(static_cast<int64_t>(m.id));
+      if (m.on_match && *m.on_match) (*m.on_match)(tagged);
+      out->Emit(std::move(tagged));
+    }
   }
   return common::Status::OK();
 }

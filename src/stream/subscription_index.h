@@ -256,7 +256,8 @@ class SubscriptionDispatchOperator final : public Operator {
                                SubscriptionIndex::ProbFn prob);
 
  protected:
-  common::Status Process(const Tuple& tuple, Collector* out) override;
+  common::Status ProcessBatch(const TupleBatch& batch,
+                              Collector* out) override;
 
  private:
   std::shared_ptr<ShardedSubscriptionTable> table_;

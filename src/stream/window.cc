@@ -1,22 +1,9 @@
 #include "stream/window.h"
 
-#include <cassert>
-
 #include "stream/batch.h"
 
 namespace usp {
 namespace stream {
-
-std::vector<int64_t> WindowSpec::AssignedWindowStarts(int64_t ts) const {
-  // slide > size (sampling windows with gaps) is legal here: a timestamp
-  // falling in a gap is simply assigned to no window.
-  assert(size_us > 0 && slide_us > 0);
-  std::vector<int64_t> starts;
-  ForEachAssignedStart(ts, [&starts](int64_t start) {
-    starts.push_back(start);
-  });
-  return starts;  // descending start order
-}
 
 common::Status WindowedOperator::EmitEarliest(Collector* out) {
   const auto it = open_.begin();
@@ -63,15 +50,6 @@ void WindowedOperator::AppendRun(int64_t window_start, const Tuple* tuples,
   }
   buffered_bytes_ += run_bytes_;
   mutable_metrics().buffered_bytes = buffered_bytes_;
-}
-
-common::Status WindowedOperator::Process(const Tuple& tuple, Collector* out) {
-  USP_RETURN_NOT_OK(CloseWindowsBefore(tuple.timestamp(), out));
-  run_bytes_valid_ = false;  // new run: one tuple, all its windows
-  spec_.ForEachAssignedStart(tuple.timestamp(), [this, &tuple](int64_t start) {
-    AppendRun(start, &tuple, 1, SIZE_MAX);
-  });
-  return common::Status::OK();
 }
 
 common::Status WindowedOperator::OnWatermark(int64_t watermark,

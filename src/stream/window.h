@@ -48,8 +48,7 @@ struct WindowSpec {
   }
 
   /// Invoke `fn(start)` for every window start containing `ts`, in
-  /// descending start order (matching AssignedWindowStarts). Allocation-free
-  /// replacement for the vector form on the per-tuple hot path.
+  /// descending start order. Allocation-free.
   template <typename Fn>
   void ForEachAssignedStart(int64_t ts, Fn&& fn) const {
     const int64_t first = FirstAssignedStart(ts);
@@ -58,11 +57,6 @@ struct WindowSpec {
       fn(start);
     }
   }
-
-  /// Start timestamps of all windows containing `ts`. Allocates; prefer
-  /// ForEachAssignedStart / FirstAssignedStart + LastAssignedStart on hot
-  /// paths.
-  std::vector<int64_t> AssignedWindowStarts(int64_t ts) const;
 };
 
 /// \brief Base for operators that buffer tuples per time window and emit
@@ -76,11 +70,9 @@ class WindowedOperator : public Operator {
       : Operator(std::move(name)), spec_(spec) {}
 
  protected:
-  common::Status Process(const Tuple& tuple, Collector* out) override;
-  /// Batch-native path: window closure is checked per run instead of per
-  /// tuple, window starts are computed arithmetically (no per-tuple vector
-  /// allocation), and runs of consecutive tuples sharing the same window
-  /// range are appended en bloc.
+  /// Window closure is checked per run of consecutive tuples sharing the
+  /// same window range, window starts are computed arithmetically, and
+  /// each run is appended en bloc. Input must be in timestamp order.
   common::Status ProcessBatch(const TupleBatch& batch,
                               Collector* out) override;
   /// Closes every window with end <= watermark (the watermark promises no
@@ -93,10 +85,9 @@ class WindowedOperator : public Operator {
                                     const std::vector<Tuple>& tuples,
                                     Collector* out) = 0;
 
-  /// Append hook: `tuples[0..count)` (a run of consecutive batch tuples,
-  /// or a single tuple on the per-tuple path) joins the window starting at
-  /// `window_start`. `batch_offset` is the run's index into the batch being
-  /// processed, or SIZE_MAX on the per-tuple path. Subclasses that maintain
+  /// Append hook: `tuples[0..count)`, a run of consecutive batch tuples,
+  /// joins the window starting at `window_start`. `batch_offset` is the
+  /// run's index into the batch being processed. Subclasses that maintain
   /// per-window side state (e.g. cached group keys) override this and must
   /// call the base implementation.
   virtual void AppendRun(int64_t window_start, const Tuple* tuples,
@@ -116,7 +107,7 @@ class WindowedOperator : public Operator {
   uint64_t buffered_bytes_ = 0;
   /// One-run byte-sum memo: AppendRun is invoked once per overlapping
   /// window with the SAME tuple run, so the sum is computed once per run
-  /// (invalidated by Process/ProcessBatch before each new run), not once
+  /// (invalidated by ProcessBatch before each new run), not once
   /// per (run, window).
   uint64_t run_bytes_ = 0;
   bool run_bytes_valid_ = false;

@@ -8,6 +8,7 @@
 #include "radar/experiment.h"
 #include "radar/grid.h"
 #include "rfid/transform_operator.h"
+#include "stream/batch.h"
 #include "stream/group_by.h"
 #include "uncertain/aggregates.h"
 #include "uncertain/selection.h"
@@ -16,6 +17,7 @@ namespace usp {
 namespace {
 
 using stream::Tuple;
+using stream::TupleBatch;
 using stream::Value;
 
 TEST(EndToEndRfidTest, SensorToWindowedCount) {
@@ -49,7 +51,7 @@ TEST(EndToEndRfidTest, SensorToWindowedCount) {
 
   stream::VectorCollector counts;
   for (const Tuple& t : locations.tuples()) {
-    ASSERT_TRUE(count_op.Push(t, &counts).ok());
+    ASSERT_TRUE(count_op.PushBatch(TupleBatch({t}), &counts).ok());
   }
   ASSERT_TRUE(count_op.Close(&counts).ok());
   ASSERT_FALSE(counts.tuples().empty());
@@ -85,7 +87,7 @@ TEST(EndToEndRfidTest, LocationDistributionsFeedProbabilisticSelection) {
   }
   stream::VectorCollector west;
   for (const Tuple& t : locations.tuples()) {
-    ASSERT_TRUE(west_filter->Push(t, &west).ok());
+    ASSERT_TRUE(west_filter->PushBatch(TupleBatch({t}), &west).ok());
   }
   ASSERT_FALSE(west.tuples().empty());
   // Every passed tuple indeed has P(x < 25) >= 0.8.

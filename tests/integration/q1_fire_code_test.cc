@@ -8,6 +8,7 @@
 #include "query/planner.h"
 #include "query/query.h"
 #include "stats/gaussian.h"
+#include "stream/batch.h"
 #include "stream/group_by.h"
 #include "uncertain/aggregates.h"
 
@@ -15,6 +16,7 @@ namespace usp {
 namespace {
 
 using stream::Tuple;
+using stream::TupleBatch;
 using stream::Value;
 
 // Location tuple: (tag_id, x, y) with Gaussian-uncertain coordinates.
@@ -120,7 +122,7 @@ TEST(Q1FireCodeTest, UncertainWeightsGiveViolationProbability) {
             {Value(stats::DistributionPtr(
                 std::make_shared<stats::Gaussian>(205.0 / 3.0, 5.0)))});
     t.InitBaseLineage();
-    ASSERT_TRUE(op.Push(t, &sink).ok());
+    ASSERT_TRUE(op.PushBatch(TupleBatch({t}), &sink).ok());
   }
   ASSERT_TRUE(op.Close(&sink).ok());
   ASSERT_EQ(sink.tuples().size(), 1u);
@@ -144,7 +146,7 @@ TEST(Q1FireCodeTest, HigherConfidenceThresholdSuppressesBorderline) {
             {Value(stats::DistributionPtr(
                 std::make_shared<stats::Gaussian>(205.0 / 3.0, 5.0)))});
     t.InitBaseLineage();
-    ASSERT_TRUE(op.Push(t, &sink).ok());
+    ASSERT_TRUE(op.PushBatch(TupleBatch({t}), &sink).ok());
   }
   ASSERT_TRUE(op.Close(&sink).ok());
   EXPECT_TRUE(sink.tuples().empty());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "stats/gaussian.h"
+#include "stream/batch.h"
 #include "stream/join.h"
 #include "uncertain/join_predicates.h"
 #include "uncertain/lineage_aggregate.h"
@@ -14,6 +15,7 @@ namespace usp {
 namespace {
 
 using stream::Tuple;
+using stream::TupleBatch;
 using stream::Value;
 
 Value G(double mean, double sd) {
@@ -48,10 +50,12 @@ TEST(Q2FlammableTest, AlertsOnHotNearbyObject) {
       "q2", 3'000'000, MakeProbabilisticEqualityMatch(Q2Spec()));
   stream::VectorCollector joined;
   ASSERT_TRUE(
-      join.PushLeft(ObjectTuple(1'000'000, 7, 10.0, 10.0, 0.8), &joined)
+      join.PushLeftBatch(
+          TupleBatch({ObjectTuple(1'000'000, 7, 10.0, 10.0, 0.8)}), &joined)
           .ok());
   ASSERT_TRUE(
-      join.PushRight(TempTuple(2'000'000, 10.5, 9.5, 80.0, 2.0), &joined)
+      join.PushRightBatch(
+          TupleBatch({TempTuple(2'000'000, 10.5, 9.5, 80.0, 2.0)}), &joined)
           .ok());
   ASSERT_EQ(joined.tuples().size(), 1u);
   const Tuple& alert = joined.tuples()[0];
@@ -70,10 +74,12 @@ TEST(Q2FlammableTest, FarObjectsDoNotJoin) {
       "q2", 3'000'000, MakeProbabilisticEqualityMatch(Q2Spec()));
   stream::VectorCollector joined;
   ASSERT_TRUE(
-      join.PushLeft(ObjectTuple(1'000'000, 7, 10.0, 10.0, 0.8), &joined)
+      join.PushLeftBatch(
+          TupleBatch({ObjectTuple(1'000'000, 7, 10.0, 10.0, 0.8)}), &joined)
           .ok());
   ASSERT_TRUE(
-      join.PushRight(TempTuple(2'000'000, 60.0, 60.0, 90.0, 2.0), &joined)
+      join.PushRightBatch(
+          TupleBatch({TempTuple(2'000'000, 60.0, 60.0, 90.0, 2.0)}), &joined)
           .ok());
   EXPECT_TRUE(joined.tuples().empty());
 }
@@ -83,10 +89,12 @@ TEST(Q2FlammableTest, StaleTemperatureExpires) {
       "q2", 3'000'000, MakeProbabilisticEqualityMatch(Q2Spec()));
   stream::VectorCollector joined;
   ASSERT_TRUE(
-      join.PushRight(TempTuple(1'000'000, 10.0, 10.0, 90.0, 2.0), &joined)
+      join.PushRightBatch(
+          TupleBatch({TempTuple(1'000'000, 10.0, 10.0, 90.0, 2.0)}), &joined)
           .ok());
   ASSERT_TRUE(
-      join.PushLeft(ObjectTuple(5'000'000, 7, 10.0, 10.0, 0.8), &joined)
+      join.PushLeftBatch(
+          TupleBatch({ObjectTuple(5'000'000, 7, 10.0, 10.0, 0.8)}), &joined)
           .ok());
   EXPECT_TRUE(joined.tuples().empty());
 }
@@ -114,12 +122,14 @@ TEST(Q2FlammableTest, JoinThenAggregateUsesLineage) {
                                  MakeProbabilisticEqualityMatch(spec));
   stream::VectorCollector joined;
   ASSERT_TRUE(
-      join.PushRight(TempTuple(1'000'000, 10.0, 10.0, 70.0, 4.0), &joined)
+      join.PushRightBatch(
+          TupleBatch({TempTuple(1'000'000, 10.0, 10.0, 70.0, 4.0)}), &joined)
           .ok());
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(join.PushLeft(ObjectTuple(1'100'000 + i, i, 10.0 + 0.1 * i,
-                                          10.0, 0.5),
-                              &joined)
+    ASSERT_TRUE(join.PushLeftBatch(TupleBatch({ObjectTuple(
+                                       1'100'000 + i, i, 10.0 + 0.1 * i,
+                                       10.0, 0.5)}),
+                                   &joined)
                     .ok());
   }
   ASSERT_EQ(joined.tuples().size(), 3u);

@@ -22,6 +22,7 @@
 #include "query/query.h"
 #include "stats/gaussian.h"
 #include "stream/basic_operators.h"
+#include "stream/batch.h"
 #include "stream/exec_graph.h"
 #include "stream/group_by.h"
 #include "stream/join.h"
@@ -181,7 +182,7 @@ TupleBatch RunQ1HandWired(size_t num_shards) {
   EXPECT_TRUE(exec_or.ok()) << exec_or.status().ToString();
   auto exec = exec_or.MoveValueUnsafe();
   for (const TupleBatch& b : Q1Input()) {
-    EXPECT_TRUE(exec->PushBatch(source, b).ok());
+    EXPECT_TRUE(exec->PushBatch(0, source, b).ok());
   }
   EXPECT_TRUE(exec->Finish().ok());
   return exec->TakeSinkOutput(sink);
@@ -307,7 +308,8 @@ TupleBatch RunQ2HandWired() {
   EXPECT_TRUE(graph->Validate().ok());
   DagExecutor exec(std::move(graph));
   DriveQ2([&](bool left, Tuple t) {
-    EXPECT_TRUE(exec.Push(left ? rfid_src : temp_src, t).ok());
+    EXPECT_TRUE(exec.PushBatch(
+        left ? rfid_src : temp_src, TupleBatch({t})).ok());
   });
   EXPECT_TRUE(exec.Close().ok());
   return exec.TakeSinkOutput(sink);
@@ -328,7 +330,8 @@ common::Result<TupleBatch> RunQ2Builder() {
   const auto temp_id = compiled->source("temp_stream");
   common::Status push_status;
   DriveQ2([&](bool left, Tuple t) {
-    const auto st = compiled->Push(left ? rfid_id : temp_id, std::move(t));
+    const auto st = compiled->PushBatch(
+        left ? rfid_id : temp_id, TupleBatch({std::move(t)}));
     if (push_status.ok() && !st.ok()) push_status = st;
   });
   USP_RETURN_NOT_OK(push_status);
@@ -394,6 +397,61 @@ TEST(PlannerTest, ShardedKeyedSumMatchesSingleShard) {
   ASSERT_TRUE(one.ok());
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   EXPECT_EQ(Canonical(one.value()), Canonical(sharded.value()));
+}
+
+// A source that declares its arity refuses, whole, a push holding a tuple
+// of another arity: grouping a 2-value tuple by attribute 2 would read
+// past its values (on 1 shard a phantom group, on 2 a use-after-free in
+// the shard key). The refusal comes before partitioning, so the stream
+// continues as if the push had not been made.
+TEST(PlannerTest, DeclaredArityRefusesWrongArityPushWhole) {
+  const auto make = [](int64_t ts) {
+    Tuple t(ts, {Value(int64_t{0}),
+                 Value(stats::DistributionPtr(
+                     std::make_shared<stats::Gaussian>(
+                         static_cast<double>(ts % 10), 1.0))),
+                 Value(int64_t{ts % 4})});
+    t.InitBaseLineage();
+    return t;
+  };
+  for (const size_t shards : {size_t{1}, size_t{2}}) {
+    PlannerOptions opts;
+    opts.num_shards = shards;
+    const auto run = [&](bool with_bad_push) -> TupleBatch {
+      auto compiled_or =
+          Query::From("s", 3)
+              .Window(WindowSpec::Tumbling(100))
+              .GroupBy(2)
+              .Sum("total", 1, uncertain::SumStrategyKind::kClt)
+              .Sink("out")
+              .Compile(opts);
+      EXPECT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
+      if (!compiled_or.ok()) return TupleBatch();
+      auto compiled = compiled_or.MoveValueUnsafe();
+      const ExecGraph::NodeId src = compiled->source("s");
+      for (int64_t ts = 0; ts < 1000; ++ts) {
+        EXPECT_TRUE(compiled->PushBatch(src, TupleBatch({make(ts)})).ok())
+            << "ts " << ts;
+        if (with_bad_push && ts == 150) {
+          // Two good tuples, then a short one: nothing of it is ingested.
+          TupleBatch bad({make(150), make(150),
+                          Tuple(150, {Value(int64_t{0}), Value(1.0)})});
+          const common::Status st = compiled->PushBatch(src, std::move(bad));
+          EXPECT_EQ(st.code(), common::StatusCode::kInvalidArgument);
+          EXPECT_NE(st.message().find("'s'"), std::string::npos)
+              << st.ToString();
+          EXPECT_NE(st.message().find("tuple 2"), std::string::npos)
+              << st.ToString();
+        }
+      }
+      EXPECT_TRUE(compiled->Finish().ok());
+      return compiled->TakeResult(compiled->sink("out"));
+    };
+    const TupleBatch clean = run(/*with_bad_push=*/false);
+    const TupleBatch refused = run(/*with_bad_push=*/true);
+    EXPECT_EQ(clean.size(), 40u) << shards << " shard(s)";
+    EXPECT_EQ(Rendered(refused), Rendered(clean)) << shards << " shard(s)";
+  }
 }
 
 TEST(PlannerTest, CfInversionWorkspaceWiredIntoShardedPlan) {
@@ -686,10 +744,10 @@ TEST(PlannerTest, AutoLanesGiveEachSourceItsOwnLane) {
     for (int64_t i = 0; i < 300; ++i) {
       Tuple l(i * 10, {Value(i % 5), Value(1.0)});
       l.InitBaseLineage();
-      USP_RETURN_NOT_OK(compiled->Push(a, std::move(l)));
+      USP_RETURN_NOT_OK(compiled->PushBatch(a, TupleBatch({std::move(l)})));
       Tuple r(i * 10 + 1, {Value(i % 5), Value(2.0)});
       r.InitBaseLineage();
-      USP_RETURN_NOT_OK(compiled->Push(b, std::move(r)));
+      USP_RETURN_NOT_OK(compiled->PushBatch(b, TupleBatch({std::move(r)})));
     }
     USP_RETURN_NOT_OK(compiled->Finish());
     return compiled->TakeResult(compiled->sink("out"));
@@ -750,7 +808,8 @@ TEST(PlannerTest, JoinBelowJoinRunsMultiLane) {
       for (int64_t s = 0; s < 3; ++s) {
         Tuple t(i * 10 + s, {Value(i % 4), Value(i * 3 + s)});
         t.InitBaseLineage();
-        USP_RETURN_NOT_OK(compiled->Push(ids[s], std::move(t)));
+        USP_RETURN_NOT_OK(compiled->PushBatch(
+            ids[s], TupleBatch({std::move(t)})));
       }
     }
     USP_RETURN_NOT_OK(compiled->Finish());
@@ -817,10 +876,10 @@ TEST(PlannerTest, WatermarksLiftMultiLaneRefusalBelowJoin) {
     for (int64_t i = 0; i < 400; ++i) {
       Tuple l(i * 10, {Value(i % 3), Value(1.0)});
       l.InitBaseLineage();
-      USP_RETURN_NOT_OK(compiled->Push(a, std::move(l)));
+      USP_RETURN_NOT_OK(compiled->PushBatch(a, TupleBatch({std::move(l)})));
       Tuple r(i * 10 + 1, {Value(i % 3), Value(2.0)});
       r.InitBaseLineage();
-      USP_RETURN_NOT_OK(compiled->Push(b, std::move(r)));
+      USP_RETURN_NOT_OK(compiled->PushBatch(b, TupleBatch({std::move(r)})));
     }
     USP_RETURN_NOT_OK(compiled->Finish());
     return compiled->TakeResult(compiled->sink("out"));
@@ -875,7 +934,9 @@ TEST(PlannerTest, WatermarkClosureMatchesArrivalClosedReference) {
   ASSERT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
   auto compiled = compiled_or.MoveValueUnsafe();
   const auto src = compiled->source("src");
-  for (const Tuple& t : stream) ASSERT_TRUE(compiled->Push(src, t).ok());
+  for (const Tuple& t : stream) {
+    ASSERT_TRUE(compiled->PushBatch(src, TupleBatch({t})).ok());
+  }
   ASSERT_TRUE(compiled->Finish().ok());
 
   uncertain::CltSum clt;
@@ -885,7 +946,9 @@ TEST(PlannerTest, WatermarkClosureMatchesArrivalClosedReference) {
       std::vector<stream::AggregateSpec>{
           uncertain::MakeSumAggregate("total", 1, &clt)});
   stream::VectorCollector out;
-  for (const Tuple& t : stream) ASSERT_TRUE(reference.Push(t, &out).ok());
+  for (const Tuple& t : stream) {
+    ASSERT_TRUE(reference.PushBatch(TupleBatch({t}), &out).ok());
+  }
   ASSERT_TRUE(reference.Close(&out).ok());
   TupleBatch expected;
   for (Tuple& t : out.tuples()) expected.Append(std::move(t));
@@ -917,10 +980,12 @@ TEST(PlannerTest, LateTuplesCountWithinLatenessAndAreDroppedBeyondIt) {
     const auto src = compiled->source("src");
     for (int64_t ts = 0; ts < 3000; ts += 10) {
       USP_RETURN_NOT_OK(
-          compiled->Push(src, Tuple(ts, {Value(int64_t{0}), Value(1.0)})));
+          compiled->PushBatch(
+              src, TupleBatch({Tuple(ts, {Value(int64_t{0}), Value(1.0)})})));
     }
     USP_RETURN_NOT_OK(
-        compiled->Push(src, Tuple(500, {Value(int64_t{0}), Value(1.0)})));
+        compiled->PushBatch(
+            src, TupleBatch({Tuple(500, {Value(int64_t{0}), Value(1.0)})})));
     USP_RETURN_NOT_OK(compiled->Finish());
     Run r;
     for (const Tuple& row : compiled->Result("out")) {
@@ -960,7 +1025,8 @@ TEST(PlannerTest, NegativeWatermarkSettingsFailAtCompile) {
     const auto src = compiled->source("src");
     for (int64_t ts = 0; ts < 3000; ts += 10) {
       USP_RETURN_NOT_OK(
-          compiled->Push(src, Tuple(ts, {Value(int64_t{0}), Value(1.0)})));
+          compiled->PushBatch(
+              src, TupleBatch({Tuple(ts, {Value(int64_t{0}), Value(1.0)})})));
     }
     USP_RETURN_NOT_OK(compiled->Finish());
     return compiled->TakeResult(compiled->sink("out"));
@@ -1140,7 +1206,8 @@ TEST(PlannerTest, UnknownSourceAndSinkNamesAreInvalid) {
   auto& compiled = *compiled_or.value();
   EXPECT_EQ(compiled.source("nope"), ExecGraph::kInvalidNode);
   EXPECT_EQ(compiled.sink("nope"), ExecGraph::kInvalidNode);
-  EXPECT_FALSE(compiled.Push(ExecGraph::kInvalidNode, Tuple(0, {})).ok());
+  EXPECT_FALSE(compiled.PushBatch(
+      ExecGraph::kInvalidNode, TupleBatch({Tuple(0, {})})).ok());
 }
 
 }  // namespace

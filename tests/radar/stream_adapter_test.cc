@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stream/batch.h"
 #include "stream/group_by.h"
 #include "uncertain/aggregates.h"
 #include "uncertain/sum_strategies.h"
@@ -82,7 +83,7 @@ TEST(StreamAdapterTest, ScanFeedsWindowedAggregation) {
       {uncertain::MakeAvgAggregate("velocity", 3, &clt)});
   stream::VectorCollector out;
   for (const auto& t : tuples.tuples()) {
-    ASSERT_TRUE(avg_op.Push(t, &out).ok());
+    ASSERT_TRUE(avg_op.PushBatch(stream::TupleBatch({t}), &out).ok());
   }
   ASSERT_TRUE(avg_op.Close(&out).ok());
   ASSERT_EQ(out.tuples().size(), 1u);  // all 8 gates within the first km

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "stream/basic_operators.h"
+#include "stream/batch.h"
 #include "stream/join.h"
 #include "stream/window.h"
 
@@ -223,7 +224,7 @@ TEST(ExecGraphTest, PushToNonSourceFails) {
   const auto src = graph->AddSource("src");
   const auto sink = graph->AddSink(src, "sink");
   DagExecutor exec(std::move(graph));
-  EXPECT_FALSE(exec.Push(sink, V(0, 1.0)).ok());
+  EXPECT_FALSE(exec.PushBatch(sink, TupleBatch({V(0, 1.0)})).ok());
   EXPECT_FALSE(exec.PushBatch(99, Batch({V(0, 1.0)})).ok());
 }
 
@@ -233,7 +234,7 @@ TEST(ExecGraphTest, PushAfterCloseFails) {
   graph->AddSink(src, "sink");
   DagExecutor exec(std::move(graph));
   ASSERT_TRUE(exec.Close().ok());
-  EXPECT_FALSE(exec.Push(src, V(0, 1.0)).ok());
+  EXPECT_FALSE(exec.PushBatch(src, TupleBatch({V(0, 1.0)})).ok());
 }
 
 TEST(ExecGraphTest, OperatorErrorPropagates) {
@@ -246,7 +247,7 @@ TEST(ExecGraphTest, OperatorErrorPropagates) {
                }));
   graph->AddSink(boom, "sink");
   DagExecutor exec(std::move(graph));
-  EXPECT_FALSE(exec.Push(src, V(0, 1.0)).ok());
+  EXPECT_FALSE(exec.PushBatch(src, TupleBatch({V(0, 1.0)})).ok());
 }
 
 TEST(ExecGraphTest, BranchErrorDoesNotStarveSiblingBranches) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "stream/batch.h"
+
 namespace usp {
 namespace stream {
 namespace {
@@ -27,9 +29,9 @@ TEST(GroupByTest, GroupsWithinWindow) {
       "gb", WindowSpec::Tumbling(10),
       [](const Tuple& t) { return t.value(0).AsString(); }, {SumDoubles()});
   VectorCollector out;
-  ASSERT_TRUE(op.Push(KV(0, "a", 1.0), &out).ok());
-  ASSERT_TRUE(op.Push(KV(1, "b", 2.0), &out).ok());
-  ASSERT_TRUE(op.Push(KV(2, "a", 3.0), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({KV(0, "a", 1.0)}), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({KV(1, "b", 2.0)}), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({KV(2, "a", 3.0)}), &out).ok());
   ASSERT_TRUE(op.Close(&out).ok());
   ASSERT_EQ(out.tuples().size(), 2u);
   EXPECT_EQ(out.tuples()[0].value(0).AsString(), "a");
@@ -43,8 +45,8 @@ TEST(GroupByTest, SeparateWindowsSeparateGroups) {
       "gb", WindowSpec::Tumbling(10),
       [](const Tuple& t) { return t.value(0).AsString(); }, {SumDoubles()});
   VectorCollector out;
-  ASSERT_TRUE(op.Push(KV(0, "a", 1.0), &out).ok());
-  ASSERT_TRUE(op.Push(KV(15, "a", 5.0), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({KV(0, "a", 1.0)}), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({KV(15, "a", 5.0)}), &out).ok());
   ASSERT_TRUE(op.Close(&out).ok());
   ASSERT_EQ(out.tuples().size(), 2u);
   EXPECT_EQ(out.tuples()[0].value(1).AsDouble(), 1.0);
@@ -57,8 +59,8 @@ TEST(GroupByTest, HavingFiltersGroups) {
       [](const Tuple& t) { return t.value(0).AsString(); }, {SumDoubles()},
       [](const Tuple& result) { return result.value(1).AsDouble() > 2.5; });
   VectorCollector out;
-  ASSERT_TRUE(op.Push(KV(0, "small", 1.0), &out).ok());
-  ASSERT_TRUE(op.Push(KV(1, "big", 9.0), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({KV(0, "small", 1.0)}), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({KV(1, "big", 9.0)}), &out).ok());
   ASSERT_TRUE(op.Close(&out).ok());
   ASSERT_EQ(out.tuples().size(), 1u);
   EXPECT_EQ(out.tuples()[0].value(0).AsString(), "big");
@@ -75,8 +77,8 @@ TEST(GroupByTest, MultipleAggregates) {
       [](const Tuple& t) { return t.value(0).AsString(); },
       {SumDoubles(), count});
   VectorCollector out;
-  ASSERT_TRUE(op.Push(KV(0, "a", 1.5), &out).ok());
-  ASSERT_TRUE(op.Push(KV(1, "a", 2.5), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({KV(0, "a", 1.5)}), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({KV(1, "a", 2.5)}), &out).ok());
   ASSERT_TRUE(op.Close(&out).ok());
   ASSERT_EQ(out.tuples().size(), 1u);
   EXPECT_EQ(out.tuples()[0].value(1).AsDouble(), 4.0);
@@ -91,9 +93,9 @@ TEST(GroupByTest, ResultLineageIsGroupUnion) {
   const Tuple a = KV(0, "a", 1.0);
   const Tuple b = KV(1, "a", 2.0);
   const Tuple c = KV(2, "b", 3.0);
-  ASSERT_TRUE(op.Push(a, &out).ok());
-  ASSERT_TRUE(op.Push(b, &out).ok());
-  ASSERT_TRUE(op.Push(c, &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({a}), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({b}), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({c}), &out).ok());
   ASSERT_TRUE(op.Close(&out).ok());
   ASSERT_EQ(out.tuples().size(), 2u);
   EXPECT_EQ(out.tuples()[0].lineage(),
@@ -112,7 +114,7 @@ TEST(GroupByTest, AggregateErrorPropagates) {
       "gb", WindowSpec::Tumbling(10),
       [](const Tuple& t) { return t.value(0).AsString(); }, {failing});
   VectorCollector out;
-  ASSERT_TRUE(op.Push(KV(0, "a", 1.0), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({KV(0, "a", 1.0)}), &out).ok());
   EXPECT_FALSE(op.Close(&out).ok());
 }
 

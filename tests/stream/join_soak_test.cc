@@ -50,13 +50,13 @@ TEST(JoinSoakTest, SilentSourceBufferBoundedByWatermarks) {
   // (plus the one not-yet-expirable in-flight spacing step).
   SlidingWindowJoin join("j", kRange, KeyMatch());
   VectorCollector out;
-  ASSERT_TRUE(join.PushLeft(KV(0, 1, 1.0), &out).ok());
+  ASSERT_TRUE(join.PushLeftBatch(TupleBatch({KV(0, 1, 1.0)}), &out).ok());
 
   const size_t tuples_per_range = kRange / kSpacing;
   size_t max_right_buffer = 0;
   for (int64_t i = 1; i <= 100 * (kRange / kSpacing); ++i) {
     const int64_t ts = i * kSpacing;
-    ASSERT_TRUE(join.PushRight(KV(ts, 1, 2.0), &out).ok());
+    ASSERT_TRUE(join.PushRightBatch(TupleBatch({KV(ts, 1, 2.0)}), &out).ok());
     // The silent side's watermark keeps pace (a real deployment emits it
     // periodically from wall progress or the planner's idle hook).
     ASSERT_TRUE(join.AdvanceWatermark(/*from_left=*/true, ts).ok());
@@ -68,9 +68,10 @@ TEST(JoinSoakTest, SilentSourceBufferBoundedByWatermarks) {
       << "peer buffer not bounded by watermark expiry";
   // Without the watermark the same soak keeps every right tuple.
   SlidingWindowJoin unbounded("u", kRange, KeyMatch());
-  ASSERT_TRUE(unbounded.PushLeft(KV(0, 1, 1.0), &out).ok());
+  ASSERT_TRUE(unbounded.PushLeftBatch(TupleBatch({KV(0, 1, 1.0)}), &out).ok());
   for (int64_t i = 1; i <= 100 * (kRange / kSpacing); ++i) {
-    ASSERT_TRUE(unbounded.PushRight(KV(i * kSpacing, 1, 2.0), &out).ok());
+    ASSERT_TRUE(unbounded.PushRightBatch(
+        TupleBatch({KV(i * kSpacing, 1, 2.0)}), &out).ok());
   }
   EXPECT_EQ(unbounded.right_buffer_size(), 100 * tuples_per_range)
       << "control run should grow unboundedly without watermarks";
@@ -86,12 +87,14 @@ TEST(JoinSoakTest, WatermarksDoNotChangeMatchedPairsOnOrderedFeeds) {
     for (int64_t i = 0; i < 500; ++i) {
       const int64_t ts = i * 37;
       if (i % 2 == 0) {
-        EXPECT_TRUE(join.PushLeft(KV(ts, i % 7, 1.0), &out).ok());
+        EXPECT_TRUE(join.PushLeftBatch(
+            TupleBatch({KV(ts, i % 7, 1.0)}), &out).ok());
         if (with_watermarks) {
           EXPECT_TRUE(join.AdvanceWatermark(true, ts).ok());
         }
       } else {
-        EXPECT_TRUE(join.PushRight(KV(ts, i % 7, 2.0), &out).ok());
+        EXPECT_TRUE(join.PushRightBatch(
+            TupleBatch({KV(ts, i % 7, 2.0)}), &out).ok());
         if (with_watermarks) {
           EXPECT_TRUE(join.AdvanceWatermark(false, ts).ok());
         }
@@ -137,11 +140,12 @@ TEST(JoinSoakTest, CompiledQueryIdleSourceStaysBounded) {
     auto compiled = compiled_or.MoveValueUnsafe();
     const auto rfid = compiled->source("rfid");
     const auto temps = compiled->source("temps");
-    EXPECT_TRUE(compiled->Push(rfid, KV(0, 1, 1.0)).ok());
+    EXPECT_TRUE(compiled->PushBatch(rfid, TupleBatch({KV(0, 1, 1.0)})).ok());
     uint64_t peak = 0;
     for (int64_t i = 1; i <= 50 * (kRange / kSpacing); ++i) {
       const int64_t ts = i * kSpacing;
-      EXPECT_TRUE(compiled->Push(temps, KV(ts, 1, 2.0)).ok());
+      EXPECT_TRUE(compiled->PushBatch(
+          temps, TupleBatch({KV(ts, 1, 2.0)})).ok());
       if (send_watermarks) {
         EXPECT_TRUE(compiled->PushWatermark(rfid, ts).ok());
       }
@@ -173,15 +177,15 @@ std::string RenderPair(const Tuple& t) {
 TEST(JoinSoakTest, LateTupleBelowOwnWatermarkIsDroppedAndCounted) {
   SlidingWindowJoin join("j", kRange, KeyMatch());
   VectorCollector out;
-  ASSERT_TRUE(join.PushLeft(KV(1000, 1, 1.0), &out).ok());
-  ASSERT_TRUE(join.PushRight(KV(1200, 1, 2.0), &out).ok());
+  ASSERT_TRUE(join.PushLeftBatch(TupleBatch({KV(1000, 1, 1.0)}), &out).ok());
+  ASSERT_TRUE(join.PushRightBatch(TupleBatch({KV(1200, 1, 2.0)}), &out).ok());
   ASSERT_EQ(out.tuples().size(), 1u);
   const std::string first_pair = RenderPair(out.tuples()[0]);
 
   // The left side promises nothing below 2000; a left tuple at 1500
   // (in range of the buffered right tuple) is late.
   ASSERT_TRUE(join.AdvanceWatermark(/*from_left=*/true, 2000).ok());
-  ASSERT_TRUE(join.PushLeft(KV(1500, 1, 3.0), &out).ok());
+  ASSERT_TRUE(join.PushLeftBatch(TupleBatch({KV(1500, 1, 3.0)}), &out).ok());
   EXPECT_EQ(join.metrics().late_dropped, 1u);
   ASSERT_EQ(out.tuples().size(), 1u);
   EXPECT_EQ(RenderPair(out.tuples()[0]), first_pair);
@@ -189,7 +193,7 @@ TEST(JoinSoakTest, LateTupleBelowOwnWatermarkIsDroppedAndCounted) {
 
   // The dropped tuple is not buffered either: a later right tuple in
   // range of both meets only the on-time left tuple.
-  ASSERT_TRUE(join.PushRight(KV(1400, 1, 4.0), &out).ok());
+  ASSERT_TRUE(join.PushRightBatch(TupleBatch({KV(1400, 1, 4.0)}), &out).ok());
   ASSERT_EQ(out.tuples().size(), 2u);
   EXPECT_EQ(out.tuples()[1].value(1).AsDouble(), 1.0);
   EXPECT_EQ(join.metrics().late_dropped, 1u);
@@ -236,7 +240,8 @@ TEST(JoinSoakTest, DisorderWithinLatenessMatchesSortedFeed) {
     const auto l = compiled->source("l");
     const auto r = compiled->source("r");
     for (const Pushed& p : pushes) {
-      EXPECT_TRUE(compiled->Push(p.left ? l : r, p.tuple).ok());
+      EXPECT_TRUE(compiled->PushBatch(
+          p.left ? l : r, TupleBatch({p.tuple})).ok());
     }
     EXPECT_TRUE(compiled->Finish().ok());
     *late = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stream/batch.h"
 #include "stream/operator.h"
 
 namespace usp {
@@ -25,8 +26,8 @@ SlidingWindowJoin::MatchFn KeyMatch() {
 TEST(JoinTest, MatchesEqualKeysWithinRange) {
   SlidingWindowJoin join("j", 10, KeyMatch());
   VectorCollector out;
-  ASSERT_TRUE(join.PushLeft(KV(0, 1, 1.0), &out).ok());
-  ASSERT_TRUE(join.PushRight(KV(5, 1, 2.0), &out).ok());
+  ASSERT_TRUE(join.PushLeftBatch(TupleBatch({KV(0, 1, 1.0)}), &out).ok());
+  ASSERT_TRUE(join.PushRightBatch(TupleBatch({KV(5, 1, 2.0)}), &out).ok());
   ASSERT_EQ(out.tuples().size(), 1u);
   const Tuple& j = out.tuples()[0];
   EXPECT_EQ(j.num_values(), 4u);
@@ -38,33 +39,33 @@ TEST(JoinTest, MatchesEqualKeysWithinRange) {
 TEST(JoinTest, NonMatchingKeysProduceNothing) {
   SlidingWindowJoin join("j", 10, KeyMatch());
   VectorCollector out;
-  ASSERT_TRUE(join.PushLeft(KV(0, 1, 1.0), &out).ok());
-  ASSERT_TRUE(join.PushRight(KV(1, 2, 2.0), &out).ok());
+  ASSERT_TRUE(join.PushLeftBatch(TupleBatch({KV(0, 1, 1.0)}), &out).ok());
+  ASSERT_TRUE(join.PushRightBatch(TupleBatch({KV(1, 2, 2.0)}), &out).ok());
   EXPECT_TRUE(out.tuples().empty());
 }
 
 TEST(JoinTest, ExpiredTuplesDoNotMatch) {
   SlidingWindowJoin join("j", 10, KeyMatch());
   VectorCollector out;
-  ASSERT_TRUE(join.PushLeft(KV(0, 1, 1.0), &out).ok());
-  ASSERT_TRUE(join.PushRight(KV(11, 1, 2.0), &out).ok());
+  ASSERT_TRUE(join.PushLeftBatch(TupleBatch({KV(0, 1, 1.0)}), &out).ok());
+  ASSERT_TRUE(join.PushRightBatch(TupleBatch({KV(11, 1, 2.0)}), &out).ok());
   EXPECT_TRUE(out.tuples().empty());
 }
 
 TEST(JoinTest, BoundaryTimestampStillMatches) {
   SlidingWindowJoin join("j", 10, KeyMatch());
   VectorCollector out;
-  ASSERT_TRUE(join.PushLeft(KV(0, 1, 1.0), &out).ok());
-  ASSERT_TRUE(join.PushRight(KV(10, 1, 2.0), &out).ok());
+  ASSERT_TRUE(join.PushLeftBatch(TupleBatch({KV(0, 1, 1.0)}), &out).ok());
+  ASSERT_TRUE(join.PushRightBatch(TupleBatch({KV(10, 1, 2.0)}), &out).ok());
   EXPECT_EQ(out.tuples().size(), 1u);
 }
 
 TEST(JoinTest, OneToManyProducesAllPairs) {
   SlidingWindowJoin join("j", 10, KeyMatch());
   VectorCollector out;
-  ASSERT_TRUE(join.PushRight(KV(0, 7, 0.1), &out).ok());
-  ASSERT_TRUE(join.PushLeft(KV(1, 7, 1.0), &out).ok());
-  ASSERT_TRUE(join.PushLeft(KV(2, 7, 2.0), &out).ok());
+  ASSERT_TRUE(join.PushRightBatch(TupleBatch({KV(0, 7, 0.1)}), &out).ok());
+  ASSERT_TRUE(join.PushLeftBatch(TupleBatch({KV(1, 7, 1.0)}), &out).ok());
+  ASSERT_TRUE(join.PushLeftBatch(TupleBatch({KV(2, 7, 2.0)}), &out).ok());
   EXPECT_EQ(out.tuples().size(), 2u);
 }
 
@@ -73,8 +74,8 @@ TEST(JoinTest, JoinedLineageIsUnion) {
   VectorCollector out;
   const Tuple l = KV(0, 3, 1.0);
   const Tuple r = KV(1, 3, 2.0);
-  ASSERT_TRUE(join.PushLeft(l, &out).ok());
-  ASSERT_TRUE(join.PushRight(r, &out).ok());
+  ASSERT_TRUE(join.PushLeftBatch(TupleBatch({l}), &out).ok());
+  ASSERT_TRUE(join.PushRightBatch(TupleBatch({r}), &out).ok());
   ASSERT_EQ(out.tuples().size(), 1u);
   const auto& lineage = out.tuples()[0].lineage();
   ASSERT_EQ(lineage.size(), 2u);
@@ -87,9 +88,9 @@ TEST(JoinTest, OutputsSharingOneInputShareLineage) {
   // correlated (§5.2: join followed by aggregation).
   SlidingWindowJoin join("j", 10, KeyMatch());
   VectorCollector out;
-  ASSERT_TRUE(join.PushRight(KV(0, 7, 0.1), &out).ok());
-  ASSERT_TRUE(join.PushLeft(KV(1, 7, 1.0), &out).ok());
-  ASSERT_TRUE(join.PushLeft(KV(2, 7, 2.0), &out).ok());
+  ASSERT_TRUE(join.PushRightBatch(TupleBatch({KV(0, 7, 0.1)}), &out).ok());
+  ASSERT_TRUE(join.PushLeftBatch(TupleBatch({KV(1, 7, 1.0)}), &out).ok());
+  ASSERT_TRUE(join.PushLeftBatch(TupleBatch({KV(2, 7, 2.0)}), &out).ok());
   ASSERT_EQ(out.tuples().size(), 2u);
   EXPECT_TRUE(out.tuples()[0].SharesLineageWith(out.tuples()[1]));
 }
@@ -97,9 +98,9 @@ TEST(JoinTest, OutputsSharingOneInputShareLineage) {
 TEST(JoinTest, MetricsTrackInsAndOuts) {
   SlidingWindowJoin join("j", 10, KeyMatch());
   VectorCollector out;
-  ASSERT_TRUE(join.PushLeft(KV(0, 1, 1.0), &out).ok());
-  ASSERT_TRUE(join.PushRight(KV(1, 1, 2.0), &out).ok());
-  ASSERT_TRUE(join.PushRight(KV(2, 9, 2.0), &out).ok());
+  ASSERT_TRUE(join.PushLeftBatch(TupleBatch({KV(0, 1, 1.0)}), &out).ok());
+  ASSERT_TRUE(join.PushRightBatch(TupleBatch({KV(1, 1, 2.0)}), &out).ok());
+  ASSERT_TRUE(join.PushRightBatch(TupleBatch({KV(2, 9, 2.0)}), &out).ok());
   EXPECT_EQ(join.metrics().tuples_in, 3u);
   EXPECT_EQ(join.metrics().tuples_out, 1u);
   EXPECT_TRUE(join.Close().ok());
@@ -112,10 +113,10 @@ TEST(JoinTest, SkewedInputsStillMatchWithinRange) {
   SlidingWindowJoin join("j", 10, KeyMatch());
   VectorCollector out;
   for (int64_t ts = 0; ts < 200; ++ts) {
-    ASSERT_TRUE(join.PushLeft(KV(ts, 1, 1.0), &out).ok());
+    ASSERT_TRUE(join.PushLeftBatch(TupleBatch({KV(ts, 1, 1.0)}), &out).ok());
   }
   for (int64_t ts = 0; ts < 200; ++ts) {
-    ASSERT_TRUE(join.PushRight(KV(ts, 1, 2.0), &out).ok());
+    ASSERT_TRUE(join.PushRightBatch(TupleBatch({KV(ts, 1, 2.0)}), &out).ok());
   }
   // Each right tuple at ts matches lefts in [ts-10, ts+10]: 21 for
   // interior ts, truncated at the edges. Total = sum over ts of window

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "stream/basic_operators.h"
+#include "stream/batch.h"
 #include "stream/group_by.h"
 #include "stream/sharded_executor.h"
 #include "test_wait.h"
@@ -270,12 +271,12 @@ TEST(MultiLaneIngestTest, PushAfterFinishFailsLoudly) {
   auto exec = exec_or.MoveValueUnsafe();
   TupleBatch batch;
   for (int i = 0; i < 25; ++i) batch.Append(KV(i, i % 5, 1.0));
-  ASSERT_TRUE(exec->PushBatch(source, std::move(batch)).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, std::move(batch)).ok());
   ASSERT_TRUE(exec->Finish().ok());
   EXPECT_EQ(exec->sink_output(sink).size(), 25u);
   TupleBatch late;
   late.Append(KV(100, 1, 1.0));
-  const auto st = exec->PushBatch(source, late);
+  const auto st = exec->PushBatch(0, source, late);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), common::StatusCode::kFailedPrecondition)
       << st.ToString();
@@ -308,7 +309,7 @@ TEST(MultiLaneIngestTest, ConcurrentPushAndFinishNeverDeadlocks) {
     for (int i = 0; i < 100000; ++i) {
       TupleBatch b;
       b.Append(KV(i, i % 7, 1.0));
-      if (exec->PushBatch(source, std::move(b)).ok()) {
+      if (exec->PushBatch(0, source, std::move(b)).ok()) {
         acknowledged.fetch_add(1);
       } else {
         saw_error.store(true);
@@ -371,7 +372,7 @@ TEST(MultiLaneIngestTest, IngestCountersExposeBackpressure) {
       TupleBatch b;
       for (int j = 0; j < 4; ++j) b.Append(KV(i * 4 + j, j, 1.0));
       entered.fetch_add(1);
-      ASSERT_TRUE(exec->PushBatch(source, std::move(b)).ok());
+      ASSERT_TRUE(exec->PushBatch(0, source, std::move(b)).ok());
       completed.fetch_add(1);
     }
   });

@@ -85,7 +85,7 @@ common::Result<TupleBatch> RunKeyedPlan(size_t num_shards, size_t n) {
       });
   USP_RETURN_NOT_OK(exec_or.status());
   auto exec = exec_or.MoveValueUnsafe();
-  USP_RETURN_NOT_OK(exec->PushBatch(source, MakeKeyedStream(n)));
+  USP_RETURN_NOT_OK(exec->PushBatch(0, source, MakeKeyedStream(n)));
   USP_RETURN_NOT_OK(exec->Finish());
   return exec->TakeSinkOutput(sink);
 }
@@ -125,7 +125,7 @@ TEST(ShardedExecutorTest, PinnedThreadsMatchUnpinnedResults) {
         });
     ASSERT_TRUE(exec_or.ok()) << exec_or.status().ToString();
     auto exec = exec_or.MoveValueUnsafe();
-    ASSERT_TRUE(exec->PushBatch(source, MakeKeyedStream(2000)).ok());
+    ASSERT_TRUE(exec->PushBatch(0, source, MakeKeyedStream(2000)).ok());
     ASSERT_TRUE(exec->Finish().ok());
     EXPECT_EQ(Canonical(exec->TakeSinkOutput(sink)), reference)
         << "pinned run differs at " << shards << " shards";
@@ -157,7 +157,7 @@ TEST(ShardedExecutorTest, MetricsMergeAcrossShards) {
       });
   ASSERT_TRUE(exec_or.ok());
   auto exec = exec_or.MoveValueUnsafe();
-  ASSERT_TRUE(exec->PushBatch(source, MakeKeyedStream(1000)).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, MakeKeyedStream(1000)).ok());
   ASSERT_TRUE(exec->Finish().ok());
   const auto metrics = exec->MetricsSnapshot();
   // One operator entry plus the appended ingest entry for the source.
@@ -201,7 +201,7 @@ TEST(ShardedExecutorTest, ShardPlacementFollowsKeyHash) {
     originals.push_back(t);
     batch.Append(std::move(t));
   }
-  ASSERT_TRUE(exec->PushBatch(source, batch).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, batch).ok());
   ASSERT_TRUE(exec->Finish().ok());
   // Every tuple is seen exactly once, on the shard its key hashes to.
   size_t total = 0;
@@ -237,7 +237,7 @@ TEST(ShardedExecutorTest, OperatorErrorSurfacesAtFinish) {
       });
   ASSERT_TRUE(exec_or.ok());
   auto exec = exec_or.MoveValueUnsafe();
-  (void)exec->PushBatch(source, MakeKeyedStream(100));
+  (void)exec->PushBatch(0, source, MakeKeyedStream(100));
   EXPECT_FALSE(exec->Finish().ok());
 }
 
@@ -286,7 +286,7 @@ TEST(ShardedExecutorTest, ShardContextWorkspaceFeedsPaneAggregates) {
         });
     EXPECT_TRUE(exec_or.ok());
     auto exec = exec_or.MoveValueUnsafe();
-    EXPECT_TRUE(exec->PushBatch(source, build_stream()).ok());
+    EXPECT_TRUE(exec->PushBatch(0, source, build_stream()).ok());
     EXPECT_TRUE(exec->Finish().ok());
     return exec->TakeSinkOutput(sink);
   };
@@ -348,10 +348,10 @@ TEST(ShardedExecutorTest, InlineModeRunsOperatorsOnCallingThread) {
   auto exec_or = MakeThreadRecordingPlan(&threads, &source, &sink);
   ASSERT_TRUE(exec_or.ok()) << exec_or.status().ToString();
   auto exec = exec_or.MoveValueUnsafe();
-  ASSERT_TRUE(exec->PushBatch(source, MakeKeyedStream(50)).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, MakeKeyedStream(50)).ok());
   // Processed before the push returned, on this thread.
   ASSERT_EQ(threads.size(), 50u);
-  ASSERT_TRUE(exec->PushBatch(source, MakeKeyedStream(30)).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, MakeKeyedStream(30)).ok());
   ASSERT_TRUE(exec->Finish().ok());
   ASSERT_EQ(threads.size(), 80u);
   for (const std::thread::id& id : threads) {
@@ -370,7 +370,7 @@ TEST(ShardedExecutorTest, InlineModeKeepsEmissionOrder) {
   auto exec = exec_or.MoveValueUnsafe();
   TupleBatch batch;
   for (int64_t ts : {30, 10, 20}) batch.Append(KV(ts, ts, 1.0));
-  ASSERT_TRUE(exec->PushBatch(source, std::move(batch)).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, std::move(batch)).ok());
   ASSERT_TRUE(exec->Finish().ok());
   const TupleBatch& out = exec->sink_output(sink);
   ASSERT_EQ(out.size(), 3u);
@@ -400,10 +400,10 @@ TEST(ShardedExecutorTest, InlineOperatorErrorReturnedByThePushThatHitIt) {
   auto exec = exec_or.MoveValueUnsafe();
   TupleBatch clean;
   clean.Append(KV(0, 1, 1.0));
-  ASSERT_TRUE(exec->PushBatch(source, std::move(clean)).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, std::move(clean)).ok());
   TupleBatch bad;
   bad.Append(KV(1, 3, 1.0));
-  const common::Status st = exec->PushBatch(source, std::move(bad));
+  const common::Status st = exec->PushBatch(0, source, std::move(bad));
   EXPECT_EQ(st.code(), common::StatusCode::kInternal) << st.ToString();
   EXPECT_FALSE(exec->Finish().ok());
 }
@@ -438,11 +438,11 @@ TEST(ShardedExecutorTest, InlineWatermarkClosureEmitsBeforePushReturns) {
   auto exec = exec_or.MoveValueUnsafe();
   TupleBatch first;
   for (int64_t ts = 0; ts < 90; ts += 10) first.Append(KV(ts, 0, 1.0));
-  ASSERT_TRUE(exec->PushBatch(source, std::move(first)).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, std::move(first)).ok());
   EXPECT_TRUE(observed.empty());  // watermark 80: window still open
   TupleBatch second;
   second.Append(KV(140, 0, 1.0));
-  ASSERT_TRUE(exec->PushBatch(source, std::move(second)).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, std::move(second)).ok());
   ASSERT_EQ(observed.size(), 1u) << "closed window not emitted in the push";
   EXPECT_EQ(observed[0], std::this_thread::get_id());
   ASSERT_TRUE(exec->Finish().ok());
@@ -474,14 +474,14 @@ TEST(ShardedExecutorTest, NonSourcePushIsRejectedAndDoesNotPoisonThePlan) {
     for (ExecGraph::NodeId bad : {op, sink}) {
       TupleBatch batch;
       batch.Append(KV(0, 1, 1.0));
-      EXPECT_EQ(exec->PushBatch(bad, std::move(batch)).code(),
+      EXPECT_EQ(exec->PushBatch(0, bad, std::move(batch)).code(),
                 common::StatusCode::kInvalidArgument);
-      EXPECT_EQ(exec->PushWatermark(bad, 10).code(),
+      EXPECT_EQ(exec->PushWatermark(0, bad, 10).code(),
                 common::StatusCode::kInvalidArgument);
     }
     TupleBatch good;
     for (int64_t i = 0; i < 3; ++i) good.Append(KV(i, i, 1.0));
-    ASSERT_TRUE(exec->PushBatch(source, std::move(good)).ok());
+    ASSERT_TRUE(exec->PushBatch(0, source, std::move(good)).ok());
     ASSERT_TRUE(exec->Finish().ok());
     EXPECT_EQ(exec->sink_output(sink).size(), 3u);
   }

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "stream/basic_operators.h"
+#include "stream/batch.h"
 #include "stream/exec_graph.h"
 #include "stream/join.h"
 #include "stream/pane_window.h"
@@ -244,9 +245,10 @@ TEST(WatermarkTest, PanedWatermarkOnlyClosureToleratesOutOfOrderInput) {
       [](const Tuple& t) { return std::to_string(t.value(0).AsInt()); },
       {CountPaneSpec()});
   VectorCollector out;
-  ASSERT_TRUE(paned.Push(KV(160, 1, 1.0), &out).ok());
-  ASSERT_TRUE(paned.Push(KV(40, 1, 1.0), &out).ok());   // late
-  ASSERT_TRUE(paned.Push(KV(120, 1, 1.0), &out).ok());  // late
+  ASSERT_TRUE(paned.PushBatch(TupleBatch({KV(160, 1, 1.0)}), &out).ok());
+  // Both late:
+  ASSERT_TRUE(paned.PushBatch(TupleBatch({KV(40, 1, 1.0)}), &out).ok());
+  ASSERT_TRUE(paned.PushBatch(TupleBatch({KV(120, 1, 1.0)}), &out).ok());
   EXPECT_TRUE(out.tuples().empty());
   ASSERT_TRUE(paned.AdvanceWatermark(150, &out).ok());
   // Windows ending <= 150: [-50,50) {ts40}, [0,100) {ts40}, [50,150)
@@ -278,18 +280,18 @@ TEST(WatermarkTest, LateTuplesAreDroppedAndCounted) {
   VectorCollector out;
   ASSERT_TRUE(paned.AdvanceWatermark(200, &out).ok());
   // ts 200: earliest window [150, 250) still open under wm 200 — fine.
-  EXPECT_TRUE(paned.Push(KV(200, 1, 1.0), &out).ok());
+  EXPECT_TRUE(paned.PushBatch(TupleBatch({KV(200, 1, 1.0)}), &out).ok());
   // ts 40: [-50, 50) and [0, 100) closed while empty — late.
-  EXPECT_TRUE(paned.Push(KV(40, 1, 1.0), &out).ok());
+  EXPECT_TRUE(paned.PushBatch(TupleBatch({KV(40, 1, 1.0)}), &out).ok());
   EXPECT_EQ(paned.metrics().late_dropped, 1u);
   EXPECT_TRUE(out.tuples().empty());
 
   ASSERT_TRUE(paned.AdvanceWatermark(250, &out).ok());
   ASSERT_EQ(out.tuples().size(), 1u);  // [150, 250) {ts200}
   // ts 220: [150, 250) was emitted but [200, 300) is open — accepted.
-  EXPECT_TRUE(paned.Push(KV(220, 1, 1.0), &out).ok());
+  EXPECT_TRUE(paned.PushBatch(TupleBatch({KV(220, 1, 1.0)}), &out).ok());
   // ts 190: [100, 200) and [150, 250) are closed — late.
-  EXPECT_TRUE(paned.Push(KV(190, 1, 1.0), &out).ok());
+  EXPECT_TRUE(paned.PushBatch(TupleBatch({KV(190, 1, 1.0)}), &out).ok());
   EXPECT_EQ(paned.metrics().late_dropped, 2u);
   ASSERT_EQ(out.tuples().size(), 1u);  // emitted windows unchanged
   EXPECT_EQ(out.tuples()[0].timestamp(), 250);
@@ -322,8 +324,8 @@ TEST(WatermarkTest, ShardedPushWatermarkReachesEveryShard) {
   auto exec = exec_or.MoveValueUnsafe();
   TupleBatch feed;
   for (int64_t i = 0; i < 16; ++i) feed.Append(KV(10 + i, i % 2, 1.0));
-  ASSERT_TRUE(exec->PushBatch(source, std::move(feed)).ok());
-  ASSERT_TRUE(exec->PushWatermark(source, 100).ok());
+  ASSERT_TRUE(exec->PushBatch(0, source, std::move(feed)).ok());
+  ASSERT_TRUE(exec->PushWatermark(0, source, 100).ok());
   // Observable pre-Finish through the merged metrics: both shards' window
   // operators saw the watermark and flushed (tuples_out 1 each).
   uint64_t flushed = 0;
@@ -377,7 +379,7 @@ TEST(WatermarkTest, PeriodicGenerationClosesWindowsMidStream) {
   for (int64_t i = 0; i < 30; ++i) {
     TupleBatch b;
     b.Append(KV(i * 10, i < 10 ? 0 : 1, 1.0));
-    ASSERT_TRUE(exec->PushBatch(source, std::move(b)).ok());
+    ASSERT_TRUE(exec->PushBatch(0, source, std::move(b)).ok());
   }
   // ts reached 290 => watermarks reached >= 250 => shard 0's [0,100) and
   // shard 1's [100,200) flushed without any explicit watermark call.

@@ -2,39 +2,47 @@
 
 #include <gtest/gtest.h>
 
+#include "stream/batch.h"
+
 namespace usp {
 namespace stream {
 namespace {
 
 Tuple T(int64_t ts) { return Tuple(ts, {Value(int64_t{1})}); }
 
+std::vector<int64_t> Starts(const WindowSpec& spec, int64_t ts) {
+  std::vector<int64_t> starts;
+  spec.ForEachAssignedStart(ts, [&starts](int64_t s) { starts.push_back(s); });
+  return starts;
+}
+
 TEST(WindowSpecTest, TumblingAssignsSingleWindow) {
   const WindowSpec spec = WindowSpec::Tumbling(10);
-  EXPECT_EQ(spec.AssignedWindowStarts(0), (std::vector<int64_t>{0}));
-  EXPECT_EQ(spec.AssignedWindowStarts(9), (std::vector<int64_t>{0}));
-  EXPECT_EQ(spec.AssignedWindowStarts(10), (std::vector<int64_t>{10}));
-  EXPECT_EQ(spec.AssignedWindowStarts(25), (std::vector<int64_t>{20}));
+  EXPECT_EQ(Starts(spec, 0), (std::vector<int64_t>{0}));
+  EXPECT_EQ(Starts(spec, 9), (std::vector<int64_t>{0}));
+  EXPECT_EQ(Starts(spec, 10), (std::vector<int64_t>{10}));
+  EXPECT_EQ(Starts(spec, 25), (std::vector<int64_t>{20}));
 }
 
 TEST(WindowSpecTest, SlidingAssignsMultipleWindows) {
   const WindowSpec spec = WindowSpec::Sliding(10, 5);
   // ts=12 is in windows [10,20) and [5,15).
-  EXPECT_EQ(spec.AssignedWindowStarts(12), (std::vector<int64_t>{10, 5}));
+  EXPECT_EQ(Starts(spec, 12), (std::vector<int64_t>{10, 5}));
   // ts=4 is in [0,10) and [-5,5).
-  EXPECT_EQ(spec.AssignedWindowStarts(4), (std::vector<int64_t>{0, -5}));
+  EXPECT_EQ(Starts(spec, 4), (std::vector<int64_t>{0, -5}));
 }
 
 TEST(WindowSpecTest, NegativeTimestamps) {
   const WindowSpec spec = WindowSpec::Tumbling(10);
-  EXPECT_EQ(spec.AssignedWindowStarts(-1), (std::vector<int64_t>{-10}));
-  EXPECT_EQ(spec.AssignedWindowStarts(-10), (std::vector<int64_t>{-10}));
+  EXPECT_EQ(Starts(spec, -1), (std::vector<int64_t>{-10}));
+  EXPECT_EQ(Starts(spec, -10), (std::vector<int64_t>{-10}));
 }
 
 TEST(WindowCountTest, TumblingCountsPerWindow) {
   WindowCountOperator op("count", WindowSpec::Tumbling(10));
   VectorCollector out;
   for (int64_t ts : {0, 1, 2, 10, 11, 25}) {
-    ASSERT_TRUE(op.Push(T(ts), &out).ok());
+    ASSERT_TRUE(op.PushBatch(TupleBatch({T(ts)}), &out).ok());
   }
   ASSERT_TRUE(op.Close(&out).ok());
   ASSERT_EQ(out.tuples().size(), 3u);
@@ -46,7 +54,7 @@ TEST(WindowCountTest, TumblingCountsPerWindow) {
 TEST(WindowCountTest, WindowTimestampIsWindowEnd) {
   WindowCountOperator op("count", WindowSpec::Tumbling(10));
   VectorCollector out;
-  ASSERT_TRUE(op.Push(T(3), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({T(3)}), &out).ok());
   ASSERT_TRUE(op.Close(&out).ok());
   ASSERT_EQ(out.tuples().size(), 1u);
   EXPECT_EQ(out.tuples()[0].timestamp(), 10);
@@ -55,9 +63,9 @@ TEST(WindowCountTest, WindowTimestampIsWindowEnd) {
 TEST(WindowCountTest, WindowsCloseOnLateTimestamps) {
   WindowCountOperator op("count", WindowSpec::Tumbling(10));
   VectorCollector out;
-  ASSERT_TRUE(op.Push(T(5), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({T(5)}), &out).ok());
   EXPECT_TRUE(out.tuples().empty());  // window still open
-  ASSERT_TRUE(op.Push(T(10), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({T(10)}), &out).ok());
   EXPECT_EQ(out.tuples().size(), 1u);  // first window closed by watermark
 }
 
@@ -65,7 +73,7 @@ TEST(WindowCountTest, SlidingWindowsDoubleCount) {
   WindowCountOperator op("count", WindowSpec::Sliding(10, 5));
   VectorCollector out;
   // One tuple at ts=7 lands in [0,10) and [5,15).
-  ASSERT_TRUE(op.Push(T(7), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({T(7)}), &out).ok());
   ASSERT_TRUE(op.Close(&out).ok());
   ASSERT_EQ(out.tuples().size(), 2u);
   EXPECT_EQ(out.tuples()[0].value(0).AsInt(), 1);
@@ -75,8 +83,9 @@ TEST(WindowCountTest, SlidingWindowsDoubleCount) {
 TEST(WindowCountTest, EmptyWindowsNotEmitted) {
   WindowCountOperator op("count", WindowSpec::Tumbling(10));
   VectorCollector out;
-  ASSERT_TRUE(op.Push(T(5), &out).ok());
-  ASSERT_TRUE(op.Push(T(95), &out).ok());  // long gap: no windows between
+  ASSERT_TRUE(op.PushBatch(TupleBatch({T(5)}), &out).ok());
+  // Long gap: no windows between.
+  ASSERT_TRUE(op.PushBatch(TupleBatch({T(95)}), &out).ok());
   ASSERT_TRUE(op.Close(&out).ok());
   EXPECT_EQ(out.tuples().size(), 2u);
 }
@@ -88,8 +97,8 @@ TEST(WindowCountTest, LineageUnionsAcrossWindow) {
   a.InitBaseLineage();
   Tuple b = T(2);
   b.InitBaseLineage();
-  ASSERT_TRUE(op.Push(a, &out).ok());
-  ASSERT_TRUE(op.Push(b, &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({a}), &out).ok());
+  ASSERT_TRUE(op.PushBatch(TupleBatch({b}), &out).ok());
   ASSERT_TRUE(op.Close(&out).ok());
   ASSERT_EQ(out.tuples().size(), 1u);
   EXPECT_EQ(out.tuples()[0].lineage().size(), 2u);
@@ -99,7 +108,7 @@ TEST(OperatorMetricsTest, CountsInsAndOuts) {
   WindowCountOperator op("count", WindowSpec::Tumbling(10));
   VectorCollector out;
   for (int64_t ts : {0, 1, 12}) {
-    ASSERT_TRUE(op.Push(T(ts), &out).ok());
+    ASSERT_TRUE(op.PushBatch(TupleBatch({T(ts)}), &out).ok());
   }
   ASSERT_TRUE(op.Close(&out).ok());
   EXPECT_EQ(op.metrics().tuples_in, 3u);

@@ -30,6 +30,7 @@ namespace {
 
 using stats::DistributionPtr;
 using stream::Tuple;
+using stream::TupleBatch;
 using stream::Value;
 using stream::VectorCollector;
 using stream::WindowSpec;
@@ -81,7 +82,7 @@ RunResult RunNaive(const std::vector<Tuple>& stream, WindowSpec spec,
       std::move(aggs));
   VectorCollector out;
   for (const Tuple& t : stream) {
-    EXPECT_TRUE(op.Push(t, &out).ok());
+    EXPECT_TRUE(op.PushBatch(TupleBatch({t}), &out).ok());
   }
   EXPECT_TRUE(op.Close(&out).ok());
   return {out.tuples()};
@@ -274,7 +275,9 @@ TEST(PaneAggregatesTest, HavingFilterMatches) {
       "naive", spec, [](const Tuple& t) { return t.value(0).AsString(); },
       std::move(naggs), having);
   VectorCollector nout;
-  for (const Tuple& t : stream) ASSERT_TRUE(nop.Push(t, &nout).ok());
+  for (const Tuple& t : stream) {
+    ASSERT_TRUE(nop.PushBatch(TupleBatch({t}), &nout).ok());
+  }
   ASSERT_TRUE(nop.Close(&nout).ok());
 
   std::vector<stream::PaneAggregateSpec> paggs;
@@ -283,7 +286,9 @@ TEST(PaneAggregatesTest, HavingFilterMatches) {
       "paned", spec, [](const Tuple& t) { return t.value(0).AsString(); },
       std::move(paggs), having);
   VectorCollector pout;
-  for (const Tuple& t : stream) ASSERT_TRUE(pop.Push(t, &pout).ok());
+  for (const Tuple& t : stream) {
+    ASSERT_TRUE(pop.PushBatch(TupleBatch({t}), &pout).ok());
+  }
   ASSERT_TRUE(pop.Close(&pout).ok());
 
   ASSERT_EQ(nout.tuples().size(), pout.tuples().size());
@@ -319,7 +324,9 @@ TEST(PaneAggregatesTest, AvgMatchesNaive) {
       "naive", spec, [](const Tuple& t) { return t.value(0).AsString(); },
       std::move(naggs));
   VectorCollector nout;
-  for (const Tuple& t : stream) ASSERT_TRUE(nop.Push(t, &nout).ok());
+  for (const Tuple& t : stream) {
+    ASSERT_TRUE(nop.PushBatch(TupleBatch({t}), &nout).ok());
+  }
   ASSERT_TRUE(nop.Close(&nout).ok());
 
   std::vector<stream::PaneAggregateSpec> paggs;
@@ -328,7 +335,9 @@ TEST(PaneAggregatesTest, AvgMatchesNaive) {
       "paned", spec, [](const Tuple& t) { return t.value(0).AsString(); },
       std::move(paggs));
   VectorCollector pout;
-  for (const Tuple& t : stream) ASSERT_TRUE(pop.Push(t, &pout).ok());
+  for (const Tuple& t : stream) {
+    ASSERT_TRUE(pop.PushBatch(TupleBatch({t}), &pout).ok());
+  }
   ASSERT_TRUE(pop.Close(&pout).ok());
 
   ASSERT_EQ(nout.tuples().size(), pout.tuples().size());

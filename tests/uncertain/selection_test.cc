@@ -4,12 +4,14 @@
 
 #include "stats/gaussian.h"
 #include "stats/uniform.h"
+#include "stream/batch.h"
 
 namespace usp {
 namespace uncertain {
 namespace {
 
 using stream::Tuple;
+using stream::TupleBatch;
 using stream::Value;
 
 Value Dist(double mean, double sd) {
@@ -55,9 +57,9 @@ TEST(ProbabilisticFilterTest, KeepsHighConfidenceTuples) {
   Tuple hot(0, {Dist(100.0, 5.0)});
   Tuple cold(1, {Dist(40.0, 5.0)});
   Tuple borderline(2, {Dist(62.0, 5.0)});
-  ASSERT_TRUE(filter->Push(hot, &out).ok());
-  ASSERT_TRUE(filter->Push(cold, &out).ok());
-  ASSERT_TRUE(filter->Push(borderline, &out).ok());
+  ASSERT_TRUE(filter->PushBatch(TupleBatch({hot}), &out).ok());
+  ASSERT_TRUE(filter->PushBatch(TupleBatch({cold}), &out).ok());
+  ASSERT_TRUE(filter->PushBatch(TupleBatch({borderline}), &out).ok());
   ASSERT_EQ(out.tuples().size(), 1u);
   EXPECT_EQ(out.tuples()[0].id(), hot.id());
 }
@@ -66,7 +68,8 @@ TEST(ProbabilisticFilterTest, OutOfRangeIndexDrops) {
   auto filter = MakeProbabilisticFilter("f", 5, PredicateOp::kGreaterThan,
                                         0.0, 0.0, 0.5);
   stream::VectorCollector out;
-  ASSERT_TRUE(filter->Push(Tuple(0, {Value(1.0)}), &out).ok());
+  ASSERT_TRUE(filter->PushBatch(
+      TupleBatch({Tuple(0, {Value(1.0)})}), &out).ok());
   EXPECT_TRUE(out.tuples().empty());
 }
 
@@ -74,7 +77,8 @@ TEST(ProbabilityAnnotatorTest, AppendsProbability) {
   auto annot =
       MakeProbabilityAnnotator("a", 0, PredicateOp::kGreaterThan, 0.0);
   stream::VectorCollector out;
-  ASSERT_TRUE(annot->Push(Tuple(0, {Dist(0.0, 1.0)}), &out).ok());
+  ASSERT_TRUE(annot->PushBatch(
+      TupleBatch({Tuple(0, {Dist(0.0, 1.0)})}), &out).ok());
   ASSERT_EQ(out.tuples().size(), 1u);
   ASSERT_EQ(out.tuples()[0].num_values(), 2u);
   EXPECT_NEAR(out.tuples()[0].value(1).AsDouble(), 0.5, 1e-9);
@@ -84,7 +88,8 @@ TEST(ProbabilityAnnotatorTest, WorksOnCertainValues) {
   auto annot = MakeProbabilityAnnotator("a", 0, PredicateOp::kWithinRange,
                                         0.0, 10.0);
   stream::VectorCollector out;
-  ASSERT_TRUE(annot->Push(Tuple(0, {Value(5.0)}), &out).ok());
+  ASSERT_TRUE(annot->PushBatch(
+      TupleBatch({Tuple(0, {Value(5.0)})}), &out).ok());
   EXPECT_EQ(out.tuples()[0].value(1).AsDouble(), 1.0);
 }
 
@@ -92,7 +97,8 @@ TEST(ProbabilityAnnotatorTest, IndexOutOfRangeErrors) {
   auto annot =
       MakeProbabilityAnnotator("a", 4, PredicateOp::kGreaterThan, 0.0);
   stream::VectorCollector out;
-  EXPECT_FALSE(annot->Push(Tuple(0, {Value(1.0)}), &out).ok());
+  EXPECT_FALSE(annot->PushBatch(
+      TupleBatch({Tuple(0, {Value(1.0)})}), &out).ok());
 }
 
 TEST(PredicateProbabilityTest, NonGaussianDistribution) {
@@ -108,7 +114,8 @@ TEST(ConditioningSelectionTest, ReplacesDistributionWithTruncation) {
   auto cond = MakeConditioningSelection(
       "c", 0, PredicateOp::kGreaterThan, 0.0, 0.0, 0.1);
   stream::VectorCollector out;
-  ASSERT_TRUE(cond->Push(Tuple(0, {Dist(0.0, 1.0)}), &out).ok());
+  ASSERT_TRUE(cond->PushBatch(
+      TupleBatch({Tuple(0, {Dist(0.0, 1.0)})}), &out).ok());
   ASSERT_EQ(out.tuples().size(), 1u);
   const auto& d = *out.tuples()[0].value(0).AsDistribution();
   EXPECT_EQ(d.type(), stats::DistType::kTruncated);
@@ -122,7 +129,8 @@ TEST(ConditioningSelectionTest, DropsLowConfidenceTuples) {
       "c", 0, PredicateOp::kGreaterThan, 100.0, 0.0, 0.5);
   stream::VectorCollector out;
   // P(N(0,1) > 100) ~ 0: dropped, not an error.
-  ASSERT_TRUE(cond->Push(Tuple(0, {Dist(0.0, 1.0)}), &out).ok());
+  ASSERT_TRUE(cond->PushBatch(
+      TupleBatch({Tuple(0, {Dist(0.0, 1.0)})}), &out).ok());
   EXPECT_TRUE(out.tuples().empty());
 }
 
@@ -130,7 +138,7 @@ TEST(ConditioningSelectionTest, CertainValuesPassUnchanged) {
   auto cond = MakeConditioningSelection(
       "c", 0, PredicateOp::kWithinRange, 0.0, 10.0, 0.5);
   stream::VectorCollector out;
-  ASSERT_TRUE(cond->Push(Tuple(0, {Value(5.0)}), &out).ok());
+  ASSERT_TRUE(cond->PushBatch(TupleBatch({Tuple(0, {Value(5.0)})}), &out).ok());
   ASSERT_EQ(out.tuples().size(), 1u);
   EXPECT_EQ(out.tuples()[0].value(0).AsDouble(), 5.0);
 }
@@ -139,7 +147,8 @@ TEST(ConditioningSelectionTest, RangePredicateTruncatesBothSides) {
   auto cond = MakeConditioningSelection(
       "c", 0, PredicateOp::kWithinRange, -1.0, 1.0, 0.1);
   stream::VectorCollector out;
-  ASSERT_TRUE(cond->Push(Tuple(0, {Dist(0.0, 1.0)}), &out).ok());
+  ASSERT_TRUE(cond->PushBatch(
+      TupleBatch({Tuple(0, {Dist(0.0, 1.0)})}), &out).ok());
   ASSERT_EQ(out.tuples().size(), 1u);
   const auto& d = *out.tuples()[0].value(0).AsDistribution();
   EXPECT_EQ(d.Cdf(-1.0), 0.0);
@@ -153,8 +162,10 @@ TEST(ConditioningSelectionTest, DownstreamAggregationSeesPostSelectionLaw) {
   auto cond = MakeConditioningSelection(
       "c", 0, PredicateOp::kGreaterThan, 0.0, 0.0, 0.1);
   stream::VectorCollector out;
-  ASSERT_TRUE(cond->Push(Tuple(0, {Dist(0.0, 1.0)}), &out).ok());
-  ASSERT_TRUE(cond->Push(Tuple(1, {Dist(0.0, 1.0)}), &out).ok());
+  ASSERT_TRUE(cond->PushBatch(
+      TupleBatch({Tuple(0, {Dist(0.0, 1.0)})}), &out).ok());
+  ASSERT_TRUE(cond->PushBatch(
+      TupleBatch({Tuple(1, {Dist(0.0, 1.0)})}), &out).ok());
   ASSERT_EQ(out.tuples().size(), 2u);
   double mean_sum = 0.0;
   for (const auto& t : out.tuples()) {
